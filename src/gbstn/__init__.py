@@ -56,9 +56,8 @@ from .analysis import (
     scaling_rows,
 )
 from .tnet import (
-    MPO,
-    MPS,
     EvolutionStats,
+    TensorTrain,
     TruncationPolicy,
     batch_probabilities,
     fock_mps,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NumericalFailureError, UnsupportedConfigurationError
+from .fockdense import squeeze_values
 from .gauss import photon_pair_distribution
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "pi_gamma",
     "delta_gamma",
     "choose_cutoff",
+    "recommended_cutoff",
     "dmax_fbs",
     "dmax_gbs",
     "dmax_bipartite",
@@ -100,6 +102,29 @@ def choose_cutoff(policy: CutoffPolicy) -> tuple[int, float]:
         n += 1
         if n > policy.n_tilde + 100_000:
             raise NumericalFailureError("cutoff search failed to converge")
+
+
+def recommended_cutoff(
+    circuit, r, n_tilde: int, epsilon: float = CutoffPolicy.epsilon
+) -> int | None:
+    """:func:`choose_cutoff` for a circuit's loss and an input squeezing ``r``.
+
+    The strongest gate loss stands for every lossy gate.  Returns None where
+    the closed-form pair distribution does not apply: an odd mode count or
+    squeezing that differs between modes.
+    """
+    values = squeeze_values(r, circuit.num_modes)
+    if circuit.num_modes % 2 != 0 or values.max() > values.min():
+        return None
+    policy = CutoffPolicy(
+        gamma=circuit.max_loss_gamma,
+        num_sources=circuit.num_lossy_gates,
+        num_modes=circuit.num_modes,
+        r=float(values[0]),
+        n_tilde=n_tilde,
+        epsilon=epsilon,
+    )
+    return choose_cutoff(policy)[0]
 
 
 def dmax_fbs(outcome) -> int:

@@ -22,8 +22,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import analysis, circuit as circuit_mod, fockdense, gauss, tnet
 from .errors import UnsupportedConfigurationError
 
@@ -85,25 +83,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _auto_cutoff(circ, squeezing, outcome) -> int:
+def _auto_cutoff(circ, squeezing, outcome, epsilon) -> int:
     n_tilde = sum(outcome)
     if circ.is_lossless:
         return max(n_tilde, 1)
-    values = np.atleast_1d(np.asarray(squeezing, dtype=float))
-    if circ.num_modes % 2 != 0 or (values.size > 1 and np.ptp(values) > 0.0):
+    n_c = analysis.recommended_cutoff(circ, squeezing, n_tilde, epsilon)
+    if n_c is None:
         raise UnsupportedConfigurationError(
             "automatic cutoff selection needs an even mode count and uniform "
             "squeezing for lossy circuits; pass --cutoff explicitly"
         )
-    policy = analysis.CutoffPolicy(
-        gamma=circ.max_loss_gamma,
-        num_sources=circ.num_lossy_gates,
-        num_modes=circ.num_modes,
-        r=float(values[0]),
-        n_tilde=n_tilde,
-        epsilon=DEFAULT_EPSILON,
-    )
-    return max(analysis.choose_cutoff(policy)[0], 1)
+    return max(n_c, 1)
 
 
 def _check_backend(circ, backend) -> None:
@@ -123,7 +113,7 @@ def _check_backend(circ, backend) -> None:
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _prob_record(circ, outcome, args, n_c, policy) -> dict:
+def _prob_record(circ, outcome, args, n_c, policy, gaussian_state) -> dict:
     start = time.perf_counter()
     record = {
         "outcome": list(outcome),
@@ -135,14 +125,7 @@ def _prob_record(circ, outcome, args, n_c, policy) -> dict:
         "flop_estimate": None,
     }
     if args.backend == "tn":
-        if args.picture == "schrodinger":
-            p, stats = tnet.schrodinger_probability(circ, outcome, args.squeezing, n_c, policy)
-        elif circ.is_lossless:
-            p, stats = tnet.heisenberg_probability_lossless(
-                circ, outcome, args.squeezing, n_c, policy
-            )
-        else:
-            p, stats = tnet.heisenberg_probability_lossy(circ, outcome, args.squeezing, n_c, policy)
+        p, stats = tnet.probability(circ, outcome, args.squeezing, n_c, policy, args.picture)
         record.update(
             max_bond=stats.max_bond_seen,
             truncation_weight=stats.truncation_weight,
@@ -161,10 +144,7 @@ def _prob_record(circ, outcome, args, n_c, policy) -> dict:
             )
         p = fockdense.dense_probability(state, outcome)
     else:  # gaussian
-        state = gauss.propagate_circuit(
-            gauss.squeezed_vacuum_cov(args.squeezing, circ.num_modes), circ
-        )
-        p = gauss.gbs_probability(state, outcome)
+        p = gauss.gbs_probability(gaussian_state, outcome)
     record["probability"] = p
     record["wall_time"] = time.perf_counter() - start
     return record
@@ -180,10 +160,18 @@ def cmd_prob(args) -> int:
     policy = tnet.TruncationPolicy(max_bond=args.max_bond, svd_threshold=args.svd_threshold)
     try:
         n_cs = [
-            args.cutoff if args.cutoff is not None else _auto_cutoff(circ, args.squeezing, n)
+            args.cutoff
+            if args.cutoff is not None
+            else _auto_cutoff(circ, args.squeezing, n, args.epsilon)
             for n in args.outcome
         ]
-    except UnsupportedConfigurationError as exc:
+        # the covariance does not depend on the outcome: propagate it once
+        gaussian_state = None
+        if args.backend == "gaussian":
+            gaussian_state = gauss.propagate_circuit(
+                gauss.squeezed_vacuum_cov(args.squeezing, circ.num_modes), circ
+            )
+    except (UnsupportedConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     fh, close = _open_output(args.output)
@@ -195,7 +183,7 @@ def cmd_prob(args) -> int:
 
             with ThreadPoolExecutor(max_workers=_workers(args)) as pool:
                 futures = [
-                    pool.submit(_prob_record, circ, outcome, args, n_c, policy)
+                    pool.submit(_prob_record, circ, outcome, args, n_c, policy, gaussian_state)
                     for outcome, n_c in zip(args.outcome, n_cs)
                 ]
                 for idx, fut in enumerate(futures):
@@ -207,7 +195,9 @@ def cmd_prob(args) -> int:
         else:
             for idx, (outcome, n_c) in enumerate(zip(args.outcome, n_cs)):
                 try:
-                    records[idx] = _prob_record(circ, outcome, args, n_c, policy)
+                    records[idx] = _prob_record(
+                        circ, outcome, args, n_c, policy, gaussian_state
+                    )
                 except Exception as exc:
                     records[idx] = {"outcome": list(outcome), "error": str(exc)}
                     failures += 1
@@ -272,16 +262,12 @@ def cmd_validate(args) -> int:
 
     columns: dict[str, list[float]] = {}
     columns["tn_heisenberg"] = [
-        (
-            tnet.heisenberg_probability_lossless(circ, n, args.squeezing, n_c, policy)
-            if lossless
-            else tnet.heisenberg_probability_lossy(circ, n, args.squeezing, n_c, policy)
-        )[0]
+        tnet.probability(circ, n, args.squeezing, n_c, policy, "heisenberg")[0]
         for n in outcomes
     ]
     if lossless:
         columns["tn_schrodinger"] = [
-            tnet.schrodinger_probability(circ, n, args.squeezing, n_c, policy)[0]
+            tnet.probability(circ, n, args.squeezing, n_c, policy, "schrodinger")[0]
             for n in outcomes
         ]
         state = fockdense.dense_evolve_state(

@@ -1,4 +1,10 @@
-"""Tensor-train engine: MPS/MPO evolution with SVD truncation.
+"""Tensor-train engine: one train type in canonical form, one two-site update.
+
+A :class:`TensorTrain` has a leg of dimension d = n_c + 1 per mode for a
+state and d^2 for an operator, its (out, in) pair vectorised.  The train
+keeps an orthogonality centre, and every gate is one ``_apply_two_site``:
+QR moves the centre onto the pair, the gate's local map acts, an SVD splits
+the pair and drops Schmidt values, so truncation removes exactly their weight.
 
 Probabilities are computed three ways:
 
@@ -8,9 +14,9 @@ Probabilities are computed three ways:
   time-reversed circuit (reverse layer order, conjugate-transposed gates) and
   overlap with the unevolved input.  Valid because for unitary circuits the
   evolved projector stays a rank-one dyad.
-* ``heisenberg_probability_lossy``: evolve the outcome projector as a genuine
-  MPO through the adjoint channel O -> U^dag (sum_mu K_mu^dag O K_mu) U per
-  gate, then close with the squeezed input on both sides.
+* ``heisenberg_probability_lossy``: evolve the outcome projector as an
+  operator train through the adjoint channel O -> U^dag (sum_mu K_mu^dag O
+  K_mu) U per gate, then close with the squeezed input on both sides.
 
 Nothing is renormalized after truncation: probabilities carry the cutoff and
 truncation error honestly.  Every evolution reports bond-dimension and
@@ -19,6 +25,7 @@ truncation statistics.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .analysis import recommended_cutoff
 from .circuit import Circuit, Gate, gate_tensor, kraus_set
 from .errors import NumericalFailureError, ResourceLimitError, UnsupportedConfigurationError
 from .fockdense import squeeze_values, single_mode_squeezed_vector
@@ -33,8 +41,7 @@ from .fockdense import squeeze_values, single_mode_squeezed_vector
 __all__ = [
     "TruncationPolicy",
     "EvolutionStats",
-    "MPS",
-    "MPO",
+    "TensorTrain",
     "fock_mps",
     "squeezed_mps",
     "fock_projector_mpo",
@@ -45,6 +52,7 @@ __all__ = [
     "schrodinger_probability",
     "heisenberg_probability_lossless",
     "heisenberg_probability_lossy",
+    "probability",
     "batch_probabilities",
 ]
 
@@ -54,7 +62,8 @@ DENSE_GUARD = 10**7
 @dataclass(frozen=True)
 class TruncationPolicy:
     """SVD compression policy: drop singular values with s/s_max < threshold,
-    then cap the bond at ``max_bond`` (None = unlimited)."""
+    then cap the bond at ``max_bond`` (None = unlimited).  The squares of the
+    dropped values are the squared norm the truncation removes."""
 
     max_bond: int | None = None
     svd_threshold: float = 1e-12
@@ -69,6 +78,9 @@ class TruncationPolicy:
 @dataclass
 class EvolutionStats:
     """Instrumentation collected along one evolution.
+
+    ``truncation_weight`` is the squared norm (Frobenius for an operator)
+    lost to truncation: the squared Schmidt values dropped by every split.
 
     ``flop_estimate`` accumulates a chi^3 * chi_o^2 * n_c^2 cost model per
     two-site update, with operator bond chi_o = n_c + 1 for state updates and
@@ -103,140 +115,87 @@ def _svd(matrix: np.ndarray):
         return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
 
 
-def _split(matrix: np.ndarray, policy: TruncationPolicy, stats: EvolutionStats):
-    """SVD-split with truncation; singular values absorbed as sqrt on each side."""
-    u, s, vh = _svd(matrix)
-    keep = len(s)
-    if keep > 1 and s[0] > 0.0:
-        keep = int(np.sum(s > policy.svd_threshold * s[0]))
-        keep = max(keep, 1)
-    if policy.max_bond is not None:
-        keep = min(keep, policy.max_bond)
-    stats.truncation_weight += float(np.sum(s[keep:] ** 2))
-    root = np.sqrt(s[:keep])
-    left = u[:, :keep] * root[None, :]
-    right = root[:, None] * vh[:keep]
-    stats.observe_bond(keep)
-    return left, right, keep
+class TensorTrain:
+    """Rank-3 site tensors (left bond, physical, right bond) over the modes.
 
+    ``local_dim`` is the Fock dimension d of one mode; the physical leg is d
+    for a state and d^2 for an operator.  Sites left of ``center`` are left
+    isometries and sites right of it right isometries; ``center`` is None
+    when the train is not known to be in canonical form.
+    """
 
-class MPS:
-    """Matrix product state: rank-3 site tensors (left bond, physical, right bond)."""
-
-    def __init__(self, tensors: list[np.ndarray]):
+    def __init__(self, tensors: list[np.ndarray], local_dim: int, center: int | None = None):
         if not tensors:
-            raise ValueError("an MPS needs at least one site")
+            raise ValueError("a tensor train needs at least one site")
         if tensors[0].shape[0] != 1 or tensors[-1].shape[2] != 1:
             raise ValueError("boundary bonds must have dimension 1")
         for k in range(len(tensors) - 1):
             if tensors[k].shape[2] != tensors[k + 1].shape[0]:
                 raise ValueError(f"bond mismatch between sites {k} and {k + 1}")
         self.tensors = tensors
+        self.local_dim = local_dim
+        self.center = center
 
     @property
     def num_modes(self) -> int:
         return len(self.tensors)
 
-    @property
-    def local_dim(self) -> int:
-        return self.tensors[0].shape[1]
-
     def max_bond(self) -> int:
         return max(t.shape[2] for t in self.tensors)
-
-    def copy(self) -> "MPS":
-        return MPS([t.copy() for t in self.tensors])
 
     def norm(self) -> float:
         return float(np.sqrt(max(mps_overlap(self, self).real, 0.0)))
 
     def to_dense(self) -> np.ndarray:
-        """Full amplitude array (axis k = mode k); guarded against large spaces."""
-        if self.local_dim**self.num_modes > DENSE_GUARD:
+        """Full array, axis k = leg of mode k; guarded against large spaces."""
+        if math.prod(t.shape[1] for t in self.tensors) > DENSE_GUARD:
             raise ResourceLimitError("dense contraction would exceed the size guard")
-        acc = self.tensors[0][0]  # (d, chi)
+        acc = self.tensors[0][0]  # (p, chi)
         for t in self.tensors[1:]:
             acc = np.tensordot(acc, t, axes=([-1], [0]))
         return acc[..., 0]
 
-
-class MPO:
-    """Matrix product operator: rank-4 site tensors (left, out, in, right)."""
-
-    def __init__(self, tensors: list[np.ndarray]):
-        if not tensors:
-            raise ValueError("an MPO needs at least one site")
-        if tensors[0].shape[0] != 1 or tensors[-1].shape[3] != 1:
-            raise ValueError("boundary bonds must have dimension 1")
-        for k in range(len(tensors) - 1):
-            if tensors[k].shape[3] != tensors[k + 1].shape[0]:
-                raise ValueError(f"bond mismatch between sites {k} and {k + 1}")
-        self.tensors = tensors
-
-    @property
-    def num_modes(self) -> int:
-        return len(self.tensors)
-
-    @property
-    def local_dim(self) -> int:
-        return self.tensors[0].shape[1]
-
-    def max_bond(self) -> int:
-        return max(t.shape[3] for t in self.tensors)
-
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix over the little-endian flat basis (mode 0 fastest)."""
+        """Dense matrix of an operator over the little-endian flat basis (mode 0 fastest)."""
         d, m = self.local_dim, self.num_modes
         size = d**m
-        if size**2 > DENSE_GUARD:
-            raise ResourceLimitError("dense contraction would exceed the size guard")
-        acc = self.tensors[0][0]  # (out, in, chi)
-        for t in self.tensors[1:]:
-            acc = np.tensordot(acc, t, axes=([-1], [0]))
-        acc = acc[..., 0]  # (out_0, in_0, out_1, in_1, ...)
+        acc = self.to_dense().reshape((d, d) * m)  # (out_0, in_0, out_1, in_1, ...)
         acc = np.transpose(acc, list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)))
         return acc.reshape((size, size), order="F")
 
 
-def fock_mps(outcome, local_cutoff: int) -> MPS:
-    """Product MPS |n_1, ..., n_M> (all bonds 1)."""
+def _product_train(vectors, local_dim: int, center: int | None) -> TensorTrain:
+    return TensorTrain([v.reshape(1, -1, 1) for v in vectors], local_dim, center)
+
+
+def _check_outcome(outcome, local_cutoff: int) -> tuple[int, ...]:
     outcome = tuple(int(n) for n in outcome)
     if any(n < 0 or n > local_cutoff for n in outcome):
         raise ValueError(f"outcome {outcome} lies outside the cutoff {local_cutoff}")
+    return outcome
+
+
+def fock_mps(outcome, local_cutoff: int) -> TensorTrain:
+    """Product state |n_1, ..., n_M> (all bonds 1, unit sites, so canonical)."""
     d = local_cutoff + 1
-    tensors = []
-    for n in outcome:
-        t = np.zeros((1, d, 1), dtype=np.complex128)
-        t[0, n, 0] = 1.0
-        tensors.append(t)
-    return MPS(tensors)
+    basis = np.eye(d, dtype=np.complex128)
+    return _product_train([basis[n] for n in _check_outcome(outcome, local_cutoff)], d, 0)
 
 
-def squeezed_mps(r, num_modes: int, local_cutoff: int) -> MPS:
-    """Product MPS of truncated squeezed vacua; norm < 1 is kept, not fixed."""
-    values = squeeze_values(r, num_modes)
-    tensors = [
-        single_mode_squeezed_vector(rk, local_cutoff).reshape(1, local_cutoff + 1, 1)
-        for rk in values
-    ]
-    return MPS(tensors)
+def squeezed_mps(r, num_modes: int, local_cutoff: int) -> TensorTrain:
+    """Product state of truncated squeezed vacua; norm < 1 is kept, not fixed."""
+    vectors = [single_mode_squeezed_vector(rk, local_cutoff) for rk in squeeze_values(r, num_modes)]
+    return _product_train(vectors, local_cutoff + 1, None)
 
 
-def fock_projector_mpo(outcome, local_cutoff: int) -> MPO:
-    """|n><n| as a bond-1 MPO."""
-    outcome = tuple(int(n) for n in outcome)
-    if any(n < 0 or n > local_cutoff for n in outcome):
-        raise ValueError(f"outcome {outcome} lies outside the cutoff {local_cutoff}")
+def fock_projector_mpo(outcome, local_cutoff: int) -> TensorTrain:
+    """|n><n| as a bond-1 operator train."""
     d = local_cutoff + 1
-    tensors = []
-    for n in outcome:
-        t = np.zeros((1, d, d, 1), dtype=np.complex128)
-        t[0, n, n, 0] = 1.0
-        tensors.append(t)
-    return MPO(tensors)
+    basis = np.eye(d * d, dtype=np.complex128)  # row n * d + n is vec(|n><n|)
+    return _product_train([basis[n * d + n] for n in _check_outcome(outcome, local_cutoff)], d, 0)
 
 
-def mps_overlap(bra: MPS, ket: MPS) -> complex:
+def mps_overlap(bra: TensorTrain, ket: TensorTrain) -> complex:
     """<bra|ket> (bra tensors enter conjugated)."""
     if bra.num_modes != ket.num_modes:
         raise ValueError("mode count mismatch")
@@ -248,33 +207,93 @@ def mps_overlap(bra: MPS, ket: MPS) -> complex:
     return complex(env[0, 0])
 
 
-def mpo_expectation(bra: MPS, operator: MPO, ket: MPS) -> complex:
-    """<bra| O |ket>."""
+def mpo_expectation(bra: TensorTrain, operator: TensorTrain, ket: TensorTrain) -> complex:
+    """<bra| O |ket>: the overlap of O with the train bra (x) ket*, whose
+    sites pair bra's leg with conj(ket)'s as O's (out, in) leg."""
     if not (bra.num_modes == operator.num_modes == ket.num_modes):
         raise ValueError("mode count mismatch")
-    env = np.ones((1, 1, 1), dtype=np.complex128)
-    for a, w, b in zip(bra.tensors, operator.tensors, ket.tensors):
-        tmp = np.tensordot(env, a.conj(), axes=([0], [0]))      # (b, c, p, x)
-        tmp = np.tensordot(tmp, w, axes=([0, 2], [0, 1]))       # (c, x, q, y)
-        env = np.tensordot(tmp, b, axes=([0, 2], [0, 1]))       # (x, y, z)
-    return complex(env[0, 0, 0])
+    sites = [
+        np.einsum("apb,cqd->acpqbd", a, b.conj()).reshape(
+            a.shape[0] * b.shape[0], -1, a.shape[2] * b.shape[2]
+        )
+        for a, b in zip(bra.tensors, ket.tensors)
+    ]
+    return mps_overlap(TensorTrain(sites, operator.local_dim), operator)
 
 
-def _gate_pair_tensor(gate: Gate, local_cutoff: int, reverse: bool) -> np.ndarray:
-    g = gate_tensor(gate.params, local_cutoff)
-    if reverse:
-        g = g.conj().transpose(2, 3, 0, 1)
-    return g
+def _move_center(tensors: list[np.ndarray], center: int | None, target: int) -> None:
+    """QR-sweep ``tensors`` in place to make ``target`` the centre; from an
+    unknown centre, every site on either side of it is swept."""
+    start, stop = (0, len(tensors) - 1) if center is None else (center, center)
+    for k in range(start, target):
+        chi_l, p, chi_r = tensors[k].shape
+        q, rest = np.linalg.qr(tensors[k].reshape(chi_l * p, chi_r))
+        tensors[k] = q.reshape(chi_l, p, -1)
+        tensors[k + 1] = np.tensordot(rest, tensors[k + 1], axes=([1], [0]))
+    for k in range(stop, target, -1):
+        chi_l, p, chi_r = tensors[k].shape
+        # A = R^T Q^T, from the QR of A^T
+        q, rest = np.linalg.qr(tensors[k].reshape(chi_l, p * chi_r).T)
+        tensors[k] = q.T.reshape(-1, p, chi_r)
+        tensors[k - 1] = np.tensordot(tensors[k - 1], rest.T, axes=([2], [0]))
+
+
+def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> TensorTrain:
+    """Map the pair tensor (chi_l, p, p, chi_r) of sites (i, i+1) with
+    ``local_map`` and split it back at the centre; returns a new train.
+
+    The centre keeps moving the way it came: from the left (or from nowhere)
+    the split is u | s.vh and leaves it on i+1, from the right u.s | vh on i.
+    """
+    policy = policy or TruncationPolicy()
+    stats = stats if stats is not None else EvolutionStats()
+    if i + 1 >= train.num_modes:
+        raise ValueError(f"gate on modes {(i, i + 1)} does not fit in {train.num_modes} modes")
+    rightward = train.center is None or train.center <= i
+    tensors = list(train.tensors)
+    _move_center(tensors, train.center, i if rightward else i + 1)
+    a, b = tensors[i], tensors[i + 1]
+    chi_l, p, chi_r = a.shape[0], a.shape[1], b.shape[2]
+    theta = local_map(np.tensordot(a, b, axes=([2], [0])))
+    u, s, vh = _svd(theta.reshape(chi_l * p, p * chi_r))
+
+    keep = len(s)
+    if keep > 1 and s[0] > 0.0:
+        keep = max(int(np.sum(s > policy.svd_threshold * s[0])), 1)
+    if policy.max_bond is not None:
+        keep = min(keep, policy.max_bond)
+    stats.truncation_weight += float(np.sum(s[keep:] ** 2))
+    stats.observe_bond(keep)
+    stats.flop_estimate += float(keep) ** 3 * float(p) ** 2 * float(train.local_dim - 1) ** 2
+
+    u, s, vh = u[:, :keep], s[:keep], vh[:keep]
+    if rightward:
+        vh = s[:, None] * vh
+    else:
+        u = u * s[None, :]
+    tensors[i] = u.reshape(chi_l, p, keep)
+    tensors[i + 1] = vh.reshape(keep, p, chi_r)
+    return TensorTrain(tensors, train.local_dim, i + 1 if rightward else i)
+
+
+def _sweep(layer, train: TensorTrain) -> list:
+    """The gates of a layer ordered to carry the centre across it from the
+    end it is nearest to.  Gates of one layer act on disjoint pairs and commute."""
+    gates = sorted(layer, key=lambda g: g.modes[0])
+    if gates and train.center is not None:
+        if 2 * train.center > gates[0].modes[0] + gates[-1].modes[1]:
+            gates.reverse()
+    return gates
 
 
 def apply_gate_mps(
-    psi: MPS,
+    psi: TensorTrain,
     gate: Gate,
     policy: TruncationPolicy | None = None,
     stats: EvolutionStats | None = None,
     reverse: bool = False,
-) -> MPS:
-    """Contract a two-site gate into the MPS and SVD-split it back.
+) -> TensorTrain:
+    """Apply a two-site gate G to a state train.
 
     ``reverse=True`` applies the conjugate-transposed gate (the time-reversed
     circuit element).  Loss channels cannot act on a pure state; lossy gates
@@ -282,92 +301,65 @@ def apply_gate_mps(
     """
     if gate.loss_gamma != 0.0:
         raise UnsupportedConfigurationError(
-            "lossy gates cannot be applied to an MPS; use the MPO path"
+            "lossy gates cannot be applied to a state; use the operator path"
         )
-    policy = policy or TruncationPolicy()
-    stats = stats if stats is not None else EvolutionStats()
-    i = gate.modes[0]
-    if i + 1 >= psi.num_modes:
-        raise ValueError(f"gate on modes {gate.modes} does not fit in {psi.num_modes} modes")
-    d = psi.local_dim
-    g = _gate_pair_tensor(gate, d - 1, reverse)
+    g = gate_tensor(gate.params, psi.local_dim - 1)
+    if reverse:
+        g = g.conj().transpose(2, 3, 0, 1)
 
-    a, b = psi.tensors[i], psi.tensors[i + 1]
-    chi_l, chi_r = a.shape[0], b.shape[2]
-    theta = np.tensordot(a, b, axes=([2], [0]))        # (chi_l, p1, p2, chi_r)
-    theta = np.tensordot(g, theta, axes=([2, 3], [1, 2]))  # (o1, o2, chi_l, chi_r)
-    theta = theta.transpose(2, 0, 1, 3).reshape(chi_l * d, d * chi_r)
+    def local_map(theta):  # (chi_l, p1, p2, chi_r)
+        return np.tensordot(g, theta, axes=([2, 3], [1, 2])).transpose(2, 0, 1, 3)
 
-    left, right, keep = _split(theta, policy, stats)
-    tensors = list(psi.tensors)
-    tensors[i] = left.reshape(chi_l, d, keep)
-    tensors[i + 1] = right.reshape(keep, d, chi_r)
-    stats.flop_estimate += float(keep) ** 3 * float(d) ** 2 * float(d - 1) ** 2
-    return MPS(tensors)
+    return _apply_two_site(psi, gate.modes[0], local_map, policy, stats)
 
 
 def _evolve_mps(
-    psi: MPS,
+    psi: TensorTrain,
     circuit: Circuit,
     policy: TruncationPolicy,
     stats: EvolutionStats,
     reverse: bool,
-) -> MPS:
+) -> TensorTrain:
     layers = reversed(circuit.layers) if reverse else circuit.layers
     for layer in layers:
-        for gate in layer:
+        for gate in _sweep(layer, psi):
             psi = apply_gate_mps(psi, gate, policy, stats, reverse=reverse)
         stats.per_layer_bonds.append(psi.max_bond())
     return psi
 
 
 def apply_gate_mpo_adjoint(
-    operator: MPO,
+    operator: TensorTrain,
     gate: Gate,
     policy: TruncationPolicy | None = None,
     stats: EvolutionStats | None = None,
-) -> MPO:
+) -> TensorTrain:
     """One step of the adjoint channel: O -> U^dag (sum_mu K_mu^dag O K_mu) U.
 
     The Kraus sum acts on the gate's lossy site first (it creates photons in
-    this direction), then the two sites are conjugated by the gate unitary and
-    recompressed.
+    this direction), then the two sites are conjugated by the gate unitary.
     """
-    policy = policy or TruncationPolicy()
-    stats = stats if stats is not None else EvolutionStats()
-    i = gate.modes[0]
-    if i + 1 >= operator.num_modes:
-        raise ValueError(f"gate on modes {gate.modes} does not fit in {operator.num_modes} modes")
     d = operator.local_dim
-    tensors = list(operator.tensors)
-
-    if gate.loss_gamma > 0.0:
-        s = gate.loss_site
-        w = tensors[s]
-        out = None
-        for k in kraus_set(gate.loss_gamma, d - 1):
-            # K^dag O K on the physical legs: conj(K)[a, m] W[l, a, b, r] K[b, n]
-            term = np.tensordot(k.conj(), w, axes=([0], [1]))      # (m, l, b, r)
-            term = np.tensordot(term, k, axes=([2], [0]))          # (m, l, r, n)
-            out = term if out is None else out + term
-        tensors[s] = out.transpose(1, 0, 3, 2)
-
     g = gate_tensor(gate.params, d - 1)
-    wa, wb = tensors[i], tensors[i + 1]
-    chi_l, chi_r = wa.shape[0], wb.shape[3]
-    theta = np.tensordot(wa, wb, axes=([3], [0]))  # (l, m1, n1, m2, n2, r)
-    theta = theta.transpose(0, 5, 2, 4, 1, 3)      # (l, r, n1, n2, m1, m2)
-    # rows: G^dag O  == contract the gate's out legs with O's out legs
-    theta = np.tensordot(theta, g.conj(), axes=([4, 5], [0, 1]))  # (l, r, n1, n2, m1', m2')
-    # columns: (.) G  == contract the gate's out legs with O's in legs
-    theta = np.tensordot(theta, g, axes=([2, 3], [0, 1]))         # (l, r, m1', m2', n1', n2')
-    theta = theta.transpose(0, 2, 4, 3, 5, 1).reshape(chi_l * d * d, d * d * chi_r)
+    kraus = None
+    if gate.loss_gamma > 0.0:
+        ops = np.stack(kraus_set(gate.loss_gamma, d - 1))
+        # (K^dag W K)[m, n] = conj(K)[a, m] W[a, b] K[b, n], as a map on vec(W)
+        kraus = np.einsum("kam,kbn->mnab", ops.conj(), ops).reshape(d * d, d * d)
 
-    left, right, keep = _split(theta, policy, stats)
-    tensors[i] = left.reshape(chi_l, d, d, keep)
-    tensors[i + 1] = right.reshape(keep, d, d, chi_r)
-    stats.flop_estimate += float(keep) ** 3 * float(d) ** 4 * float(d - 1) ** 2
-    return MPO(tensors)
+    def local_map(theta):  # (chi_l, (m1, n1), (m2, n2), chi_r)
+        chi_l, chi_r = theta.shape[0], theta.shape[3]
+        if kraus is not None:
+            axis = 1 + gate.lossy_mode  # the lossy site's leg of the pair
+            theta = np.moveaxis(np.tensordot(kraus, theta, axes=([1], [axis])), 0, axis)
+        theta = theta.reshape(chi_l, d, d, d, d, chi_r)
+        # G^dag O: the gate's out legs meet O's out legs
+        theta = np.tensordot(g.conj(), theta, axes=([0, 1], [1, 3]))  # (m1', m2', l, n1, n2, r)
+        # (.) G: O's in legs meet the gate's out legs
+        theta = np.tensordot(theta, g, axes=([3, 4], [0, 1]))  # (m1', m2', l, r, n1', n2')
+        return theta.transpose(2, 0, 4, 1, 5, 3).reshape(chi_l, d * d, d * d, chi_r)
+
+    return _apply_two_site(operator, gate.modes[0], local_map, policy, stats)
 
 
 def _clamp_probability(raw: float) -> float:
@@ -399,9 +391,8 @@ def schrodinger_probability(
     psi = squeezed_mps(r, circuit.num_modes, local_cutoff)
     psi = _evolve_mps(psi, circuit, policy, stats, reverse=False)
     amp = mps_overlap(fock_mps(outcome, local_cutoff), psi)
-    p = _clamp_probability(abs(amp) ** 2)
     stats.raw_probability = abs(amp) ** 2
-    return p, stats
+    return _clamp_probability(stats.raw_probability), stats
 
 
 def heisenberg_probability_lossless(
@@ -421,26 +412,8 @@ def heisenberg_probability_lossless(
     phi = fock_mps(outcome, local_cutoff)
     phi = _evolve_mps(phi, circuit, policy, stats, reverse=True)
     amp = mps_overlap(squeezed_mps(r, circuit.num_modes, local_cutoff), phi)
-    p = _clamp_probability(abs(amp) ** 2)
     stats.raw_probability = abs(amp) ** 2
-    return p, stats
-
-
-def _cutoff_recommendation(circuit: Circuit, r, n_tilde: int):
-    """Best-effort choose_cutoff lookup; None when the closed form does not apply."""
-    values = squeeze_values(r, circuit.num_modes)
-    if circuit.num_modes % 2 != 0 or np.ptp(values) > 0.0:
-        return None
-    from .analysis import CutoffPolicy, choose_cutoff
-
-    policy = CutoffPolicy(
-        gamma=circuit.max_loss_gamma,
-        num_sources=circuit.num_lossy_gates,
-        num_modes=circuit.num_modes,
-        r=float(values[0]),
-        n_tilde=n_tilde,
-    )
-    return choose_cutoff(policy)[0]
+    return _clamp_probability(stats.raw_probability), stats
 
 
 def heisenberg_probability_lossy(
@@ -457,7 +430,7 @@ def heisenberg_probability_lossy(
     """
     outcome = tuple(int(n) for n in outcome)
     policy = policy or TruncationPolicy()
-    recommended = _cutoff_recommendation(circuit, r, sum(outcome))
+    recommended = recommended_cutoff(circuit, r, sum(outcome))
     if recommended is not None and local_cutoff < recommended:
         warnings.warn(
             f"local cutoff {local_cutoff} is below the recommended {recommended} "
@@ -467,7 +440,7 @@ def heisenberg_probability_lossy(
     stats = EvolutionStats()
     op = fock_projector_mpo(outcome, local_cutoff)
     for layer in reversed(circuit.layers):
-        for gate in layer:
+        for gate in _sweep(layer, op):
             op = apply_gate_mpo_adjoint(op, gate, policy, stats)
         stats.per_layer_bonds.append(op.max_bond())
     psi = squeezed_mps(r, circuit.num_modes, local_cutoff)
@@ -478,7 +451,17 @@ def heisenberg_probability_lossy(
     return _clamp_probability(value.real), stats
 
 
-def _evaluate(circuit, outcome, r, local_cutoff, policy, picture):
+def probability(
+    circuit: Circuit,
+    outcome,
+    r,
+    local_cutoff: int,
+    policy: TruncationPolicy | None = None,
+    picture: str = "heisenberg",
+) -> tuple[float, EvolutionStats]:
+    """One outcome by the route its picture and circuit call for: the
+    Schrodinger state path, the lossless Heisenberg state path, or the
+    adjoint channel when any gate is lossy."""
     if picture == "schrodinger":
         return schrodinger_probability(circuit, outcome, r, local_cutoff, policy)
     if picture == "heisenberg":
@@ -506,8 +489,8 @@ def batch_probabilities(
     if workers is not None and workers > 1 and len(outcomes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_evaluate, circuit, n, r, local_cutoff, policy, picture)
+                pool.submit(probability, circuit, n, r, local_cutoff, policy, picture)
                 for n in outcomes
             ]
             return [f.result() for f in futures]
-    return [_evaluate(circuit, n, r, local_cutoff, policy, picture) for n in outcomes]
+    return [probability(circuit, n, r, local_cutoff, policy, picture) for n in outcomes]

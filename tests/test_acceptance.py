@@ -34,6 +34,7 @@ from gbstn.gauss import (
     hafnian,
     photon_pair_distribution,
     propagate,
+    propagate_circuit,
     squeezed_vacuum_cov,
 )
 from gbstn.tnet import (
@@ -393,3 +394,25 @@ def test_criterion_10_cutoff_machinery():
                 checked += 1
     assert checked == 50
     _report(10, "cutoff selection edge cases, monotonicity, 50-point Delta cross-check")
+
+
+def test_lossless_bond_ceiling_at_scale():
+    """The outcome's bond stays at dmax_fbs at M = 32, N = 6, well past the
+    sizes criterion 5 covers, and the probability matches the Gaussian value."""
+    modes, photons = 32, 6
+    circuit = build_brickwork(modes, modes, seed=1)
+    outcome = (1,) * photons + (0,) * (modes - photons)
+    start = time.monotonic()
+    p, stats = heisenberg_probability_lossless(circuit, outcome, C1_R, photons)
+    elapsed = time.monotonic() - start
+    assert stats.max_bond_seen <= dmax_fbs(outcome)
+    reference = gbs_probability(
+        propagate_circuit(squeezed_vacuum_cov(C1_R, modes), circuit), outcome
+    )
+    deviation = abs(p - reference) / reference
+    assert deviation < 1e-8
+    _report(
+        5,
+        f"M = {modes}, N = {photons}: bond {stats.max_bond_seen} <= {dmax_fbs(outcome)}, "
+        f"relative deviation {deviation:.1e}, {elapsed:.1f}s",
+    )

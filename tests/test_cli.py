@@ -176,6 +176,44 @@ class TestProb:
         assert code == 1
         assert "gate" in err and "uniform" in err
 
+    def test_epsilon_sets_the_automatic_cutoff(self, tmp_path, capsys):
+        path = tmp_path / "lossy.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "1", "--gamma", "0.05",
+             "--output", str(path)], capsys)
+        chosen = {}
+        for epsilon in ("1e-2", "1e-8"):
+            code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                                "--backend", "gaussian", "--squeezing", "0.4",
+                                "--epsilon", epsilon], capsys)
+            assert code == 0
+            (record,) = _records(out)
+            _, out, _ = run(["cutoff", "--modes", "4", "--squeezing", "0.4", "--gamma", "0.05",
+                             "--photons", "2", "--circuit", str(path),
+                             "--epsilon", epsilon], capsys)
+            assert record["n_c"] == json.loads(out)["n_c"]
+            chosen[epsilon] = record["n_c"]
+        assert chosen == {"1e-2": 2, "1e-8": 16}
+
+    def test_gaussian_backend_propagates_once_per_request(self, tmp_path, capsys, monkeypatch):
+        from gbstn import gauss
+
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        calls = []
+        propagate_circuit = gauss.propagate_circuit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return propagate_circuit(*args, **kwargs)
+
+        monkeypatch.setattr(gauss, "propagate_circuit", counted)
+        code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "0,0,0,0",
+                            "--outcome", "1,1,0,0", "--outcome", "2,0,0,0",
+                            "--backend", "gaussian", "--squeezing", "0.4"], capsys)
+        assert code == 0
+        assert len(_records(out)) == 3
+        assert len(calls) == 1
+
     def test_auto_cutoff_needs_even_modes_for_lossy(self, tmp_path, capsys):
         path = tmp_path / "lossy3.json"
         save_circuit(with_uniform_loss(build_brickwork(3, 3, seed=5), 0.05), path)

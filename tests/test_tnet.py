@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gbstn.analysis import dmax_fbs
 from gbstn.circuit import (
     Circuit,
     Gate,
@@ -19,7 +20,7 @@ from gbstn.fockdense import (
     dense_squeezed_vacuum,
     single_mode_squeezed_vector,
 )
-from gbstn.gauss import gbs_probability, propagate, squeezed_vacuum_cov
+from gbstn.gauss import gbs_probability, propagate, propagate_circuit, squeezed_vacuum_cov
 from gbstn.tnet import (
     EvolutionStats,
     TruncationPolicy,
@@ -203,6 +204,29 @@ class TestBondBounds:
         c = build_brickwork(4, 4, seed=16)
         _, stats = schrodinger_probability(c, (0, 0, 0, 0), 0.4, 4)
         assert stats.max_bond_seen <= 5 ** 2  # (n_c + 1)^(M/2)
+
+
+class TestCanonicalForm:
+    def test_truncation_weight_is_the_lost_norm(self):
+        # n_c = N keeps the four-photon sector whole, so every gate is unitary
+        # on it and only truncation can shrink the norm
+        c = build_brickwork(8, 8, seed=1)
+        stats = EvolutionStats()
+        phi = _evolve_mps(
+            fock_mps((1, 1, 1, 1, 0, 0, 0, 0), 4), c, TruncationPolicy(max_bond=4), stats,
+            reverse=True,
+        )
+        assert stats.truncation_weight > 0.1
+        assert abs((1.0 - phi.norm() ** 2) - stats.truncation_weight) < 1e-12
+
+    def test_bond_stays_at_the_outcome_ceiling(self):
+        m, photons = 36, 4
+        c = build_brickwork(m, m, seed=1)
+        outcome = (1,) * photons + (0,) * (m - photons)
+        p, stats = heisenberg_probability_lossless(c, outcome, 0.4, photons)
+        assert stats.max_bond_seen <= dmax_fbs(outcome)
+        reference = gbs_probability(propagate_circuit(squeezed_vacuum_cov(0.4, m), c), outcome)
+        assert abs(p - reference) <= 1e-8 * reference
 
 
 class TestTruncation:
