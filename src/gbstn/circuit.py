@@ -231,7 +231,9 @@ def with_uniform_loss(circuit: Circuit, gamma: float) -> Circuit:
     return Circuit(num_modes=circuit.num_modes, layers=layers)
 
 
-@lru_cache(maxsize=512)
+# holds every gate of a depth-64 brickwork (2016 gates), so that repeated
+# evaluations of one circuit reuse its gates; an entry is 16 d^4 bytes
+@lru_cache(maxsize=2048)
 def _gate_unitary_cached(theta: float, varphi: float, phi: float, local_cutoff: int):
     d = local_cutoff + 1
     tensor = np.zeros((d, d, d, d), dtype=np.complex128)

@@ -79,20 +79,23 @@ def propagate(state: GaussianState, mode_unitary: np.ndarray) -> GaussianState:
     return GaussianState(cov=t @ state.cov @ t.conj().T, num_modes=m)
 
 
-def _single_mode_loss(cov: np.ndarray, num_modes: int, site: int, eta: float) -> np.ndarray:
-    scale = np.ones(2 * num_modes)
-    scale[site] = scale[num_modes + site] = math.sqrt(eta)
-    out = cov * np.outer(scale, scale)
-    out[site, site] += (1.0 - eta) / 2.0
-    out[num_modes + site, num_modes + site] += (1.0 - eta) / 2.0
-    return out
+def _single_mode_loss(cov: np.ndarray, num_modes: int, site: int, eta: float) -> None:
+    """Pure loss of transmission ``eta`` on one mode, in place."""
+    root = math.sqrt(eta)
+    for k in (site, num_modes + site):
+        cov[k] *= root
+        cov[:, k] *= root
+        cov[k, k] += (1.0 - eta) / 2.0
 
 
 def propagate_circuit(state: GaussianState, circuit) -> GaussianState:
     """Propagate gate by gate, applying each gate's loss channel exactly.
 
     Works for arbitrary per-gate losses since both the beamsplitter and the
-    pure-loss channel are Gaussian.
+    pure-loss channel are Gaussian.  A gate on modes (i, i+1) with 2x2 block
+    b is T = u (+) u* with u equal to b on that pair and to the identity
+    elsewhere, so T sigma T^dag only touches the rows and columns i, i+1
+    (block b) and M+i, M+i+1 (block b*).
     """
     from .circuit import single_photon_block
 
@@ -102,14 +105,12 @@ def propagate_circuit(state: GaussianState, circuit) -> GaussianState:
     cov = state.cov.copy()
     for gate in circuit.gates():
         i = gate.modes[0]
-        u = np.eye(m, dtype=np.complex128)
-        u[i : i + 2, i : i + 2] = single_photon_block(gate.params)
-        t = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-        t[:m, :m] = u
-        t[m:, m:] = u.conj()
-        cov = t @ cov @ t.conj().T
+        b = single_photon_block(gate.params)
+        for rows, block in ((slice(i, i + 2), b), (slice(m + i, m + i + 2), b.conj())):
+            cov[rows] = block @ cov[rows]
+            cov[:, rows] = cov[:, rows] @ block.conj().T
         if gate.loss_gamma > 0.0:
-            cov = _single_mode_loss(cov, m, gate.loss_site, 1.0 - gate.loss_gamma)
+            _single_mode_loss(cov, m, gate.loss_site, 1.0 - gate.loss_gamma)
     return GaussianState(cov=cov, num_modes=m)
 
 

@@ -116,14 +116,13 @@ class TestProb:
             outputs.append(records)
         assert outputs[0] == outputs[1]
 
-    def test_worker_override_keeps_order(self, tmp_path, capsys, monkeypatch):
+    def test_worker_override_keeps_order(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
         argv = ["prob", "--circuit", str(path), "--outcome", "0,0,0,0",
                 "--outcome", "1,1,0,0", "--outcome", "2,0,0,0", "--squeezing", "0.4"]
         _, serial, _ = run(argv, capsys)
-        monkeypatch.setenv("GBSTN_WORKERS", "4")
-        _, threaded, _ = run(argv, capsys)
+        _, threaded, _ = run(argv + ["--workers", "4"], capsys)
         a, b = _records(serial), _records(threaded)
         assert [r["outcome"] for r in a] == [r["outcome"] for r in b]
         assert [r["probability"] for r in a] == [r["probability"] for r in b]
@@ -158,23 +157,23 @@ class TestProb:
         )
         assert abs(record["probability"] - dense_probability(rho, (1, 0, 1))) < 1e-10
 
-    def test_gaussian_backend_rejects_nonuniform_loss(self, tmp_path, capsys):
+    def test_gaussian_backend_accepts_nonuniform_loss(self, tmp_path, capsys):
+        from gbstn.fockdense import dense_evolve_density, dense_probability, dense_squeezed_vacuum
+
+        # only the first gate is lossy
         base = build_brickwork(3, 2, seed=1)
-        gates = list(base.gates())
-        mixed_layers = []
-        lossy_done = False
-        for layer in base.layers:
-            row = []
-            for g in layer:
-                row.append(Gate(g.modes, g.params, 0.1 if not lossy_done else 0.0))
-                lossy_done = True
-            mixed_layers.append(tuple(row))
+        first = base.layers[0][0]
+        layers = ((Gate(first.modes, first.params, 0.1),) + base.layers[0][1:],) + base.layers[1:]
+        circuit = Circuit(num_modes=3, layers=layers)
         path = tmp_path / "mixed.json"
-        save_circuit(Circuit(num_modes=3, layers=tuple(mixed_layers)), path)
-        code, _, err = run(["prob", "--circuit", str(path), "--outcome", "0,0,0",
-                            "--backend", "gaussian", "--cutoff", "2"], capsys)
-        assert code == 1
-        assert "gate" in err and "uniform" in err
+        save_circuit(circuit, path)
+        code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,0,1",
+                            "--backend", "gaussian", "--squeezing", "0.4",
+                            "--cutoff", "8"], capsys)
+        assert code == 0
+        (record,) = _records(out)
+        rho = dense_evolve_density(dense_squeezed_vacuum(0.4, 3, 8).to_density(), circuit)
+        assert abs(record["probability"] - dense_probability(rho, (1, 0, 1))) < 1e-10
 
     def test_epsilon_sets_the_automatic_cutoff(self, tmp_path, capsys):
         path = tmp_path / "lossy.json"
@@ -321,8 +320,21 @@ class TestValidate:
         run(["gen", "--modes", "3", "--depth", "3", "--seed", "13", "--gamma", "0.05",
              "--output", str(path)], capsys)
         code, out, _ = run(["validate", "--circuit", str(path), "--squeezing", "0.4",
-                            "--totals", "0,1,2", "--cutoff", "4"], capsys)
+                            "--totals", "0,1,2", "--cutoff", "6"], capsys)
         assert code == 0
         record = json.loads(out)
         assert record["ok"] is True
-        assert record["backends"] == ["tn_heisenberg", "dense"]
+        assert record["backends"] == ["tn_heisenberg", "dense", "gaussian"]
+
+    def test_lossy_validate_catches_cutoff_bias(self, tmp_path, capsys):
+        # tn and dense share the cutoff and agree with each other; only the
+        # exact gaussian column shows the probability the cutoff drops
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "3", "--depth", "3", "--seed", "13", "--gamma", "0.05",
+             "--output", str(path)], capsys)
+        code, out, _ = run(["validate", "--circuit", str(path), "--squeezing", "0.4",
+                            "--totals", "0,1,2", "--cutoff", "2"], capsys)
+        assert code == 1
+        record = json.loads(out)
+        assert record["ok"] is False
+        assert 1e-5 < record["max_pairwise_difference"] < 1e-3

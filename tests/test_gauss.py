@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from gbstn.circuit import (
+    Circuit,
+    Gate,
     build_brickwork,
     circuit_to_mode_unitary,
     kraus_set,
+    single_photon_block,
     with_uniform_loss,
 )
 from gbstn.errors import NumericalFailureError, UnsupportedConfigurationError
@@ -98,6 +101,36 @@ class TestPropagate:
         a = propagate(g, circuit_to_mode_unitary(c))
         b = propagate_circuit(g, c)
         assert np.linalg.norm(a.cov - b.cov) < 1e-12
+
+    def test_gate_by_gate_matches_full_transfer_matrix_with_per_gate_loss(self):
+        m = 48
+        rng = np.random.default_rng(48)
+        layers = tuple(
+            tuple(
+                Gate(g.modes, g.params, float(rng.uniform(0.0, 0.2)), int(rng.integers(2)))
+                for g in layer
+            )
+            for layer in build_brickwork(m, m, seed=3).layers
+        )
+        c = Circuit(num_modes=m, layers=layers)
+        assert {g.lossy_mode for g in c.gates()} == {0, 1}
+        g = squeezed_vacuum_cov(0.4, m)
+        # reference: sigma -> T sigma T^dag with the full 2M x 2M T = u (+) u*,
+        # then sigma -> s sigma s + (1 - eta)/2 on the lossy mode's diagonals
+        cov = g.cov.copy()
+        for gate in c.gates():
+            i = gate.modes[0]
+            u = np.eye(m, dtype=np.complex128)
+            u[i : i + 2, i : i + 2] = single_photon_block(gate.params)
+            t = np.block([[u, np.zeros((m, m))], [np.zeros((m, m)), u.conj()]])
+            cov = t @ cov @ t.conj().T
+            eta = 1.0 - gate.loss_gamma
+            scale = np.ones(2 * m)
+            scale[[gate.loss_site, m + gate.loss_site]] = np.sqrt(eta)
+            cov = cov * np.outer(scale, scale)
+            cov[gate.loss_site, gate.loss_site] += (1.0 - eta) / 2.0
+            cov[m + gate.loss_site, m + gate.loss_site] += (1.0 - eta) / 2.0
+        assert np.abs(propagate_circuit(g, c).cov - cov).max() < 1e-12
 
 
 class TestUniformLoss:

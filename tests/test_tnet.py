@@ -8,6 +8,7 @@ from gbstn.circuit import (
     Circuit,
     Gate,
     GateParams,
+    _gate_unitary_cached,
     build_brickwork,
     circuit_to_mode_unitary,
     with_uniform_loss,
@@ -227,6 +228,17 @@ class TestCanonicalForm:
         assert stats.max_bond_seen <= dmax_fbs(outcome)
         reference = gbs_probability(propagate_circuit(squeezed_vacuum_cov(0.4, m), c), outcome)
         assert abs(p - reference) <= 1e-8 * reference
+
+    def test_gate_cache_holds_a_whole_circuit(self):
+        m, photons = 36, 4
+        c = build_brickwork(m, m, seed=1)
+        assert c.num_gates == 630
+        outcome = (1,) * photons + (0,) * (m - photons)
+        _gate_unitary_cached.cache_clear()
+        heisenberg_probability_lossless(c, outcome, 0.4, photons)
+        hits = _gate_unitary_cached.cache_info().hits
+        heisenberg_probability_lossless(c, outcome, 0.4, photons)
+        assert _gate_unitary_cached.cache_info().hits - hits == 630
 
 
 class TestTruncation:
