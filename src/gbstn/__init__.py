@@ -59,7 +59,6 @@ from .tnet import (
     EvolutionStats,
     TensorTrain,
     TruncationPolicy,
-    batch_probabilities,
     fock_mps,
     fock_projector_mpo,
     heisenberg_probability_lossless,

@@ -107,12 +107,18 @@ def choose_cutoff(policy: CutoffPolicy) -> tuple[int, float]:
 def recommended_cutoff(
     circuit, r, n_tilde: int, epsilon: float = CutoffPolicy.epsilon
 ) -> int | None:
-    """:func:`choose_cutoff` for a circuit's loss and an input squeezing ``r``.
+    """The local cutoff n_c for outcomes of ``n_tilde`` photons: the one rule
+    the command-line front end applies.
 
-    The strongest gate loss stands for every lossy gate.  Returns None where
-    the closed-form pair distribution does not apply: an odd mode count or
-    squeezing that differs between modes.
+    On a lossless circuit it is ``n_tilde`` (at least 1), which is exact
+    because the gates conserve photon number.  On a lossy circuit it is
+    :func:`choose_cutoff` for the circuit's loss and an input squeezing
+    ``r``, the strongest gate loss standing for every lossy gate.  Returns
+    None where the closed-form pair distribution does not apply: an odd mode
+    count or squeezing that differs between modes.
     """
+    if circuit.is_lossless:
+        return max(n_tilde, 1)
     values = squeeze_values(r, circuit.num_modes)
     if circuit.num_modes % 2 != 0 or values.max() > values.min():
         return None
@@ -124,7 +130,7 @@ def recommended_cutoff(
         n_tilde=n_tilde,
         epsilon=epsilon,
     )
-    return choose_cutoff(policy)[0]
+    return max(choose_cutoff(policy)[0], 1)
 
 
 def dmax_fbs(outcome) -> int:

@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, circuit as circuit_mod, fockdense, gauss, tnet
-from .errors import UnsupportedConfigurationError
+from .errors import ResourceLimitError, UnsupportedConfigurationError
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_TOLERANCE = 1e-8
@@ -69,19 +69,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _auto_cutoff(circ, squeezing, outcome, epsilon) -> int:
-    n_tilde = sum(outcome)
-    if circ.is_lossless:
-        return max(n_tilde, 1)
-    n_c = analysis.recommended_cutoff(circ, squeezing, n_tilde, epsilon)
-    if n_c is None:
-        raise UnsupportedConfigurationError(
-            "automatic cutoff selection needs an even mode count and uniform "
-            "squeezing for lossy circuits; pass --cutoff explicitly"
-        )
-    return max(n_c, 1)
-
-
 def _dense_output(circ, squeezing, n_c):
     """Dense output of the circuit: a state vector if lossless, else a density matrix."""
     state = fockdense.dense_squeezed_vacuum(squeezing, circ.num_modes, n_c)
@@ -90,57 +77,61 @@ def _dense_output(circ, squeezing, n_c):
     return fockdense.dense_evolve_density(state.to_density(), circ)
 
 
-def _prob_record(circ, outcome, args, n_c, policy, gaussian_state) -> dict:
+def _evaluator(circ, squeezing, backend, picture, policy, cutoffs):
+    """``evaluate(outcome, n_c) -> (probability, stats or None)`` on one
+    backend.  The work no outcome changes is done here, once per request:
+    the Gaussian covariance, or the dense output for each n_c in ``cutoffs``."""
+    if backend == "tn":
+        return lambda outcome, n_c: tnet.probability(circ, outcome, squeezing, n_c, policy, picture)
+    if backend == "dense":
+        outputs = {n_c: _dense_output(circ, squeezing, n_c) for n_c in set(cutoffs)}
+        return lambda outcome, n_c: (fockdense.dense_probability(outputs[n_c], outcome), None)
+    state = gauss.propagate_circuit(gauss.squeezed_vacuum_cov(squeezing, circ.num_modes), circ)
+    return lambda outcome, n_c: (gauss.gbs_probability(state, outcome), None)
+
+
+def _prob_record(evaluate, outcome, args, n_c, recommended) -> dict:
     start = time.perf_counter()
-    record = {
+    p, stats = evaluate(outcome, n_c)
+    return {
         "outcome": list(outcome),
         "picture": args.picture,
         "backend": args.backend,
         "n_c": n_c,
-        "max_bond": None,
-        "truncation_weight": None,
-        "flop_estimate": None,
+        "recommended_n_c": recommended,
+        "max_bond": None if stats is None else stats.max_bond_seen,
+        "truncation_weight": None if stats is None else stats.truncation_weight,
+        "flop_estimate": None if stats is None else stats.flop_estimate,
+        "probability": p,
+        "wall_time": time.perf_counter() - start,
     }
-    if args.backend == "tn":
-        p, stats = tnet.probability(circ, outcome, args.squeezing, n_c, policy, args.picture)
-        record.update(
-            max_bond=stats.max_bond_seen,
-            truncation_weight=stats.truncation_weight,
-            flop_estimate=stats.flop_estimate,
-        )
-    elif args.backend == "dense":
-        p = fockdense.dense_probability(_dense_output(circ, args.squeezing, n_c), outcome)
-    else:  # gaussian
-        p = gauss.gbs_probability(gaussian_state, outcome)
-    record["probability"] = p
-    record["wall_time"] = time.perf_counter() - start
-    return record
 
 
 def cmd_prob(args) -> int:
     circ = circuit_mod.load_circuit(args.circuit)
     policy = tnet.TruncationPolicy(max_bond=args.max_bond, svd_threshold=args.svd_threshold)
     try:
-        n_cs = [
-            args.cutoff
-            if args.cutoff is not None
-            else _auto_cutoff(circ, args.squeezing, n, args.epsilon)
-            for n in args.outcome
-        ]
-        # the covariance does not depend on the outcome: propagate it once
-        gaussian_state = None
-        if args.backend == "gaussian":
-            gaussian_state = gauss.propagate_circuit(
-                gauss.squeezed_vacuum_cov(args.squeezing, circ.num_modes), circ
-            )
-    except (UnsupportedConfigurationError, ValueError) as exc:
+        recommended = n_cs = [None] * len(args.outcome)
+        if args.backend != "gaussian":  # the exact Gaussian backend takes no cutoff
+            recommended = [
+                analysis.recommended_cutoff(circ, args.squeezing, sum(n), args.epsilon)
+                for n in args.outcome
+            ]
+            n_cs = recommended if args.cutoff is None else [args.cutoff] * len(args.outcome)
+            if None in n_cs:
+                raise UnsupportedConfigurationError(
+                    "automatic cutoff selection needs an even mode count and uniform "
+                    "squeezing for lossy circuits; pass --cutoff explicitly"
+                )
+        evaluate = _evaluator(circ, args.squeezing, args.backend, args.picture, policy, n_cs)
+    except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    def evaluate(outcome, n_c) -> dict:
+    def record(outcome, n_c, recommended_n_c) -> dict:
         # one failed outcome becomes an error record; the rest of the batch runs
         try:
-            return _prob_record(circ, outcome, args, n_c, policy, gaussian_state)
+            return _prob_record(evaluate, outcome, args, n_c, recommended_n_c)
         except Exception as exc:
             return {"outcome": list(outcome), "error": str(exc)}
 
@@ -148,15 +139,15 @@ def cmd_prob(args) -> int:
     try:
         if (args.workers or 1) > 1:
             with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                records = list(pool.map(evaluate, args.outcome, n_cs))
+                records = list(pool.map(record, args.outcome, n_cs, recommended))
         else:
-            records = list(map(evaluate, args.outcome, n_cs))
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+            records = list(map(record, args.outcome, n_cs, recommended))
+        for entry in records:
+            fh.write(json.dumps(entry) + "\n")
     finally:
         if close:
             fh.close()
-    return 1 if any("error" in record for record in records) else 0
+    return 1 if any("error" in entry for entry in records) else 0
 
 
 def cmd_cutoff(args) -> int:
@@ -206,26 +197,34 @@ def cmd_validate(args) -> int:
     outcomes = [
         n for total in totals for n in analysis.outcomes_with_total(circ.num_modes, total)
     ]
-    n_c = args.cutoff if args.cutoff is not None else max(max(totals), 1)
+    if args.cutoff is None and not circ.is_lossless:
+        msg = "the spillover bound's choice (gbstn cutoff) is usually too large to run"
+        print(f"error: a lossy circuit needs --cutoff; {msg}", file=sys.stderr)
+        return 1
+    n_c = args.cutoff
+    if n_c is None:
+        n_c = analysis.recommended_cutoff(circ, args.squeezing, max(totals))
     policy = tnet.TruncationPolicy()
-
-    columns: dict[str, list[float]] = {}
-    columns["tn_heisenberg"] = [
-        tnet.probability(circ, n, args.squeezing, n_c, policy, "heisenberg")[0]
-        for n in outcomes
+    # the gaussian column is exact for any per-gate loss, so on a lossy file it
+    # exposes the cutoff bias; the Schrodinger picture has no lossy route
+    routes = [
+        ("tn_heisenberg", "tn", "heisenberg"),
+        ("tn_schrodinger", "tn", "schrodinger"),
+        ("dense", "dense", None),
+        ("gaussian", "gaussian", None),
     ]
-    if circ.is_lossless:
-        columns["tn_schrodinger"] = [
-            tnet.probability(circ, n, args.squeezing, n_c, policy, "schrodinger")[0]
-            for n in outcomes
-        ]
-    state = _dense_output(circ, args.squeezing, n_c)
-    columns["dense"] = [fockdense.dense_probability(state, n) for n in outcomes]
-    # exact for any per-gate loss, so on a lossy file it exposes the cutoff bias
-    gstate = gauss.propagate_circuit(
-        gauss.squeezed_vacuum_cov(args.squeezing, circ.num_modes), circ
-    )
-    columns["gaussian"] = [gauss.gbs_probability(gstate, n) for n in outcomes]
+    try:
+        evaluators = {
+            name: _evaluator(circ, args.squeezing, backend, picture, policy, [n_c])
+            for name, backend, picture in routes
+            if circ.is_lossless or picture != "schrodinger"
+        }
+    except (ValueError, ResourceLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    columns = {
+        name: [evaluate(n, n_c)[0] for n in outcomes] for name, evaluate in evaluators.items()
+    }
 
     names = list(columns)
     worst = 0.0

@@ -71,6 +71,11 @@ class DenseState:
 
     def to_density(self) -> "DenseDensity":
         v = self.vector()
+        if v.size**2 > FOCK_SIZE_GUARD:
+            raise ResourceLimitError(
+                f"dense density matrix of {v.size}^2 entries exceeds the guard "
+                f"({FOCK_SIZE_GUARD}); use the tensor-network engine instead"
+            )
         return DenseDensity(
             matrix=np.outer(v, v.conj()),
             num_modes=self.num_modes,

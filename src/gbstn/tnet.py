@@ -26,14 +26,11 @@ truncation statistics.
 from __future__ import annotations
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .analysis import recommended_cutoff
 from .circuit import Circuit, Gate, gate_tensor, kraus_set
 from .errors import NumericalFailureError, ResourceLimitError, UnsupportedConfigurationError
 from .fockdense import squeeze_values, single_mode_squeezed_vector
@@ -53,7 +50,6 @@ __all__ = [
     "heisenberg_probability_lossless",
     "heisenberg_probability_lossy",
     "probability",
-    "batch_probabilities",
 ]
 
 DENSE_GUARD = 10**7
@@ -426,17 +422,8 @@ def heisenberg_probability_lossy(
     """Tr{|psi><psi| E*(P_n)}: the outcome projector evolved through the adjoint channel.
 
     Works for lossless circuits too (the channel degenerates to conjugation).
-    Warns when ``local_cutoff`` is below the choose_cutoff recommendation.
     """
-    outcome = tuple(int(n) for n in outcome)
     policy = policy or TruncationPolicy()
-    recommended = recommended_cutoff(circuit, r, sum(outcome))
-    if recommended is not None and local_cutoff < recommended:
-        warnings.warn(
-            f"local cutoff {local_cutoff} is below the recommended {recommended} "
-            "for this loss level; probabilities may be biased",
-            stacklevel=2,
-        )
     stats = EvolutionStats()
     op = fock_projector_mpo(outcome, local_cutoff)
     for layer in reversed(circuit.layers):
@@ -470,27 +457,3 @@ def probability(
         return heisenberg_probability_lossy(circuit, outcome, r, local_cutoff, policy)
     raise ValueError(f"unknown picture {picture!r}")
 
-
-def batch_probabilities(
-    circuit: Circuit,
-    outcomes,
-    r,
-    local_cutoff: int,
-    policy: TruncationPolicy | None = None,
-    picture: str = "heisenberg",
-    workers: int | None = None,
-) -> list[tuple[float, EvolutionStats]]:
-    """Evaluate many outcomes; results are ordered by input index.
-
-    Each evaluation is an independent pure computation, so the result is
-    deterministic regardless of the worker count or schedule.
-    """
-    outcomes = list(outcomes)
-    if workers is not None and workers > 1 and len(outcomes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(probability, circuit, n, r, local_cutoff, policy, picture)
-                for n in outcomes
-            ]
-            return [f.result() for f in futures]
-    return [probability(circuit, n, r, local_cutoff, policy, picture) for n in outcomes]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -97,10 +98,11 @@ class TestProb:
         code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
                             "--squeezing", "0.4"], capsys)
         (record,) = _records(out)
-        for key in ("outcome", "probability", "picture", "backend", "n_c",
+        for key in ("outcome", "probability", "picture", "backend", "n_c", "recommended_n_c",
                     "max_bond", "truncation_weight", "flop_estimate", "wall_time"):
             assert key in record
         assert record["n_c"] == 2  # auto cutoff: photon total of the outcome
+        assert record["recommended_n_c"] == 2
         assert record["max_bond"] >= 1
 
     def test_deterministic_modulo_wall_time(self, tmp_path, capsys):
@@ -124,8 +126,10 @@ class TestProb:
         _, serial, _ = run(argv, capsys)
         _, threaded, _ = run(argv + ["--workers", "4"], capsys)
         a, b = _records(serial), _records(threaded)
-        assert [r["outcome"] for r in a] == [r["outcome"] for r in b]
-        assert [r["probability"] for r in a] == [r["probability"] for r in b]
+        for r in a + b:
+            r.pop("wall_time")
+        assert [r["outcome"] for r in a] == [[0, 0, 0, 0], [1, 1, 0, 0], [2, 0, 0, 0]]
+        assert a == b
 
     def test_partial_failure_writes_good_records_and_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -180,18 +184,66 @@ class TestProb:
         run(["gen", "--modes", "4", "--depth", "4", "--seed", "1", "--gamma", "0.05",
              "--output", str(path)], capsys)
         chosen = {}
-        for epsilon in ("1e-2", "1e-8"):
+        # at 1e-8 the rule asks for n_c = 16, far too large to run: --cutoff 2
+        # keeps the request small, and the record still carries the rule's value
+        for epsilon, key, extra in (("1e-2", "n_c", []),
+                                    ("1e-8", "recommended_n_c", ["--cutoff", "2"])):
             code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
-                                "--backend", "gaussian", "--squeezing", "0.4",
-                                "--epsilon", epsilon], capsys)
+                                "--backend", "tn", "--squeezing", "0.4",
+                                "--epsilon", epsilon, *extra], capsys)
             assert code == 0
             (record,) = _records(out)
             _, out, _ = run(["cutoff", "--modes", "4", "--squeezing", "0.4", "--gamma", "0.05",
                              "--photons", "2", "--circuit", str(path),
                              "--epsilon", epsilon], capsys)
-            assert record["n_c"] == json.loads(out)["n_c"]
-            chosen[epsilon] = record["n_c"]
+            assert record[key] == json.loads(out)["n_c"]
+            chosen[epsilon] = record[key]
         assert chosen == {"1e-2": 2, "1e-8": 16}
+
+    def test_automatic_cutoff_raises_no_warning(self, tmp_path, capsys):
+        path = tmp_path / "lossy.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "1", "--gamma", "0.05",
+             "--output", str(path)], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                                "--backend", "tn", "--squeezing", "0.4",
+                                "--epsilon", "1e-2"], capsys)
+        assert code == 0
+        (record,) = _records(out)
+        assert record["n_c"] == 2
+
+    def test_gaussian_backend_needs_no_cutoff(self, tmp_path, capsys):
+        # odd M: the spillover bound does not apply, and the exact backend needs none
+        path = tmp_path / "lossy3.json"
+        save_circuit(with_uniform_loss(build_brickwork(3, 3, seed=5), 0.05), path)
+        code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,0,1",
+                            "--backend", "gaussian", "--squeezing", "0.4"], capsys)
+        assert code == 0
+        (record,) = _records(out)
+        assert record["n_c"] is None
+        assert record["recommended_n_c"] is None
+        assert 0.0 < record["probability"] < 1.0
+
+    def test_dense_backend_evolves_once_per_request(self, tmp_path, capsys, monkeypatch):
+        from gbstn import fockdense
+
+        path = tmp_path / "lossy3.json"
+        save_circuit(with_uniform_loss(build_brickwork(3, 3, seed=5), 0.05), path)
+        calls = []
+        dense_evolve_density = fockdense.dense_evolve_density
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dense_evolve_density(*args, **kwargs)
+
+        monkeypatch.setattr(fockdense, "dense_evolve_density", counted)
+        code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "0,0,0",
+                            "--outcome", "1,0,1", "--outcome", "2,0,0",
+                            "--backend", "dense", "--squeezing", "0.4", "--cutoff", "3"], capsys)
+        assert code == 0
+        assert len(_records(out)) == 3
+        assert len(calls) == 1
 
     def test_gaussian_backend_propagates_once_per_request(self, tmp_path, capsys, monkeypatch):
         from gbstn import gauss
@@ -338,3 +390,13 @@ class TestValidate:
         record = json.loads(out)
         assert record["ok"] is False
         assert 1e-5 < record["max_pairwise_difference"] < 1e-3
+
+    def test_lossy_file_needs_a_cutoff(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "1", "--gamma", "0.05",
+             "--output", str(path)], capsys)
+        code, out, err = run(["validate", "--circuit", str(path), "--squeezing", "0.4",
+                              "--totals", "0,2"], capsys)
+        assert code == 1
+        assert "--cutoff" in err
+        assert out == ""

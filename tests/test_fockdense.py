@@ -139,6 +139,11 @@ class TestInvariants:
         with pytest.raises(ResourceLimitError):
             dense_squeezed_vacuum(0.1, 10, 9)  # 10^10 amplitudes
 
+    def test_density_guard(self):
+        psi = dense_squeezed_vacuum(0.4, 4, 7)  # 8^4 amplitudes, within the guard
+        with pytest.raises(ResourceLimitError):
+            psi.to_density()  # (8^4)^2 = 1.7e7 entries
+
     def test_kraus_vs_covariance_mean_photons(self):
         # k applications of the loss channel compose to eta = (1-gamma)^k
         from gbstn.gauss import squeezed_vacuum_cov, uniform_loss

@@ -27,7 +27,6 @@ from gbstn.tnet import (
     TruncationPolicy,
     apply_gate_mpo_adjoint,
     apply_gate_mps,
-    batch_probabilities,
     fock_mps,
     fock_projector_mpo,
     heisenberg_probability_lossless,
@@ -328,22 +327,8 @@ class TestHeisenbergLossy:
         assert 0.0 <= p <= 1.0
         assert abs(stats.raw_probability - p) < 1e-9
 
-    def test_cutoff_recommendation_warning(self):
-        c = with_uniform_loss(build_brickwork(2, 8, seed=0), 0.1)
-        with pytest.warns(UserWarning, match="below the recommended"):
-            heisenberg_probability_lossy(c, (2, 0), 0.4, 2)
-
 
 class TestBatch:
-    def test_results_ordered_and_deterministic(self):
-        c = build_brickwork(4, 4, seed=2)
-        outcomes = [(0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0), (1, 0, 1, 0)]
-        serial = batch_probabilities(c, outcomes, 0.4, 6)
-        threaded = batch_probabilities(c, outcomes, 0.4, 6, workers=4)
-        for (p1, s1), (p2, s2) in zip(serial, threaded):
-            assert p1 == p2
-            assert s1.max_bond_seen == s2.max_bond_seen
-
     def test_stats_serializable(self):
         import json
 
