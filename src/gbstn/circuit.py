@@ -251,9 +251,8 @@ def _gate_unitary_cached(theta: float, varphi: float, phi: float, local_cutoff: 
         block = (evecs * np.exp(1j * theta * evals)) @ evecs.conj().T
         # phase shift acts first: multiply the column of input occupation m
         block = block * np.exp(1j * phi * occ)[None, :]
-        for a, m_out in enumerate(occ):
-            for b, m_in in enumerate(occ):
-                tensor[m_out, total - m_out, m_in, total - m_in] = block[a, b]
+        out, into = occ[:, None], occ[None, :]
+        tensor[out, total - out, into, total - into] = block
     matrix = tensor.reshape(d * d, d * d)
     matrix.flags.writeable = False
     tensor.flags.writeable = False

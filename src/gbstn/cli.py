@@ -90,13 +90,13 @@ def _evaluator(circ, squeezing, backend, picture, policy, cutoffs):
     return lambda outcome, n_c: (gauss.gbs_probability(state, outcome), None)
 
 
-def _prob_record(evaluate, outcome, args, n_c, recommended) -> dict:
+def _prob_record(evaluate, outcome, backend, picture, n_c, recommended) -> dict:
     start = time.perf_counter()
     p, stats = evaluate(outcome, n_c)
     return {
         "outcome": list(outcome),
-        "picture": args.picture,
-        "backend": args.backend,
+        "picture": picture,
+        "backend": backend,
         "n_c": n_c,
         "recommended_n_c": recommended,
         "max_bond": None if stats is None else stats.max_bond_seen,
@@ -107,14 +107,33 @@ def _prob_record(evaluate, outcome, args, n_c, recommended) -> dict:
     }
 
 
+def _unread_flags(args) -> list[str]:
+    """The flags given explicitly that the chosen backend never reads."""
+    unread = []
+    if args.backend == "gaussian":  # exact: no cutoff, no truncation
+        given = (("--cutoff", args.cutoff), ("--max-bond", args.max_bond),
+                 ("--svd-threshold", args.svd_threshold), ("--epsilon", args.epsilon))
+        unread += [flag for flag, value in given if value is not None]
+    if args.backend != "tn" and args.picture is not None:
+        unread.append("--picture")
+    return unread
+
+
 def cmd_prob(args) -> int:
+    unread = _unread_flags(args)
+    if unread:
+        print(f"error: --backend {args.backend} does not use {', '.join(unread)}", file=sys.stderr)
+        return 1
     circ = circuit_mod.load_circuit(args.circuit)
-    policy = tnet.TruncationPolicy(max_bond=args.max_bond, svd_threshold=args.svd_threshold)
+    truncation = {"max_bond": args.max_bond, "svd_threshold": args.svd_threshold}
+    policy = tnet.TruncationPolicy(**{k: v for k, v in truncation.items() if v is not None})
+    epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+    picture = (args.picture or "heisenberg") if args.backend == "tn" else None
     try:
         recommended = n_cs = [None] * len(args.outcome)
         if args.backend != "gaussian":  # the exact Gaussian backend takes no cutoff
             recommended = [
-                analysis.recommended_cutoff(circ, args.squeezing, sum(n), args.epsilon)
+                analysis.recommended_cutoff(circ, args.squeezing, sum(n), epsilon)
                 for n in args.outcome
             ]
             n_cs = recommended if args.cutoff is None else [args.cutoff] * len(args.outcome)
@@ -123,7 +142,7 @@ def cmd_prob(args) -> int:
                     "automatic cutoff selection needs an even mode count and uniform "
                     "squeezing for lossy circuits; pass --cutoff explicitly"
                 )
-        evaluate = _evaluator(circ, args.squeezing, args.backend, args.picture, policy, n_cs)
+        evaluate = _evaluator(circ, args.squeezing, args.backend, picture, policy, n_cs)
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -131,7 +150,7 @@ def cmd_prob(args) -> int:
     def record(outcome, n_c, recommended_n_c) -> dict:
         # one failed outcome becomes an error record; the rest of the batch runs
         try:
-            return _prob_record(evaluate, outcome, args, n_c, recommended_n_c)
+            return _prob_record(evaluate, outcome, args.backend, picture, n_c, recommended_n_c)
         except Exception as exc:
             return {"outcome": list(outcome), "error": str(exc)}
 
@@ -274,12 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated photon counts; repeatable",
     )
     p.add_argument("--squeezing", type=_parse_squeezing, default=0.4)
-    p.add_argument("--picture", choices=("heisenberg", "schrodinger"), default="heisenberg")
+    # flags a backend does not read default to None, so that cmd_prob can
+    # reject them when given
+    p.add_argument(
+        "--picture", choices=("heisenberg", "schrodinger"), default=None,
+        help="tn backend only (default: heisenberg)",
+    )
     p.add_argument("--backend", choices=("tn", "dense", "gaussian"), default="tn")
     p.add_argument("--cutoff", type=int, default=None, help="local cutoff n_c (default: auto)")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument(
+        "--epsilon", type=float, default=None, help=f"spillover bound (default: {DEFAULT_EPSILON})"
+    )
     p.add_argument("--max-bond", type=int, default=None)
-    p.add_argument("--svd-threshold", type=float, default=1e-12)
+    p.add_argument("--svd-threshold", type=float, default=None, help="default: 1e-12")
     p.add_argument(
         "--workers", type=int, default=None, help="evaluate the outcomes on this many threads"
     )

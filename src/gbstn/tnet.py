@@ -6,6 +6,27 @@ keeps an orthogonality centre, and every gate is one ``_apply_two_site``:
 QR moves the centre onto the pair, the gate's local map acts, an SVD splits
 the pair and drops Schmidt values, so truncation removes exactly their weight.
 
+Every train carries photon-number (U(1)) charge labels (Singh, Pfeifer &
+Vidal, arXiv:0907.2994): one integer per physical index and one integer
+vector per bond, the charge summed over the sites to the bond's left.  A
+site entry whose left label plus physical charge differs from its right
+label is zero.  The gates conserve photon number, so every QR and SVD
+splits into one small factorization per charge the rows and the columns
+share; the blocks that do not match are zero and never factorized, and
+rows whose count exceeds the train's total drop out.  Which trains carry which
+charges:
+
+* the outcome state |n> (``fock_mps``): charge n on a leg of occupation n,
+  total sum(n), kept by every gate and its adjoint;
+* the outcome projector (``fock_projector_mpo``): charge m - n on the
+  (out m, in n) leg, total 0, kept by G^dag O G and by the Kraus sum, since
+  each K_mu lowers out and in counts alike;
+* the squeezed input (``squeezed_mps``): not a photon-number eigenstate, so
+  it carries the trivial charge (all zeros) and each split is one block, as
+  without labels.
+
+Site arrays stay dense, with zeros outside the sectors.
+
 Probabilities are computed three ways:
 
 * ``schrodinger_probability``: evolve the squeezed input forward, project on
@@ -78,9 +99,8 @@ class EvolutionStats:
     ``truncation_weight`` is the squared norm (Frobenius for an operator)
     lost to truncation: the squared Schmidt values dropped by every split.
 
-    ``flop_estimate`` accumulates a chi^3 * chi_o^2 * n_c^2 cost model per
-    two-site update, with operator bond chi_o = n_c + 1 for state updates and
-    (n_c + 1)^2 for operator updates.  Reported, never asserted.
+    ``flop_estimate`` is the cost of the SVDs actually taken: the sum of
+    m * n * min(m, n) over the m x n charge blocks every split factorizes.
     """
 
     max_bond_seen: int = 1
@@ -118,9 +138,22 @@ class TensorTrain:
     for a state and d^2 for an operator.  Sites left of ``center`` are left
     isometries and sites right of it right isometries; ``center`` is None
     when the train is not known to be in canonical form.
+
+    ``phys_charges`` holds the charge of each physical index and
+    ``bond_charges[k]`` the label of each index of the bond left of site k
+    (k = M is the right boundary).  Entry ``tensors[k][a, n, b]`` is zero
+    unless ``bond_charges[k][a] + phys_charges[n] == bond_charges[k + 1][b]``.
+    Both default to zeros, the trivial charge every train satisfies.
     """
 
-    def __init__(self, tensors: list[np.ndarray], local_dim: int, center: int | None = None):
+    def __init__(
+        self,
+        tensors: list[np.ndarray],
+        local_dim: int,
+        center: int | None = None,
+        phys_charges=None,
+        bond_charges=None,
+    ):
         if not tensors:
             raise ValueError("a tensor train needs at least one site")
         if tensors[0].shape[0] != 1 or tensors[-1].shape[2] != 1:
@@ -128,9 +161,20 @@ class TensorTrain:
         for k in range(len(tensors) - 1):
             if tensors[k].shape[2] != tensors[k + 1].shape[0]:
                 raise ValueError(f"bond mismatch between sites {k} and {k + 1}")
+        dims = [t.shape[0] for t in tensors] + [1]
+        if phys_charges is None:
+            phys_charges = np.zeros(tensors[0].shape[1], dtype=np.int64)
+        if bond_charges is None:
+            bond_charges = [np.zeros(chi, dtype=np.int64) for chi in dims]
+        if any(t.shape[1] != len(phys_charges) for t in tensors):
+            raise ValueError("physical charges do not match the physical legs")
+        if [len(q) for q in bond_charges] != dims:
+            raise ValueError("bond charges do not match the bond dimensions")
         self.tensors = tensors
         self.local_dim = local_dim
         self.center = center
+        self.phys_charges = np.asarray(phys_charges, dtype=np.int64)
+        self.bond_charges = [np.asarray(q, dtype=np.int64) for q in bond_charges]
 
     @property
     def num_modes(self) -> int:
@@ -160,8 +204,15 @@ class TensorTrain:
         return acc.reshape((size, size), order="F")
 
 
-def _product_train(vectors, local_dim: int, center: int | None) -> TensorTrain:
-    return TensorTrain([v.reshape(1, -1, 1) for v in vectors], local_dim, center)
+def _product_train(
+    vectors, local_dim: int, center: int | None, phys_charges=None, site_charges=None
+) -> TensorTrain:
+    """Bond-1 train of ``vectors``; site k carries charge ``site_charges[k]``."""
+    bonds = None
+    if site_charges is not None:
+        bonds = [np.array([q]) for q in np.concatenate([[0], np.cumsum(site_charges)])]
+    tensors = [v.reshape(1, -1, 1) for v in vectors]
+    return TensorTrain(tensors, local_dim, center, phys_charges, bonds)
 
 
 def _check_outcome(outcome, local_cutoff: int) -> tuple[int, ...]:
@@ -172,23 +223,28 @@ def _check_outcome(outcome, local_cutoff: int) -> tuple[int, ...]:
 
 
 def fock_mps(outcome, local_cutoff: int) -> TensorTrain:
-    """Product state |n_1, ..., n_M> (all bonds 1, unit sites, so canonical)."""
+    """Product state |n_1, ..., n_M> (all bonds 1, unit sites, so canonical),
+    charge n on the leg of occupation n."""
     d = local_cutoff + 1
+    outcome = _check_outcome(outcome, local_cutoff)
     basis = np.eye(d, dtype=np.complex128)
-    return _product_train([basis[n] for n in _check_outcome(outcome, local_cutoff)], d, 0)
+    return _product_train([basis[n] for n in outcome], d, 0, np.arange(d), outcome)
 
 
 def squeezed_mps(r, num_modes: int, local_cutoff: int) -> TensorTrain:
-    """Product state of truncated squeezed vacua; norm < 1 is kept, not fixed."""
+    """Product state of truncated squeezed vacua; norm < 1 is kept, not fixed.
+    Not a photon-number eigenstate, so it carries the trivial charge."""
     vectors = [single_mode_squeezed_vector(rk, local_cutoff) for rk in squeeze_values(r, num_modes)]
     return _product_train(vectors, local_cutoff + 1, None)
 
 
 def fock_projector_mpo(outcome, local_cutoff: int) -> TensorTrain:
-    """|n><n| as a bond-1 operator train."""
+    """|n><n| as a bond-1 operator train, charge m - n on the (out m, in n) leg."""
     d = local_cutoff + 1
+    outcome = _check_outcome(outcome, local_cutoff)
     basis = np.eye(d * d, dtype=np.complex128)  # row n * d + n is vec(|n><n|)
-    return _product_train([basis[n * d + n] for n in _check_outcome(outcome, local_cutoff)], d, 0)
+    charges = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
+    return _product_train([basis[n * d + n] for n in outcome], d, 0, charges, [0] * len(outcome))
 
 
 def mps_overlap(bra: TensorTrain, ket: TensorTrain) -> complex:
@@ -217,59 +273,145 @@ def mpo_expectation(bra: TensorTrain, operator: TensorTrain, ket: TensorTrain) -
     return mps_overlap(TensorTrain(sites, operator.local_dim), operator)
 
 
-def _move_center(tensors: list[np.ndarray], center: int | None, target: int) -> None:
-    """QR-sweep ``tensors`` in place to make ``target`` the centre; from an
+def _sectors(row_charges: np.ndarray, col_charges: np.ndarray):
+    """(charge, rows, columns) of each charge that the rows and the columns share."""
+    for q in sorted(set(row_charges.tolist()) & set(col_charges.tolist())):
+        yield q, np.flatnonzero(row_charges == q), np.flatnonzero(col_charges == q)
+
+
+def _grid(rows: np.ndarray, cols: np.ndarray):
+    """Index of the block ``rows`` x ``cols`` (both non-empty); an index that
+    runs without a gap becomes a slice, so a whole-matrix block is a view."""
+    r = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == len(rows) else rows
+    c = slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] + 1 == len(cols) else cols
+    return (rows[:, None], cols) if r is rows and c is cols else (r, c)
+
+
+def _assemble(shape, pieces):
+    """The factors (left, right) of a charge-blocked matrix from its pieces
+    ``(charge, rows, columns, left block, right block)``, and the charges of
+    the new bond between them.  With no piece the bond is one zero index."""
+    width = max(sum(a.shape[1] for _, _, _, a, _ in pieces), 1)
+    left = np.zeros((shape[0], width), dtype=np.complex128)
+    right = np.zeros((width, shape[1]), dtype=np.complex128)
+    charges = np.zeros(width, dtype=np.int64)
+    start = 0
+    for q, rows, cols, a, b in pieces:
+        stop = start + a.shape[1]
+        left[rows, start:stop] = a
+        right[start:stop, cols] = b
+        charges[start:stop] = q
+        start = stop
+    return left, right, charges
+
+
+def _row_charges(bond: np.ndarray, phys: np.ndarray) -> np.ndarray:
+    """Charges of the rows (alpha, n) of a site matrix: left label + physical charge."""
+    return np.add.outer(bond, phys).ravel()
+
+
+def _col_charges(phys: np.ndarray, bond: np.ndarray) -> np.ndarray:
+    """Charges of the columns (n, beta) of a site matrix: right label - physical charge."""
+    return np.subtract.outer(bond, phys).T.ravel()
+
+
+def _move_center(
+    tensors: list[np.ndarray],
+    bonds: list[np.ndarray],
+    phys: np.ndarray,
+    center: int | None,
+    target: int,
+) -> None:
+    """QR-sweep ``tensors`` in place, one QR per charge block, to make
+    ``target`` the centre; ``bonds`` takes the new bonds' charges.  From an
     unknown centre, every site on either side of it is swept."""
     start, stop = (0, len(tensors) - 1) if center is None else (center, center)
     for k in range(start, target):
         chi_l, p, chi_r = tensors[k].shape
-        q, rest = np.linalg.qr(tensors[k].reshape(chi_l * p, chi_r))
-        tensors[k] = q.reshape(chi_l, p, -1)
+        matrix = tensors[k].reshape(chi_l * p, chi_r)
+        pieces = [
+            (q, rows, cols, *np.linalg.qr(matrix[_grid(rows, cols)]))
+            for q, rows, cols in _sectors(_row_charges(bonds[k], phys), bonds[k + 1])
+        ]
+        q_mat, rest, bonds[k + 1] = _assemble(matrix.shape, pieces)
+        tensors[k] = q_mat.reshape(chi_l, p, -1)
         tensors[k + 1] = np.tensordot(rest, tensors[k + 1], axes=([1], [0]))
     for k in range(stop, target, -1):
         chi_l, p, chi_r = tensors[k].shape
-        # A = R^T Q^T, from the QR of A^T
-        q, rest = np.linalg.qr(tensors[k].reshape(chi_l, p * chi_r).T)
-        tensors[k] = q.T.reshape(-1, p, chi_r)
-        tensors[k - 1] = np.tensordot(tensors[k - 1], rest.T, axes=([2], [0]))
+        matrix = tensors[k].reshape(chi_l, p * chi_r)
+        pieces = []
+        for q, rows, cols in _sectors(bonds[k], _col_charges(phys, bonds[k + 1])):
+            # A = R^T Q^T, from the QR of A^T
+            q_mat, rest = np.linalg.qr(matrix[_grid(rows, cols)].T)
+            pieces.append((q, rows, cols, rest.T, q_mat.T))
+        rest, q_mat, bonds[k] = _assemble(matrix.shape, pieces)
+        tensors[k] = q_mat.reshape(-1, p, chi_r)
+        tensors[k - 1] = np.tensordot(tensors[k - 1], rest, axes=([2], [0]))
 
 
 def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> TensorTrain:
     """Map the pair tensor (chi_l, p, p, chi_r) of sites (i, i+1) with
     ``local_map`` and split it back at the centre; returns a new train.
 
-    The centre keeps moving the way it came: from the left (or from nowhere)
-    the split is u | s.vh and leaves it on i+1, from the right u.s | vh on i.
+    ``local_map`` must keep the train's charges.  The split takes one SVD
+    per charge block of the pair matrix; the truncation rule acts on all
+    blocks' singular values together, as on the whole matrix.  The centre
+    keeps moving the way it came: from the left (or from nowhere) the split
+    is u | s.vh and leaves it on i+1, from the right u.s | vh on i.
     """
     policy = policy or TruncationPolicy()
     stats = stats if stats is not None else EvolutionStats()
     if i + 1 >= train.num_modes:
         raise ValueError(f"gate on modes {(i, i + 1)} does not fit in {train.num_modes} modes")
     rightward = train.center is None or train.center <= i
-    tensors = list(train.tensors)
-    _move_center(tensors, train.center, i if rightward else i + 1)
+    tensors, bonds, phys = list(train.tensors), list(train.bond_charges), train.phys_charges
+    _move_center(tensors, bonds, phys, train.center, i if rightward else i + 1)
     a, b = tensors[i], tensors[i + 1]
     chi_l, p, chi_r = a.shape[0], a.shape[1], b.shape[2]
-    theta = local_map(np.tensordot(a, b, axes=([2], [0])))
-    u, s, vh = _svd(theta.reshape(chi_l * p, p * chi_r))
+    if chi_l * p * p * chi_r > DENSE_GUARD:
+        raise ResourceLimitError(
+            f"the pair tensor of modes {(i, i + 1)} would hold {chi_l} x {p} x {p} x {chi_r} "
+            f"entries, above the size guard {DENSE_GUARD}"
+        )
+    # the pair matrix, rows (alpha, n1) and columns (n2, beta), has the same
+    # charge blocks before and after the local map: build it block by block
+    sectors = list(_sectors(_row_charges(bonds[i], phys), _col_charges(phys, bonds[i + 2])))
+    left, right = a.reshape(chi_l * p, -1), b.reshape(-1, p * chi_r)
+    theta = np.zeros((chi_l * p, p * chi_r), dtype=np.complex128)
+    for q, rows, cols in sectors:
+        mid = np.flatnonzero(bonds[i + 1] == q)
+        if len(mid):  # else no middle index has charge q: zero until the local map acts
+            theta[_grid(rows, cols)] = left[_grid(rows, mid)] @ right[_grid(mid, cols)]
+    matrix = local_map(theta.reshape(chi_l, p, p, chi_r)).reshape(chi_l * p, p * chi_r)
+    blocks = [(q, rows, cols, *_svd(matrix[_grid(rows, cols)])) for q, rows, cols in sectors]
 
-    keep = len(s)
-    if keep > 1 and s[0] > 0.0:
-        keep = max(int(np.sum(s > policy.svd_threshold * s[0])), 1)
+    s_all = np.concatenate([s for *_, s, _ in blocks]) if blocks else np.zeros(0)
+    order = np.argsort(-s_all, kind="stable")  # within a block s falls, so each keeps a prefix
+    keep = len(s_all)
+    if keep > 1 and s_all[order[0]] > 0.0:
+        keep = max(int(np.sum(s_all > policy.svd_threshold * s_all[order[0]])), 1)
     if policy.max_bond is not None:
         keep = min(keep, policy.max_bond)
-    stats.truncation_weight += float(np.sum(s[keep:] ** 2))
-    stats.observe_bond(keep)
-    stats.flop_estimate += float(keep) ** 3 * float(p) ** 2 * float(train.local_dim - 1) ** 2
+    kept = np.zeros(len(s_all), dtype=bool)
+    kept[order[:keep]] = True
+    stats.truncation_weight += float(np.sum(s_all[~kept] ** 2))
+    stats.flop_estimate += sum(
+        float(len(rows)) * len(cols) * min(len(rows), len(cols)) for _, rows, cols, *_ in blocks
+    )
 
-    u, s, vh = u[:, :keep], s[:keep], vh[:keep]
-    if rightward:
-        vh = s[:, None] * vh
-    else:
-        u = u * s[None, :]
-    tensors[i] = u.reshape(chi_l, p, keep)
-    tensors[i + 1] = vh.reshape(keep, p, chi_r)
-    return TensorTrain(tensors, train.local_dim, i + 1 if rightward else i)
+    pieces, start = [], 0
+    for q, rows, cols, u, s, vh in blocks:
+        k = int(np.sum(kept[start : start + len(s)]))
+        start += len(s)
+        if k:
+            u, s, vh = u[:, :k], s[:k], vh[:k]
+            u, vh = (u, s[:, None] * vh) if rightward else (u * s, vh)
+            pieces.append((q, rows, cols, u, vh))
+    u, vh, bonds[i + 1] = _assemble(matrix.shape, pieces)
+    stats.observe_bond(len(bonds[i + 1]))
+    tensors[i] = u.reshape(chi_l, p, -1)
+    tensors[i + 1] = vh.reshape(-1, p, chi_r)
+    return TensorTrain(tensors, train.local_dim, i + 1 if rightward else i, phys, bonds)
 
 
 def _sweep(layer, train: TensorTrain) -> list:
@@ -299,12 +441,14 @@ def apply_gate_mps(
         raise UnsupportedConfigurationError(
             "lossy gates cannot be applied to a state; use the operator path"
         )
-    g = gate_tensor(gate.params, psi.local_dim - 1)
+    d = psi.local_dim
+    g = gate_tensor(gate.params, d - 1).reshape(d * d, d * d)
     if reverse:
-        g = g.conj().transpose(2, 3, 0, 1)
+        g = g.conj().T
 
     def local_map(theta):  # (chi_l, p1, p2, chi_r)
-        return np.tensordot(g, theta, axes=([2, 3], [1, 2])).transpose(2, 0, 1, 3)
+        chi_l, chi_r = theta.shape[0], theta.shape[3]
+        return (g @ theta.reshape(chi_l, d * d, chi_r)).reshape(theta.shape)
 
     return _apply_two_site(psi, gate.modes[0], local_map, policy, stats)
 

@@ -416,3 +416,27 @@ def test_lossless_bond_ceiling_at_scale():
         f"M = {modes}, N = {photons}: bond {stats.max_bond_seen} <= {dmax_fbs(outcome)}, "
         f"relative deviation {deviation:.1e}, {elapsed:.1f}s",
     )
+
+
+def test_eight_photons_at_scale():
+    """M = 32, N = 8: the photon-number blocks keep the route at the
+    dmax_fbs = 256 ceiling within a minute, and the probability matches the
+    hafnian of the Gaussian formula."""
+    modes, photons = 32, 8
+    circuit = build_brickwork(modes, modes, seed=1)
+    outcome = (1,) * photons + (0,) * (modes - photons)
+    start = time.monotonic()
+    p, stats = heisenberg_probability_lossless(circuit, outcome, C1_R, photons)
+    elapsed = time.monotonic() - start
+    assert dmax_fbs(outcome) == 256
+    assert stats.max_bond_seen <= dmax_fbs(outcome)
+    reference = gbs_probability(
+        propagate_circuit(squeezed_vacuum_cov(C1_R, modes), circuit), outcome
+    )
+    deviation = abs(p - reference) / reference
+    assert deviation <= 1e-9
+    _report(
+        5,
+        f"M = {modes}, N = {photons}: bond {stats.max_bond_seen} <= {dmax_fbs(outcome)}, "
+        f"relative deviation {deviation:.1e}, {elapsed:.1f}s",
+    )

@@ -70,13 +70,13 @@ class TestProb:
         path = tmp_path / "c.json"
         run(["gen", "--modes", "4", "--depth", "4", "--seed", "3", "--output", str(path)], capsys)
         values = {}
-        for backend, picture in [("tn", "heisenberg"), ("tn", "schrodinger"),
-                                 ("dense", "heisenberg"), ("gaussian", "heisenberg")]:
+        for backend, flags in [("tn", ["--picture", "heisenberg", "--cutoff", "6"]),
+                               ("tn", ["--picture", "schrodinger", "--cutoff", "6"]),
+                               ("dense", ["--cutoff", "6"]), ("gaussian", [])]:
             code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
-                                "--squeezing", "0.4", "--backend", backend,
-                                "--picture", picture, "--cutoff", "6"], capsys)
+                                "--squeezing", "0.4", "--backend", backend, *flags], capsys)
             assert code == 0
-            values[(backend, picture)] = _records(out)[0]["probability"]
+            values[(backend, *flags)] = _records(out)[0]["probability"]
         spread = max(values.values()) - min(values.values())
         assert spread < 1e-8
 
@@ -147,8 +147,7 @@ class TestProb:
         path = tmp_path / "lossy.json"
         save_circuit(with_uniform_loss(build_brickwork(3, 3, seed=5), 0.05), path)
         code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,0,1",
-                            "--backend", "gaussian", "--squeezing", "0.4",
-                            "--cutoff", "4"], capsys)
+                            "--backend", "gaussian", "--squeezing", "0.4"], capsys)
         assert code == 0
         (record,) = _records(out)
         assert 0.0 <= record["probability"] <= 1.0
@@ -172,8 +171,7 @@ class TestProb:
         path = tmp_path / "mixed.json"
         save_circuit(circuit, path)
         code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,0,1",
-                            "--backend", "gaussian", "--squeezing", "0.4",
-                            "--cutoff", "8"], capsys)
+                            "--backend", "gaussian", "--squeezing", "0.4"], capsys)
         assert code == 0
         (record,) = _records(out)
         rho = dense_evolve_density(dense_squeezed_vacuum(0.4, 3, 8).to_density(), circuit)
@@ -264,6 +262,55 @@ class TestProb:
         assert code == 0
         assert len(_records(out)) == 3
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "backend, flag, value",
+        [
+            ("gaussian", "--cutoff", "4"),
+            ("gaussian", "--max-bond", "8"),
+            ("gaussian", "--svd-threshold", "1e-10"),
+            ("gaussian", "--epsilon", "1e-4"),
+            ("dense", "--picture", "schrodinger"),
+            ("gaussian", "--picture", "heisenberg"),
+        ],
+    )
+    def test_flag_the_backend_does_not_read_exits_1(self, tmp_path, capsys, backend, flag, value):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        code, out, err = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                              "--backend", backend, flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"--backend {backend} does not use {flag}" in err
+
+    def test_only_the_tn_backend_records_a_picture(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        pictures = {}
+        for backend in ("tn", "dense", "gaussian"):
+            code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                                "--backend", backend], capsys)
+            assert code == 0
+            pictures[backend] = _records(out)[0]["picture"]
+        assert pictures == {"tn": "heisenberg", "dense": None, "gaussian": None}
+
+    def test_size_guard_fails_one_outcome_and_the_batch_goes_on(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from gbstn import tnet
+
+        # the vacuum's pair tensors hold 1 x 2 x 2 x 1 = 4 entries (n_c = 1), the
+        # two-photon outcome's at least 1 x 3 x 3 x 1 = 9 (n_c = 2)
+        monkeypatch.setattr(tnet, "DENSE_GUARD", 8)
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "0,0,0,0",
+                            "--outcome", "1,1,0,0", "--outcome", "0,0,0,0"], capsys)
+        assert code == 1
+        first, failed, last = _records(out)
+        assert first["probability"] == last["probability"] > 0.0
+        assert "size guard" in failed["error"]
+        assert "probability" not in failed
 
     def test_auto_cutoff_needs_even_modes_for_lossy(self, tmp_path, capsys):
         path = tmp_path / "lossy3.json"

@@ -11,9 +11,10 @@ from gbstn.circuit import (
     _gate_unitary_cached,
     build_brickwork,
     circuit_to_mode_unitary,
+    gate_tensor,
     with_uniform_loss,
 )
-from gbstn.errors import NumericalFailureError, UnsupportedConfigurationError
+from gbstn.errors import NumericalFailureError, ResourceLimitError, UnsupportedConfigurationError
 from gbstn.fockdense import (
     dense_evolve_density,
     dense_evolve_state,
@@ -22,6 +23,7 @@ from gbstn.fockdense import (
     single_mode_squeezed_vector,
 )
 from gbstn.gauss import gbs_probability, propagate, propagate_circuit, squeezed_vacuum_cov
+from gbstn import tnet
 from gbstn.tnet import (
     EvolutionStats,
     TruncationPolicy,
@@ -238,6 +240,107 @@ class TestCanonicalForm:
         hits = _gate_unitary_cached.cache_info().hits
         heisenberg_probability_lossless(c, outcome, 0.4, photons)
         assert _gate_unitary_cached.cache_info().hits - hits == 630
+
+
+def _assert_charges_hold(train):
+    """Every bond label vector has its bond's length, and every site entry
+    whose left label plus physical charge differs from its right label is 0."""
+    assert len(train.bond_charges) == train.num_modes + 1
+    for k, t in enumerate(train.tensors):
+        left, right = train.bond_charges[k], train.bond_charges[k + 1]
+        assert left.shape == (t.shape[0],) and right.shape == (t.shape[2],)
+        off = np.add.outer(left, train.phys_charges)[:, :, None] != right[None, None, :]
+        assert np.all(t[off] == 0.0)
+
+
+class TestChargeBlocks:
+    def test_outcome_train_keeps_its_photon_number(self):
+        c = build_brickwork(8, 8, seed=2)
+        outcome = (1, 0, 2, 0, 1, 1, 0, 0)
+        phi = _evolve_mps(
+            fock_mps(outcome, 5), c, TruncationPolicy(), EvolutionStats(), reverse=True
+        )
+        assert phi.max_bond() > 1
+        assert np.array_equal(phi.phys_charges, np.arange(6))
+        assert phi.bond_charges[0].tolist() == [0] and phi.bond_charges[-1].tolist() == [5]
+        _assert_charges_hold(phi)
+
+    def test_lossy_operator_train_keeps_out_minus_in(self):
+        c = with_uniform_loss(build_brickwork(4, 4, seed=3), 0.1)
+        op = fock_projector_mpo((1, 0, 1, 0), 2)
+        for layer in reversed(c.layers):
+            for gate in layer:
+                op = apply_gate_mpo_adjoint(op, gate)
+        assert op.max_bond() > 1
+        m, n = np.divmod(np.arange(9), 3)  # the (out m, in n) leg, vectorised
+        assert np.array_equal(op.phys_charges, m - n)
+        assert op.bond_charges[0].tolist() == [0] and op.bond_charges[-1].tolist() == [0]
+        _assert_charges_hold(op)
+
+    def test_max_bond_keeps_the_globally_largest_schmidt_values(self):
+        c = build_brickwork(6, 4, seed=5)
+        psi = _evolve_mps(
+            fock_mps((1, 1, 1, 1, 0, 0), 4), c, TruncationPolicy(), EvolutionStats(), reverse=False
+        )
+        gate = _gate(0.7, 0.3, 1.9, modes=(2, 3))
+        # the same pair split densely: the Schmidt values of the whole state
+        # across the cut between modes 2 and 3 after the gate
+        dense = np.moveaxis(
+            np.tensordot(gate_tensor(gate.params, 4), psi.to_dense(), axes=([2, 3], [2, 3])),
+            (0, 1), (2, 3),
+        )
+        s = np.linalg.svd(dense.reshape(5**3, 5**3), compute_uv=False)
+        assert np.sum(s > 1e-12) > 4  # the cut spans several photon-number sectors
+        stats = EvolutionStats()
+        out = apply_gate_mps(psi, gate, TruncationPolicy(max_bond=4), stats)
+        assert out.tensors[2].shape[2] == 4
+        assert stats.truncation_weight == pytest.approx(float(np.sum(s[4:] ** 2)), abs=1e-13)
+        assert stats.truncation_weight > 0.01
+
+    def test_flop_estimate_counts_the_blocks_by_hand(self):
+        # |1, 1, 0> at n_c = 2 through the gates on (0, 1), (1, 2), (0, 1).
+        # Rows (alpha, n1) have charge q_alpha + n1, columns (n2, beta) q_beta - n2:
+        #   (0, 1): labels 0 left, 2 right; rows have charges 0, 1, 2 and
+        #           columns 2, 1, 0, so three 1 x 1 blocks (3 flops); all three
+        #           values are kept, and the new bond has labels 0, 1, 2
+        #   (1, 2): rows of charge 0, 1, 2 number 1, 2, 3 (those of charge 3
+        #           and 4 match no column), one column each: 1 + 2 + 3 = 6 flops
+        #   (0, 1): a QR of site 2 moves the centre back (labels stay 0, 1, 2);
+        #           one row each, columns of charge 0, 1, 2 number 3, 2, 1
+        #           (negative charges match no row): 3 + 2 + 1 = 6 flops
+        c = build_brickwork(3, 3, seed=4)
+        assert [[g.modes for g in layer] for layer in c.layers] == [[(0, 1)], [(1, 2)], [(0, 1)]]
+        stats = EvolutionStats()
+        _evolve_mps(fock_mps((1, 1, 0), 2), c, TruncationPolicy(), stats, reverse=False)
+        assert stats.per_layer_bonds == [3, 3, 3]
+        assert stats.flop_estimate == 3 + 6 + 6
+
+    def test_flop_estimate_is_below_the_dense_split_cost(self, monkeypatch):
+        shapes = []
+        apply_two_site = tnet._apply_two_site
+
+        def recorded(train, i, *args):
+            out = apply_two_site(train, i, *args)
+            (chi_l, p, _), chi_r = out.tensors[i].shape, out.tensors[i + 1].shape[2]
+            shapes.append((chi_l, p, chi_r))
+            return out
+
+        monkeypatch.setattr(tnet, "_apply_two_site", recorded)
+        c = build_brickwork(12, 12, seed=1)
+        _, stats = heisenberg_probability_lossless(c, (1,) * 6 + (0,) * 6, 0.4, 6)
+        dense = sum(
+            float(chi_l * p) * (p * chi_r) * min(chi_l * p, p * chi_r) for chi_l, p, chi_r in shapes
+        )
+        assert len(shapes) == c.num_gates
+        assert stats.flop_estimate < dense / 100
+
+    def test_size_guard_raises_before_the_pair_tensor(self, monkeypatch):
+        psi = fock_mps((1, 1), 2)  # the pair tensor holds 1 x 3 x 3 x 1 = 9 entries
+        monkeypatch.setattr(tnet, "DENSE_GUARD", 9)
+        apply_gate_mps(psi, _gate())
+        monkeypatch.setattr(tnet, "DENSE_GUARD", 8)
+        with pytest.raises(ResourceLimitError, match="size guard"):
+            apply_gate_mps(psi, _gate())
 
 
 class TestTruncation:
