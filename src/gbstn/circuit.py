@@ -33,6 +33,8 @@ __all__ = [
     "with_uniform_loss",
     "gate_unitary_fock",
     "gate_tensor",
+    "single_photon_block",
+    "single_photon_blocks",
     "circuit_to_mode_unitary",
     "kraus_set",
     "save_circuit",
@@ -282,17 +284,26 @@ def gate_tensor(params: GateParams, local_cutoff: int) -> np.ndarray:
     return _gate_unitary_cached(params.theta, params.varphi, params.phi, local_cutoff)[1]
 
 
+def single_photon_blocks(params: Sequence[GateParams]) -> np.ndarray:
+    """(L, 2, 2) stack of the gates' actions on a single photon in their pair
+    (lower, upper): the splitter [[c, i s e^{i varphi}], [i s e^{-i varphi}, c]]
+    times diag(e^{i phi}, 1)."""
+    theta, varphi, phi = np.array(
+        [(p.theta, p.varphi, p.phi) for p in params], dtype=float
+    ).reshape(-1, 3).T
+    c, s = np.cos(theta), np.sin(theta)
+    e, f = np.exp(1j * varphi), np.exp(1j * phi)
+    blocks = np.empty((len(theta), 2, 2), dtype=np.complex128)
+    blocks[:, 0, 0] = c * f
+    blocks[:, 0, 1] = 1j * s * e
+    blocks[:, 1, 0] = 1j * s * e.conj() * f
+    blocks[:, 1, 1] = c
+    return blocks
+
+
 def single_photon_block(params: GateParams) -> np.ndarray:
     """2x2 action of the gate on a single photon in the pair (lower, upper)."""
-    c, s = np.cos(params.theta), np.sin(params.theta)
-    splitter = np.array(
-        [
-            [c, 1j * s * np.exp(1j * params.varphi)],
-            [1j * s * np.exp(-1j * params.varphi), c],
-        ],
-        dtype=np.complex128,
-    )
-    return splitter @ np.diag([np.exp(1j * params.phi), 1.0])
+    return single_photon_blocks([params])[0]
 
 
 def circuit_to_mode_unitary(circuit: Circuit) -> np.ndarray:

@@ -42,13 +42,27 @@ def _parse_squeezing(text: str):
     return values[0] if len(values) == 1 else values
 
 
-def _parse_grid(text: str, cast):
-    """Accept 'start:stop:step' (stop inclusive) or a comma list."""
+def _parse_grid(text: str, cast) -> list:
+    """Accept 'start:stop:step' (stop inclusive) or a comma list; raises
+    ValueError on a step <= 0 or an empty range."""
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
+        if step <= 0.0:
+            raise ValueError(f"grid {text!r} needs a positive step")
+        if stop < start:
+            raise ValueError(f"grid {text!r} is empty")
         count = int(round((stop - start) / step)) + 1
         return [cast(start + k * step) for k in range(count)]
     return [cast(x) for x in text.split(",")]
+
+
+def _load_circuit(path: str):
+    """The circuit in ``path``, or None after printing why it cannot be read."""
+    try:
+        return circuit_mod.load_circuit(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot read circuit {path!r}: {exc}", file=sys.stderr)
+        return None
 
 
 def _open_output(path: str):
@@ -124,7 +138,9 @@ def cmd_prob(args) -> int:
     if unread:
         print(f"error: --backend {args.backend} does not use {', '.join(unread)}", file=sys.stderr)
         return 1
-    circ = circuit_mod.load_circuit(args.circuit)
+    circ = _load_circuit(args.circuit)
+    if circ is None:
+        return 1
     truncation = {"max_bond": args.max_bond, "svd_threshold": args.svd_threshold}
     policy = tnet.TruncationPolicy(**{k: v for k, v in truncation.items() if v is not None})
     epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
@@ -173,7 +189,10 @@ def cmd_cutoff(args) -> int:
     if args.sources is not None:
         sources = args.sources
     elif args.circuit:
-        sources = circuit_mod.load_circuit(args.circuit).num_lossy_gates
+        circ = _load_circuit(args.circuit)
+        if circ is None:
+            return 1
+        sources = circ.num_lossy_gates
     else:
         print("error: pass --sources or --circuit to fix the source count", file=sys.stderr)
         return 1
@@ -199,8 +218,15 @@ def cmd_cutoff(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    modes = _parse_grid(args.modes, int)
-    squeezings = [round(v, 12) for v in _parse_grid(args.squeezing, float)]
+    try:
+        modes = _parse_grid(args.modes, int)
+        squeezings = [round(v, 12) for v in _parse_grid(args.squeezing, float)]
+        bad = [m for m in modes if m < 4 or m % 2 != 0]
+        if bad:
+            raise ValueError(f"mode counts must be even and at least 4, got {bad}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     fh, close = _open_output(args.output)
     try:
         analysis.write_scaling_report(fh, modes, squeezings)
@@ -211,7 +237,9 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    circ = circuit_mod.load_circuit(args.circuit)
+    circ = _load_circuit(args.circuit)
+    if circ is None:
+        return 1
     totals = [int(x) for x in args.totals.split(",")]
     outcomes = [
         n for total in totals for n in analysis.outcomes_with_total(circ.num_modes, total)
@@ -250,7 +278,9 @@ def cmd_validate(args) -> int:
     for a, b in itertools.combinations(names, 2):
         for x, y in zip(columns[a], columns[b]):
             worst = max(worst, abs(x - y))
-    ok = worst <= args.tolerance
+    # an evaluator may return numpy scalars, which json cannot write
+    worst = float(worst)
+    ok = bool(worst <= args.tolerance)
     print(
         json.dumps(
             {

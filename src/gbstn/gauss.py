@@ -7,16 +7,20 @@ Covariance matrices are 2M x 2M in the operator ordering
 
 The squeezed-vacuum entries below were obtained numerically from the dense
 Fock oracle (expm of the squeeze generator at high cutoff) and then frozen as
-hyperbolic closed forms; a regression test keeps them honest.  Outcome
-probabilities follow from the hafnian of a submatrix of the kernel
+hyperbolic closed forms; a regression test keeps them honest.  Circuits are
+propagated one layer at a time, with each gate's loss applied exactly.
+Outcome probabilities follow from the hafnian of a submatrix of the kernel
 A = X (1 - sigma_Q^{-1}), the closed-form result for zero-displacement
-Gaussian states.
+Gaussian states; each state computes A and the normalization once.  The
+hafnian is the power-trace formula (arXiv:1805.12498) over the outcome's
+repetition counts, O(N^3 prod(n_k + 1)) for N detected photons.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,12 +39,21 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianState:
-    """Zero-displacement Gaussian state described by its covariance matrix."""
+    """Zero-displacement Gaussian state described by its covariance matrix.
+
+    The covariance is copied and made read-only, so that :attr:`normalization`
+    and :attr:`kernel`, computed on first use, stay valid.
+    """
 
     cov: np.ndarray
     num_modes: int
+
+    def __post_init__(self):
+        cov = np.array(self.cov, dtype=np.complex128)
+        cov.flags.writeable = False
+        object.__setattr__(self, "cov", cov)
 
     def mean_photons(self) -> np.ndarray:
         """Per-mode mean photon numbers <a*_k a_k>."""
@@ -49,6 +62,23 @@ class GaussianState:
 
     def total_mean_photons(self) -> float:
         return float(np.sum(self.mean_photons()))
+
+    @cached_property
+    def normalization(self) -> float:
+        """1/sqrt|det sigma_Q| with sigma_Q = sigma + 1/2: the vacuum probability."""
+        det = np.linalg.det(self.cov + 0.5 * np.eye(2 * self.num_modes))
+        if not np.isfinite(det) or abs(det) < 1e-300:
+            raise NumericalFailureError(f"ill-conditioned sigma_Q (det = {det!r})")
+        return 1.0 / math.sqrt(abs(det))
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """A = [[0,1],[1,0]] (1 - sigma_Q^{-1}), whose submatrices give every outcome."""
+        m = self.num_modes
+        kernel = np.eye(2 * m) - np.linalg.inv(self.cov + 0.5 * np.eye(2 * m))
+        kernel = np.concatenate([kernel[m:], kernel[:m]])  # the swap, on rows
+        kernel.flags.writeable = False
+        return kernel
 
 
 def squeezed_vacuum_cov(r, num_modes: int | None = None) -> GaussianState:
@@ -79,38 +109,42 @@ def propagate(state: GaussianState, mode_unitary: np.ndarray) -> GaussianState:
     return GaussianState(cov=t @ state.cov @ t.conj().T, num_modes=m)
 
 
-def _single_mode_loss(cov: np.ndarray, num_modes: int, site: int, eta: float) -> None:
-    """Pure loss of transmission ``eta`` on one mode, in place."""
-    root = math.sqrt(eta)
-    for k in (site, num_modes + site):
-        cov[k] *= root
-        cov[:, k] *= root
-        cov[k, k] += (1.0 - eta) / 2.0
-
-
 def propagate_circuit(state: GaussianState, circuit) -> GaussianState:
-    """Propagate gate by gate, applying each gate's loss channel exactly.
+    """Propagate layer by layer, applying each gate's loss channel exactly.
 
     Works for arbitrary per-gate losses since both the beamsplitter and the
     pure-loss channel are Gaussian.  A gate on modes (i, i+1) with 2x2 block
     b is T = u (+) u* with u equal to b on that pair and to the identity
     elsewhere, so T sigma T^dag only touches the rows and columns i, i+1
-    (block b) and M+i, M+i+1 (block b*).
+    (block b) and M+i, M+i+1 (block b*).  The gates of one layer act on
+    disjoint pairs, so one batched 2x2 product covers all their rows.  Each
+    loss acts on a mode of its own gate, after it, so a layer's losses commute
+    with its other gates and with each other: with S scaling the lossy modes'
+    rows by sqrt(eta), sigma -> S T sigma T^dag S + (1 - eta)/2 on their
+    diagonal entries.  The columns are rows of the transpose,
+    (S T sigma T^dag S)^T = S T* (S T sigma)^T, so each layer is two row
+    passes, with b and then b*, each followed by a transpose.
     """
-    from .circuit import single_photon_block
+    from .circuit import single_photon_blocks
 
     m = state.num_modes
     if circuit.num_modes != m:
         raise ValueError("mode count mismatch between state and circuit")
     cov = state.cov.copy()
-    for gate in circuit.gates():
-        i = gate.modes[0]
-        b = single_photon_block(gate.params)
-        for rows, block in ((slice(i, i + 2), b), (slice(m + i, m + i + 2), b.conj())):
-            cov[rows] = block @ cov[rows]
-            cov[:, rows] = cov[:, rows] @ block.conj().T
-        if gate.loss_gamma > 0.0:
-            _single_mode_loss(cov, m, gate.loss_site, 1.0 - gate.loss_gamma)
+    for layer in circuit.layers:
+        lower = np.array([g.modes[0] for g in layer], dtype=int)
+        pairs = np.concatenate([lower, m + lower])[:, None] + np.arange(2)
+        blocks = single_photon_blocks([g.params for g in layer])
+        blocks = np.concatenate([blocks, blocks.conj()])
+        lossy = [g for g in layer if g.loss_gamma > 0.0]
+        sites = np.array([g.loss_site for g in lossy], dtype=int)
+        sites = np.concatenate([sites, m + sites])
+        eta = np.tile([1.0 - g.loss_gamma for g in lossy], 2)
+        for b in (blocks, blocks.conj()):
+            cov[pairs] = b @ cov[pairs]
+            cov[sites] *= np.sqrt(eta)[:, None]
+            cov = cov.T.copy()
+        cov[sites, sites] += (1.0 - eta) / 2.0
     return GaussianState(cov=cov, num_modes=m)
 
 
@@ -123,34 +157,76 @@ def uniform_loss(state: GaussianState, eta: float) -> GaussianState:
     return GaussianState(cov=cov, num_modes=m)
 
 
-def hafnian(matrix: np.ndarray) -> complex:
-    """Hafnian by exhaustive recursion over all (2N-1)!! perfect matchings.
+# count vectors per batch of power traces: bounds the (batch, 2s, 2s) arrays
+# that a large hafnian would otherwise build all at once
+_HAFNIAN_BATCH = 4096
 
-    The first free index is paired with every later free index; symmetry of
-    the input is not required (only the upper pairing entries are read).
-    Exact but exponential: meant for 2N <= 16.
+
+def hafnian(matrix: np.ndarray, repeats=None) -> complex:
+    """Hafnian by the power-trace formula, with repeated pairs of rows.
+
+    ``matrix`` is 2K x 2K and ``repeats`` holds K counts n_k (default all 1):
+    the hafnian is that of the 2N x 2N matrix, N = sum n_k, in which rows and
+    columns k and K + k each appear n_k times.  Only the symmetric part
+    (A + A^T)/2 is read.  With X swapping k and K + k (Bjorklund, Gupt and
+    Quesada, arXiv:1805.12498; repeated rows as in Kan, J. Multivariate Anal.
+    99, 2008),
+
+        haf = sum_{m <= n} (-1)^(N - |m|) prod_k C(n_k, m_k) f_N(A X D_m),
+
+    where D_m repeats m_k on rows k and K + k, and f_N(B) is the coefficient
+    of t^N in exp(sum_p tr(B^p) t^p / 2p).  The traces come from repeated
+    matrix products, batched over count vectors with the same number of
+    nonzero entries s, which share the 2s x 2s shape.  The cost is
+    O(N s^3 prod(n_k + 1)): 2^K terms for single photons.
     """
-    b = np.asarray(matrix)
-    n = b.shape[0]
-    if b.ndim != 2 or b.shape[1] != n:
-        raise ValueError(f"hafnian needs a square matrix, got shape {b.shape}")
+    a = np.asarray(matrix, dtype=np.complex128)
+    n = a.shape[0]
+    if a.ndim != 2 or a.shape[1] != n:
+        raise ValueError(f"hafnian needs a square matrix, got shape {a.shape}")
     if n % 2 != 0:
         raise ValueError(f"hafnian needs an even dimension, got {n}")
-    if n == 0:
+    k = n // 2
+    reps = np.ones(k, dtype=np.int64) if repeats is None else np.asarray(repeats, dtype=np.int64)
+    if reps.shape != (k,) or np.any(reps < 0):
+        raise ValueError(f"repeats must be {k} nonnegative counts, got {repeats!r}")
+    keep = np.flatnonzero(reps)
+    reps, k, total = reps[keep], keep.size, int(reps.sum())
+    if total == 0:
         return 1.0 + 0.0j
-    rows = [[complex(x) for x in row] for row in b]
+    idx = np.concatenate([keep, n // 2 + keep])
+    a = a[np.ix_(idx, idx)]
+    ax = 0.5 * (a + a.T)
+    ax = np.concatenate([ax[:, k:], ax[:, :k]], axis=1)  # A X
 
-    def match(free: tuple[int, ...]) -> complex:
-        if len(free) == 2:
-            return rows[free[0]][free[1]]
-        first, rest = free[0], free[1:]
-        row = rows[first]
-        total = 0.0 + 0.0j
-        for pos, j in enumerate(rest):
-            total += row[j] * match(rest[:pos] + rest[pos + 1 :])
-        return total
-
-    return match(tuple(range(n)))
+    counts = np.indices(reps + 1).reshape(k, -1).T  # every m <= n
+    coeffs = np.where((total - counts.sum(axis=1)) % 2, -1.0, 1.0)
+    for j, r in enumerate(reps):
+        coeffs *= np.array([math.comb(int(r), q) for q in range(r + 1)], dtype=float)[counts[:, j]]
+    sizes = np.count_nonzero(counts, axis=1)
+    result = 0.0 + 0.0j
+    for s in range(1, k + 1):  # s = 0 gives B = 0, whose f_N vanishes
+        rows = np.flatnonzero(sizes == s)
+        for start in range(0, rows.size, _HAFNIAN_BATCH):
+            chunk = counts[rows[start : start + _HAFNIAN_BATCH]]
+            which, col = np.nonzero(chunk)
+            support = col.reshape(-1, s)
+            scale = np.tile(chunk[which, col].reshape(-1, s), 2)
+            sel = np.concatenate([support, support + k], axis=1)
+            b = ax[sel[:, :, None], sel[:, None, :]] * scale[:, None, :]
+            traces = np.empty((len(chunk), total), dtype=np.complex128)
+            power = b
+            traces[:, 0] = np.trace(b, axis1=1, axis2=2)
+            for p in range(1, total):
+                power = power @ b
+                traces[:, p] = np.trace(power, axis1=1, axis2=2)
+            # f_j = sum_{p=1}^{j} tr(B^p) f_{j-p} / 2j, from f' = f (log f)'
+            f = np.zeros((len(chunk), total + 1), dtype=np.complex128)
+            f[:, 0] = 1.0
+            for j in range(1, total + 1):
+                f[:, j] = np.einsum("bp,bp->b", traces[:, :j], f[:, j - 1 :: -1]) / (2 * j)
+            result += coeffs[rows[start : start + _HAFNIAN_BATCH]] @ f[:, total]
+    return complex(result)
 
 
 def gbs_probability(state: GaussianState, outcome) -> float:
@@ -158,7 +234,9 @@ def gbs_probability(state: GaussianState, outcome) -> float:
 
     P(n) = Haf(A_S) / (prod_k n_k! * sqrt(|det sigma_Q|)) with
     sigma_Q = sigma + 1/2 and A = [[0,1],[1,0]] (1 - sigma_Q^{-1});
-    A_S repeats the rows/columns of mode k (in both operator blocks) n_k times.
+    A_S repeats the rows/columns of mode k (in both operator blocks) n_k times,
+    which :func:`hafnian` takes as repetition counts.  A and the normalization
+    depend on the state only: :class:`GaussianState` computes them once.
     """
     outcome = tuple(int(n) for n in outcome)
     m = state.num_modes
@@ -167,29 +245,17 @@ def gbs_probability(state: GaussianState, outcome) -> float:
     if any(n < 0 for n in outcome):
         raise ValueError(f"negative photon count in outcome {outcome}")
 
-    sigma_q = state.cov + 0.5 * np.eye(2 * m)
-    det = np.linalg.det(sigma_q)
-    if not np.isfinite(det) or abs(det) < 1e-300:
-        raise NumericalFailureError(f"ill-conditioned sigma_Q (det = {det!r})")
-    norm = 1.0 / math.sqrt(abs(det))
-
-    total = sum(outcome)
-    if total == 0:
+    norm = state.normalization
+    if sum(outcome) == 0:
         return norm
-
-    swap = np.zeros((2 * m, 2 * m))
-    swap[:m, m:] = np.eye(m)
-    swap[m:, :m] = np.eye(m)
-    kernel = swap @ (np.eye(2 * m) - np.linalg.inv(sigma_q))
-
-    idx = [k for k, n in enumerate(outcome) for _ in range(n)]
-    idx += [m + k for k, n in enumerate(outcome) for _ in range(n)]
-    haf = hafnian(kernel[np.ix_(idx, idx)])
+    modes = [k for k, n in enumerate(outcome) if n > 0]
+    idx = modes + [m + k for k in modes]
+    haf = hafnian(state.kernel[np.ix_(idx, idx)], [outcome[k] for k in modes])
 
     value = haf * norm / math.prod(math.factorial(n) for n in outcome)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise NumericalFailureError(f"non-real probability {value!r}")
-    p = value.real
+    p = float(value.real)
     if p < 0.0:
         if p < -1e-9:
             raise NumericalFailureError(f"probability {p} below the roundoff window")

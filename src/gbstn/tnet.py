@@ -215,6 +215,14 @@ def _product_train(
     return TensorTrain(tensors, local_dim, center, phys_charges, bonds)
 
 
+def _check_length(circuit: Circuit, outcome) -> tuple[int, ...]:
+    """The outcome as ints, checked against the circuit's mode count before any evolution."""
+    outcome = tuple(int(n) for n in outcome)
+    if len(outcome) != circuit.num_modes:
+        raise ValueError("outcome length does not match the mode count")
+    return outcome
+
+
 def _check_outcome(outcome, local_cutoff: int) -> tuple[int, ...]:
     outcome = tuple(int(n) for n in outcome)
     if any(n < 0 or n > local_cutoff for n in outcome):
@@ -525,6 +533,7 @@ def schrodinger_probability(
     policy: TruncationPolicy | None = None,
 ) -> tuple[float, EvolutionStats]:
     """|<n| U |psi>|^2 by forward evolution of the squeezed input."""
+    outcome = _check_length(circuit, outcome)
     _require_lossless(circuit, "the Schrodinger state path")
     policy = policy or TruncationPolicy()
     stats = EvolutionStats()
@@ -543,8 +552,8 @@ def heisenberg_probability_lossless(
     policy: TruncationPolicy | None = None,
 ) -> tuple[float, EvolutionStats]:
     """|<psi| U^dag |n>|^2 by evolving the outcome state through the reversed circuit."""
+    outcome = _check_length(circuit, outcome)
     _require_lossless(circuit, "the lossless Heisenberg path (use heisenberg_probability_lossy)")
-    outcome = tuple(int(n) for n in outcome)
     if sum(outcome) > circuit.num_modes * local_cutoff:
         raise ValueError("outcome carries more photons than the truncated space holds")
     policy = policy or TruncationPolicy()
@@ -567,6 +576,7 @@ def heisenberg_probability_lossy(
 
     Works for lossless circuits too (the channel degenerates to conjugation).
     """
+    outcome = _check_length(circuit, outcome)
     policy = policy or TruncationPolicy()
     stats = EvolutionStats()
     op = fock_projector_mpo(outcome, local_cutoff)

@@ -315,6 +315,8 @@ def test_criterion_08_hafnian_identities():
     assert abs(hafnian(m) - expansion) < 1e-12
 
     assert hafnian(np.ones((6, 6))) == 15
+    # 19!! perfect matchings of 20 indices, from 2^10 power-trace terms
+    assert abs(hafnian(np.ones((20, 20))) - 654729075) <= 1e-12 * 654729075
 
     for _ in range(100):
         matrix = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -327,7 +329,7 @@ def test_criterion_08_hafnian_identities():
         scaled[k, k] = matrix[k, k] * scale
         reference = scale * hafnian(matrix)
         assert abs(hafnian(scaled) - reference) <= 1e-10 * max(1.0, abs(reference))
-    _report(8, "hafnian identities and multilinearity on 100 random matrices")
+    _report(8, "hafnian identities up to 2N = 20 and multilinearity on 100 random matrices")
 
 
 def test_criterion_09_scaling_grid(tmp_path):

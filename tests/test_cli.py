@@ -312,6 +312,33 @@ class TestProb:
         assert "size guard" in failed["error"]
         assert "probability" not in failed
 
+    def test_gaussian_backend_inverts_sigma_q_once_per_request(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        calls = []
+        inv = np.linalg.inv
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inv(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                            "--outcome", "2,0,0,0", "--outcome", "0,1,0,1",
+                            "--backend", "gaussian", "--squeezing", "0.4"], capsys)
+        assert code == 0
+        assert all(r["probability"] > 0.0 for r in _records(out))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("outcome", ["1,1,0", "1,1,0,0,0"])
+    def test_tn_outcome_length_mismatch_is_reported(self, tmp_path, capsys, outcome):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        code, out, _ = run(["prob", "--circuit", str(path), "--outcome", outcome,
+                            "--squeezing", "0.4", "--cutoff", "2"], capsys)
+        assert code == 1
+        assert _records(out)[0]["error"] == "outcome length does not match the mode count"
+
     def test_auto_cutoff_needs_even_modes_for_lossy(self, tmp_path, capsys):
         path = tmp_path / "lossy3.json"
         save_circuit(with_uniform_loss(build_brickwork(3, 3, seed=5), 0.05), path)
@@ -319,6 +346,32 @@ class TestProb:
                             "--squeezing", "0.4"], capsys)
         assert code == 1
         assert "--cutoff" in err
+
+
+class TestUnreadableCircuit:
+    """prob, validate and cutoff report a circuit file they cannot read and exit 1."""
+
+    COMMANDS = {
+        "prob": ["prob", "--outcome", "1,1", "--circuit"],
+        "validate": ["validate", "--circuit"],
+        "cutoff": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "0.05",
+                   "--photons", "4", "--circuit"],
+    }
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", '{"num_modes": 2}', '{"num_modes": 2, "layers": [[{"modes": [0, 2]}]]}'],
+        ids=["missing", "not-json", "no-layers", "bad-gate"],
+    )
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_1_with_a_message(self, tmp_path, capsys, command, content):
+        path = tmp_path / "c.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run(self.COMMANDS[command] + [str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read circuit {str(path)!r}")
 
 
 class TestCutoff:
@@ -402,6 +455,26 @@ class TestScaling:
         run(["scaling", "--output", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, grid, reason",
+        [
+            ("--modes", "6:30:0", "positive step"),
+            ("--modes", "6:30:-2", "positive step"),
+            ("--modes", "30:6:2", "empty"),
+            ("--modes", "6:8:0.5", "even and at least 4"),
+            ("--modes", "2,6", "even and at least 4"),
+            ("--modes", "6,7", "even and at least 4"),
+            ("--squeezing", "0.3:0.7:0", "positive step"),
+            ("--squeezing", "0.7:0.3:0.1", "empty"),
+        ],
+    )
+    def test_bad_grid_exits_1(self, tmp_path, capsys, flag, grid, reason):
+        path = tmp_path / "grid.csv"
+        code, out, err = run(["scaling", flag, grid, "--output", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and reason in err
+        assert not path.exists()
+
 
 class TestValidate:
     def test_lossless_instance_passes(self, tmp_path, capsys):
@@ -437,6 +510,22 @@ class TestValidate:
         record = json.loads(out)
         assert record["ok"] is False
         assert 1e-5 < record["max_pairwise_difference"] < 1e-3
+
+    def test_record_holds_python_types_for_numpy_scalars(self, tmp_path, capsys, monkeypatch):
+        from gbstn import gauss
+
+        gbs_probability = gauss.gbs_probability
+        monkeypatch.setattr(
+            gauss, "gbs_probability", lambda *args: np.float64(gbs_probability(*args))
+        )
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "3", "--depth", "3", "--seed", "13", "--output", str(path)], capsys)
+        code, out, _ = run(["validate", "--circuit", str(path), "--squeezing", "0.4",
+                            "--totals", "0,2"], capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert record["ok"] is True
+        assert isinstance(record["max_pairwise_difference"], float)
 
     def test_lossy_file_needs_a_cutoff(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -9,6 +9,8 @@ from gbstn.circuit import (
     build_brickwork,
     circuit_to_mode_unitary,
     kraus_set,
+    load_circuit,
+    save_circuit,
     single_photon_block,
     with_uniform_loss,
 )
@@ -30,6 +32,60 @@ from gbstn.gauss import (
     squeezed_vacuum_cov,
     uniform_loss,
 )
+
+
+def _matching_sum(matrix) -> complex:
+    """Hafnian by exhaustive recursion over all (2N-1)!! perfect matchings:
+    the first free index is paired with every later free index.  The oracle
+    for :func:`hafnian` up to 2N = 12."""
+    rows = [[complex(x) for x in row] for row in np.asarray(matrix)]
+
+    def match(free: tuple[int, ...]) -> complex:
+        if not free:
+            return 1.0 + 0.0j
+        first, rest = free[0], free[1:]
+        return sum(
+            rows[first][j] * match(rest[:pos] + rest[pos + 1 :]) for pos, j in enumerate(rest)
+        )
+
+    return match(tuple(range(len(rows))))
+
+
+def _random_symmetric(rng, n: int) -> np.ndarray:
+    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return b + b.T
+
+
+def _full_transfer_reference(state: GaussianState, circuit: Circuit) -> np.ndarray:
+    """sigma -> T sigma T^dag gate by gate with the full 2M x 2M T = u (+) u*,
+    then sigma -> s sigma s + (1 - eta)/2 on the lossy mode's diagonals."""
+    m = circuit.num_modes
+    cov = state.cov.copy()
+    for gate in circuit.gates():
+        i = gate.modes[0]
+        u = np.eye(m, dtype=np.complex128)
+        u[i : i + 2, i : i + 2] = single_photon_block(gate.params)
+        t = np.block([[u, np.zeros((m, m))], [np.zeros((m, m)), u.conj()]])
+        cov = t @ cov @ t.conj().T
+        eta = 1.0 - gate.loss_gamma
+        scale = np.ones(2 * m)
+        scale[[gate.loss_site, m + gate.loss_site]] = np.sqrt(eta)
+        cov = cov * np.outer(scale, scale)
+        cov[gate.loss_site, gate.loss_site] += (1.0 - eta) / 2.0
+        cov[m + gate.loss_site, m + gate.loss_site] += (1.0 - eta) / 2.0
+    return cov
+
+
+def _with_seeded_loss(circuit: Circuit, seed: int) -> Circuit:
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        tuple(
+            Gate(g.modes, g.params, float(rng.uniform(0.0, 0.2)), int(rng.integers(2)))
+            for g in layer
+        )
+        for layer in circuit.layers
+    )
+    return Circuit(num_modes=circuit.num_modes, layers=layers)
 
 
 def _dense_moments(r: float, cutoff: int = 120):
@@ -104,33 +160,30 @@ class TestPropagate:
 
     def test_gate_by_gate_matches_full_transfer_matrix_with_per_gate_loss(self):
         m = 48
-        rng = np.random.default_rng(48)
-        layers = tuple(
-            tuple(
-                Gate(g.modes, g.params, float(rng.uniform(0.0, 0.2)), int(rng.integers(2)))
-                for g in layer
-            )
-            for layer in build_brickwork(m, m, seed=3).layers
-        )
-        c = Circuit(num_modes=m, layers=layers)
+        c = _with_seeded_loss(build_brickwork(m, m, seed=3), 48)
         assert {g.lossy_mode for g in c.gates()} == {0, 1}
         g = squeezed_vacuum_cov(0.4, m)
-        # reference: sigma -> T sigma T^dag with the full 2M x 2M T = u (+) u*,
-        # then sigma -> s sigma s + (1 - eta)/2 on the lossy mode's diagonals
-        cov = g.cov.copy()
-        for gate in c.gates():
-            i = gate.modes[0]
-            u = np.eye(m, dtype=np.complex128)
-            u[i : i + 2, i : i + 2] = single_photon_block(gate.params)
-            t = np.block([[u, np.zeros((m, m))], [np.zeros((m, m)), u.conj()]])
-            cov = t @ cov @ t.conj().T
-            eta = 1.0 - gate.loss_gamma
-            scale = np.ones(2 * m)
-            scale[[gate.loss_site, m + gate.loss_site]] = np.sqrt(eta)
-            cov = cov * np.outer(scale, scale)
-            cov[gate.loss_site, gate.loss_site] += (1.0 - eta) / 2.0
-            cov[m + gate.loss_site, m + gate.loss_site] += (1.0 - eta) / 2.0
-        assert np.abs(propagate_circuit(g, c).cov - cov).max() < 1e-12
+        assert np.abs(propagate_circuit(g, c).cov - _full_transfer_reference(g, c)).max() < 1e-12
+
+    def test_gate_order_within_a_layer_does_not_matter(self, tmp_path):
+        # a file may list a layer's gates in any order; reverse every layer
+        m = 10
+        c = _with_seeded_loss(build_brickwork(m, m, seed=5), 10)
+        path = tmp_path / "reversed.json"
+        layers = tuple(l[::-1] for l in c.layers) + ((),)  # an empty layer is the identity
+        save_circuit(Circuit(num_modes=m, layers=layers), path)
+        loaded = load_circuit(path)
+        assert [g.modes for g in loaded.layers[0]] == [(8, 9), (6, 7), (4, 5), (2, 3), (0, 1)]
+        g = squeezed_vacuum_cov([0.1 * k for k in range(m)], m)
+        assert np.abs(propagate_circuit(g, loaded).cov - _full_transfer_reference(g, c)).max() < 1e-12
+
+    def test_state_covariance_is_read_only(self):
+        cov = squeezed_vacuum_cov(0.3, 2).cov.copy()
+        g = GaussianState(cov=cov, num_modes=2)
+        with pytest.raises(ValueError):
+            g.cov[0, 0] = 1.0
+        cov[0, 0] = 1.0  # the state holds its own copy
+        assert g.cov[0, 0] != 1.0
 
 
 class TestUniformLoss:
@@ -160,6 +213,49 @@ class TestUniformLoss:
 
 
 class TestHafnian:
+    @pytest.mark.parametrize("size", [2, 4, 6, 8, 10, 12])
+    def test_matches_matching_sum(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            b = _random_symmetric(rng, size)
+            expected = _matching_sum(b)
+            assert abs(hafnian(b) - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize(
+        "repeats", [(2,), (3,), (1, 2), (0, 3), (2, 2), (3, 1, 0), (1, 1, 2, 0), (2, 1, 1, 2)]
+    )
+    def test_repeats_match_matching_sum_of_expanded_matrix(self, repeats):
+        rng = np.random.default_rng(sum(repeats) + len(repeats))
+        k = len(repeats)
+        b = _random_symmetric(rng, 2 * k)
+        # rows and columns j and K + j each appear repeats[j] times
+        idx = [j for j in range(k) for _ in range(repeats[j])]
+        idx += [k + j for j in idx]
+        expected = _matching_sum(b[np.ix_(idx, idx)])
+        assert abs(hafnian(b, repeats) - expected) <= 1e-12 * abs(expected)
+
+    def test_unit_repeats_are_the_default(self):
+        b = _random_symmetric(np.random.default_rng(3), 8)
+        assert hafnian(b, [1, 1, 1, 1]) == hafnian(b)
+
+    def test_zero_repeats_give_the_empty_hafnian(self):
+        assert hafnian(np.ones((4, 4)), [0, 0]) == 1.0
+
+    @pytest.mark.parametrize("repeats", [[1], [1, 1, 1], [1, -1]])
+    def test_bad_repeats_rejected(self, repeats):
+        with pytest.raises(ValueError):
+            hafnian(np.ones((4, 4)), repeats)
+
+    def test_direct_sum_at_twenty_four(self):
+        # haf(A (+) B) = haf(A) haf(B), each factor from the oracle; the sum
+        # over 2^12 signed terms cancels, so the bound is looser than at 2N <= 12
+        rng = np.random.default_rng(24)
+        a, b = _random_symmetric(rng, 12), _random_symmetric(rng, 12)
+        block = np.zeros((24, 24), dtype=np.complex128)
+        block[:12, :12], block[12:, 12:] = a, b
+        expected = _matching_sum(a) * _matching_sum(b)
+        assert abs(hafnian(block) - expected) <= 1e-8 * abs(expected)
+
     def test_two_by_two(self):
         b = np.array([[1.0, 7.5], [7.5, 2.0]])
         assert hafnian(b) == 7.5

@@ -450,3 +450,28 @@ class TestClamping:
             _clamp_probability(-1e-6)
         assert _clamp_probability(-1e-10) == 0.0
         assert _clamp_probability(1.0 + 1e-12) == 1.0
+
+
+class TestOutcomeLength:
+    @pytest.mark.parametrize("outcome", [(1, 1, 0), (1, 1, 0, 0, 0)])
+    @pytest.mark.parametrize(
+        "route, gamma",
+        [
+            (schrodinger_probability, 0.0),
+            (heisenberg_probability_lossless, 0.0),
+            (heisenberg_probability_lossy, 0.05),
+        ],
+    )
+    def test_checked_before_any_gate(self, monkeypatch, route, gamma, outcome):
+        calls = []
+        apply_two_site = tnet._apply_two_site
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return apply_two_site(*args, **kwargs)
+
+        monkeypatch.setattr(tnet, "_apply_two_site", counted)
+        c = with_uniform_loss(build_brickwork(4, 4, seed=1), gamma)
+        with pytest.raises(ValueError, match="outcome length does not match the mode count"):
+            route(c, outcome, 0.4, 3)
+        assert calls == []
