@@ -233,26 +233,34 @@ def with_uniform_loss(circuit: Circuit, gamma: float) -> Circuit:
     return Circuit(num_modes=circuit.num_modes, layers=layers)
 
 
+@lru_cache(maxsize=32)
+def _hopping_eigensystems(local_cutoff: int) -> tuple:
+    """Per photon-number total of a pair: the lower mode's occupations m and
+    the eigensystem of the real tridiagonal H0 with H0[m-1, m] = H0[m, m-1]
+    = sqrt(m (total - m + 1)), the block of a_i a*_{i+1} + h.c."""
+    systems = []
+    for total in range(2 * local_cutoff + 1):
+        occ = np.arange(max(0, total - local_cutoff), min(total, local_cutoff) + 1)
+        amp = np.sqrt(occ[1:] * (total - occ[1:] + 1.0))
+        evals, evecs = np.linalg.eigh(np.diag(amp, 1) + np.diag(amp, -1))
+        for array in (occ, evals, evecs):
+            array.flags.writeable = False
+        systems.append((total, occ, evals, evecs))
+    return tuple(systems)
+
+
 # holds every gate of a depth-64 brickwork (2016 gates), so that repeated
 # evaluations of one circuit reuse its gates; an entry is 16 d^4 bytes
 @lru_cache(maxsize=2048)
 def _gate_unitary_cached(theta: float, varphi: float, phi: float, local_cutoff: int):
     d = local_cutoff + 1
     tensor = np.zeros((d, d, d, d), dtype=np.complex128)
-    for total in range(2 * local_cutoff + 1):
-        occ = np.arange(max(0, total - local_cutoff), min(total, local_cutoff) + 1)
-        size = len(occ)
-        ham = np.zeros((size, size), dtype=np.complex128)
-        for idx in range(1, size):
-            m = occ[idx]
-            # <m-1, total-m+1| a_i a*_{i+1} |m, total-m>
-            amp = math.sqrt(m * (total - m + 1))
-            ham[idx - 1, idx] = amp * np.exp(-1j * varphi)
-            ham[idx, idx - 1] = amp * np.exp(1j * varphi)
-        evals, evecs = np.linalg.eigh(ham)
-        block = (evecs * np.exp(1j * theta * evals)) @ evecs.conj().T
-        # phase shift acts first: multiply the column of input occupation m
-        block = block * np.exp(1j * phi * occ)[None, :]
+    for total, occ, evals, evecs in _hopping_eigensystems(local_cutoff):
+        # the block Hamiltonian is D H0 D^dag with D = diag(e^{i varphi m}),
+        # so exp(i theta H) = D V e^{i theta Lambda} V^T D^dag; the phase
+        # shift acts first and multiplies the column of input occupation m
+        block = (evecs * np.exp(1j * theta * evals)) @ evecs.T
+        block *= np.multiply.outer(np.exp(1j * varphi * occ), np.exp(1j * (phi - varphi) * occ))
         out, into = occ[:, None], occ[None, :]
         tensor[out, total - out, into, total - into] = block
     matrix = tensor.reshape(d * d, d * d)

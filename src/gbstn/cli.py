@@ -94,7 +94,11 @@ def _dense_output(circ, squeezing, n_c):
 def _evaluator(circ, squeezing, backend, picture, policy, cutoffs):
     """``evaluate(outcome, n_c) -> (probability, stats or None)`` on one
     backend.  The work no outcome changes is done here, once per request:
-    the Gaussian covariance, or the dense output for each n_c in ``cutoffs``."""
+    the Gaussian covariance, or the dense output or the Schrodinger picture's
+    evolved input for each n_c in ``cutoffs``."""
+    if backend == "tn" and picture == "schrodinger":
+        states = {n_c: tnet.evolve_input(circ, squeezing, n_c, policy) for n_c in set(cutoffs)}
+        return lambda outcome, n_c: tnet.project_outcome(*states[n_c], outcome, n_c)
     if backend == "tn":
         return lambda outcome, n_c: tnet.probability(circ, outcome, squeezing, n_c, policy, picture)
     if backend == "dense":
@@ -141,11 +145,11 @@ def cmd_prob(args) -> int:
     circ = _load_circuit(args.circuit)
     if circ is None:
         return 1
-    truncation = {"max_bond": args.max_bond, "svd_threshold": args.svd_threshold}
-    policy = tnet.TruncationPolicy(**{k: v for k, v in truncation.items() if v is not None})
     epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
     picture = (args.picture or "heisenberg") if args.backend == "tn" else None
     try:
+        truncation = {"max_bond": args.max_bond, "svd_threshold": args.svd_threshold}
+        policy = tnet.TruncationPolicy(**{k: v for k, v in truncation.items() if v is not None})
         recommended = n_cs = [None] * len(args.outcome)
         if args.backend != "gaussian":  # the exact Gaussian backend takes no cutoff
             recommended = [
@@ -236,21 +240,26 @@ def cmd_scaling(args) -> int:
     return 0
 
 
+def _parse_totals(text: str) -> list[int]:
+    """Comma-separated photon totals; raises ValueError on a non-integer or a
+    negative one, so every total has at least one outcome."""
+    try:
+        totals = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--totals {text!r} must be comma-separated integers") from None
+    if any(total < 0 for total in totals):
+        raise ValueError(f"--totals {text!r} must not be negative")
+    return totals
+
+
 def cmd_validate(args) -> int:
     circ = _load_circuit(args.circuit)
     if circ is None:
         return 1
-    totals = [int(x) for x in args.totals.split(",")]
-    outcomes = [
-        n for total in totals for n in analysis.outcomes_with_total(circ.num_modes, total)
-    ]
     if args.cutoff is None and not circ.is_lossless:
         msg = "the spillover bound's choice (gbstn cutoff) is usually too large to run"
         print(f"error: a lossy circuit needs --cutoff; {msg}", file=sys.stderr)
         return 1
-    n_c = args.cutoff
-    if n_c is None:
-        n_c = analysis.recommended_cutoff(circ, args.squeezing, max(totals))
     policy = tnet.TruncationPolicy()
     # the gaussian column is exact for any per-gate loss, so on a lossy file it
     # exposes the cutoff bias; the Schrodinger picture has no lossy route
@@ -261,17 +270,24 @@ def cmd_validate(args) -> int:
         ("gaussian", "gaussian", None),
     ]
     try:
+        totals = _parse_totals(args.totals)
+        outcomes = [
+            n for total in totals for n in analysis.outcomes_with_total(circ.num_modes, total)
+        ]
+        n_c = args.cutoff
+        if n_c is None:
+            n_c = analysis.recommended_cutoff(circ, args.squeezing, max(totals))
         evaluators = {
             name: _evaluator(circ, args.squeezing, backend, picture, policy, [n_c])
             for name, backend, picture in routes
             if circ.is_lossless or picture != "schrodinger"
         }
+        columns = {
+            name: [evaluate(n, n_c)[0] for n in outcomes] for name, evaluate in evaluators.items()
+        }
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    columns = {
-        name: [evaluate(n, n_c)[0] for n in outcomes] for name, evaluate in evaluators.items()
-    }
 
     names = list(columns)
     worst = 0.0

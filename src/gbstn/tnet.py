@@ -25,16 +25,22 @@ charges:
   it carries the trivial charge (all zeros) and each split is one block, as
   without labels.
 
-Site arrays stay dense, with zeros outside the sectors.
+Site arrays stay dense, with zeros outside the sectors.  The block layout
+of a split depends only on the labels, so it is grouped once and reused
+from a bounded cache; an update touches the two sites and three bonds of
+its pair and nothing else of the train.
 
 Probabilities are computed three ways:
 
-* ``schrodinger_probability``: evolve the squeezed input forward, project on
-  the outcome.
+* ``schrodinger_probability``: evolve the squeezed input forward
+  (``evolve_input``), project on the outcome (``project_outcome``); the two
+  steps are public so that one evolution serves many outcomes.
 * ``heisenberg_probability_lossless``: evolve the outcome state through the
   time-reversed circuit (reverse layer order, conjugate-transposed gates) and
   overlap with the unevolved input.  Valid because for unitary circuits the
-  evolved projector stays a rank-one dyad.
+  evolved projector stays a rank-one dyad.  Photons spread from the occupied
+  modes inside a light cone; a gate on two modes still in vacuum acts as the
+  identity and is skipped.
 * ``heisenberg_probability_lossy``: evolve the outcome projector as an
   operator train through the adjoint channel O -> U^dag (sum_mu K_mu^dag O
   K_mu) U per gate, then close with the squeezed input on both sides.
@@ -47,7 +53,8 @@ truncation statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -67,6 +74,8 @@ __all__ = [
     "apply_gate_mpo_adjoint",
     "mps_overlap",
     "mpo_expectation",
+    "evolve_input",
+    "project_outcome",
     "schrodinger_probability",
     "heisenberg_probability_lossless",
     "heisenberg_probability_lossy",
@@ -74,6 +83,11 @@ __all__ = [
 ]
 
 DENSE_GUARD = 10**7
+# charge-block layouts kept for reuse: at most SECTOR_CACHE of them, each of
+# at most SECTOR_SIZE rows plus columns (under 40 kB), so the cache stays
+# below 40 MB.  Larger layouts are grouped afresh; their SVDs outweigh that.
+SECTOR_CACHE = 1024
+SECTOR_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -176,6 +190,14 @@ class TensorTrain:
         self.phys_charges = np.asarray(phys_charges, dtype=np.int64)
         self.bond_charges = [np.asarray(q, dtype=np.int64) for q in bond_charges]
 
+    def _evolved(self, tensors, bond_charges, center) -> "TensorTrain":
+        """A train over the same legs with new sites, bond labels and centre,
+        not checked again: the two-site kernel keeps them consistent."""
+        train = object.__new__(TensorTrain)
+        train.tensors, train.bond_charges, train.center = tensors, bond_charges, center
+        train.local_dim, train.phys_charges = self.local_dim, self.phys_charges
+        return train
+
     @property
     def num_modes(self) -> int:
         return len(self.tensors)
@@ -215,10 +237,10 @@ def _product_train(
     return TensorTrain(tensors, local_dim, center, phys_charges, bonds)
 
 
-def _check_length(circuit: Circuit, outcome) -> tuple[int, ...]:
-    """The outcome as ints, checked against the circuit's mode count before any evolution."""
+def _check_length(num_modes: int, outcome) -> tuple[int, ...]:
+    """The outcome as ints, checked against the mode count before any evolution."""
     outcome = tuple(int(n) for n in outcome)
-    if len(outcome) != circuit.num_modes:
+    if len(outcome) != num_modes:
         raise ValueError("outcome length does not match the mode count")
     return outcome
 
@@ -281,10 +303,12 @@ def mpo_expectation(bra: TensorTrain, operator: TensorTrain, ket: TensorTrain) -
     return mps_overlap(TensorTrain(sites, operator.local_dim), operator)
 
 
-def _sectors(row_charges: np.ndarray, col_charges: np.ndarray):
-    """(charge, rows, columns) of each charge that the rows and the columns share."""
-    for q in sorted(set(row_charges.tolist()) & set(col_charges.tolist())):
-        yield q, np.flatnonzero(row_charges == q), np.flatnonzero(col_charges == q)
+def _groups(charges: np.ndarray) -> dict[int, np.ndarray]:
+    """Ascending indices of each charge, from one stable sort."""
+    order = np.argsort(charges, kind="stable")
+    ordered = charges[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return dict(zip(ordered[np.r_[0, cuts]].tolist(), np.split(order, cuts)))
 
 
 def _grid(rows: np.ndarray, cols: np.ndarray):
@@ -293,6 +317,39 @@ def _grid(rows: np.ndarray, cols: np.ndarray):
     r = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == len(rows) else rows
     c = slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] + 1 == len(cols) else cols
     return (rows[:, None], cols) if r is rows and c is cols else (r, c)
+
+
+@lru_cache(maxsize=SECTOR_CACHE)
+def _sectors_of(rows: bytes, cols: bytes, mids: bytes | None) -> tuple:
+    """Charge blocks of a matrix whose rows and columns carry the charges in
+    ``rows`` and ``cols`` (int64 bytes): ``(charge, rows, columns, block
+    index, middle)`` per charge both share, ascending.  With ``mids``, the
+    labels of a bond the matrix is a product over, ``middle`` indexes the
+    charge's (rows x middle, middle x columns) blocks of the two factors, and
+    is None where no middle index carries the charge.  Read-only, so threads
+    share the result."""
+    row_groups = _groups(np.frombuffer(rows, dtype=np.int64))
+    col_groups = _groups(np.frombuffer(cols, dtype=np.int64))
+    mid_groups = {} if mids is None else _groups(np.frombuffer(mids, dtype=np.int64))
+    sectors = []
+    for q, r in row_groups.items():
+        c = col_groups.get(q)
+        if c is None:
+            continue
+        r.flags.writeable = c.flags.writeable = False
+        m = mid_groups.get(q)
+        middle = None if m is None else (_grid(r, m), _grid(m, c))
+        sectors.append((q, r, c, _grid(r, c), middle))
+    return tuple(sectors)
+
+
+def _sectors(row_charges: np.ndarray, col_charges: np.ndarray, mid_charges=None) -> tuple:
+    """The charge blocks of :func:`_sectors_of` for charge vectors."""
+    mids = None if mid_charges is None else mid_charges.tobytes()
+    key = (row_charges.tobytes(), col_charges.tobytes(), mids)
+    if len(row_charges) + len(col_charges) > SECTOR_SIZE:
+        return _sectors_of.__wrapped__(*key)
+    return _sectors_of(*key)
 
 
 def _assemble(shape, pieces):
@@ -338,8 +395,8 @@ def _move_center(
         chi_l, p, chi_r = tensors[k].shape
         matrix = tensors[k].reshape(chi_l * p, chi_r)
         pieces = [
-            (q, rows, cols, *np.linalg.qr(matrix[_grid(rows, cols)]))
-            for q, rows, cols in _sectors(_row_charges(bonds[k], phys), bonds[k + 1])
+            (q, rows, cols, *np.linalg.qr(matrix[grid]))
+            for q, rows, cols, grid, _ in _sectors(_row_charges(bonds[k], phys), bonds[k + 1])
         ]
         q_mat, rest, bonds[k + 1] = _assemble(matrix.shape, pieces)
         tensors[k] = q_mat.reshape(chi_l, p, -1)
@@ -348,18 +405,34 @@ def _move_center(
         chi_l, p, chi_r = tensors[k].shape
         matrix = tensors[k].reshape(chi_l, p * chi_r)
         pieces = []
-        for q, rows, cols in _sectors(bonds[k], _col_charges(phys, bonds[k + 1])):
+        for q, rows, cols, grid, _ in _sectors(bonds[k], _col_charges(phys, bonds[k + 1])):
             # A = R^T Q^T, from the QR of A^T
-            q_mat, rest = np.linalg.qr(matrix[_grid(rows, cols)].T)
+            q_mat, rest = np.linalg.qr(matrix[grid].T)
             pieces.append((q, rows, cols, rest.T, q_mat.T))
         rest, q_mat, bonds[k] = _assemble(matrix.shape, pieces)
         tensors[k] = q_mat.reshape(-1, p, chi_r)
         tensors[k - 1] = np.tensordot(tensors[k - 1], rest, axes=([2], [0]))
 
 
+def _kept(s_all: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
+    """Which of the pooled singular values a split keeps: those above
+    ``svd_threshold`` times the largest (all of them if every one is zero),
+    then, past ``max_bond``, the largest ``max_bond``, ties to the earlier."""
+    kept = np.ones(len(s_all), dtype=bool)
+    if len(s_all) > 1:
+        s_max = s_all.max()
+        if s_max > 0.0:
+            kept = s_all > policy.svd_threshold * s_max
+    if policy.max_bond is not None and np.count_nonzero(kept) > policy.max_bond:
+        kept = np.zeros(len(s_all), dtype=bool)
+        kept[np.argsort(-s_all, kind="stable")[: policy.max_bond]] = True
+    return kept
+
+
 def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> TensorTrain:
     """Map the pair tensor (chi_l, p, p, chi_r) of sites (i, i+1) with
-    ``local_map`` and split it back at the centre; returns a new train.
+    ``local_map`` and split it back at the centre; returns a new train and
+    leaves ``train`` as it was.
 
     ``local_map`` must keep the train's charges.  The split takes one SVD
     per charge block of the pair matrix; the truncation rule acts on all
@@ -383,33 +456,27 @@ def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> Ten
         )
     # the pair matrix, rows (alpha, n1) and columns (n2, beta), has the same
     # charge blocks before and after the local map: build it block by block
-    sectors = list(_sectors(_row_charges(bonds[i], phys), _col_charges(phys, bonds[i + 2])))
+    sectors = _sectors(
+        _row_charges(bonds[i], phys), _col_charges(phys, bonds[i + 2]), bonds[i + 1]
+    )
     left, right = a.reshape(chi_l * p, -1), b.reshape(-1, p * chi_r)
     theta = np.zeros((chi_l * p, p * chi_r), dtype=np.complex128)
-    for q, rows, cols in sectors:
-        mid = np.flatnonzero(bonds[i + 1] == q)
-        if len(mid):  # else no middle index has charge q: zero until the local map acts
-            theta[_grid(rows, cols)] = left[_grid(rows, mid)] @ right[_grid(mid, cols)]
+    for _, _, _, grid, middle in sectors:
+        if middle is not None:  # else zero until the local map acts
+            theta[grid] = left[middle[0]] @ right[middle[1]]
     matrix = local_map(theta.reshape(chi_l, p, p, chi_r)).reshape(chi_l * p, p * chi_r)
-    blocks = [(q, rows, cols, *_svd(matrix[_grid(rows, cols)])) for q, rows, cols in sectors]
+    blocks = [_svd(matrix[grid]) for _, _, _, grid, _ in sectors]
 
-    s_all = np.concatenate([s for *_, s, _ in blocks]) if blocks else np.zeros(0)
-    order = np.argsort(-s_all, kind="stable")  # within a block s falls, so each keeps a prefix
-    keep = len(s_all)
-    if keep > 1 and s_all[order[0]] > 0.0:
-        keep = max(int(np.sum(s_all > policy.svd_threshold * s_all[order[0]])), 1)
-    if policy.max_bond is not None:
-        keep = min(keep, policy.max_bond)
-    kept = np.zeros(len(s_all), dtype=bool)
-    kept[order[:keep]] = True
+    s_all = np.concatenate([s for _, s, _ in blocks]) if blocks else np.zeros(0)
+    kept = _kept(s_all, policy)
     stats.truncation_weight += float(np.sum(s_all[~kept] ** 2))
     stats.flop_estimate += sum(
-        float(len(rows)) * len(cols) * min(len(rows), len(cols)) for _, rows, cols, *_ in blocks
+        float(len(rows)) * len(cols) * min(len(rows), len(cols)) for _, rows, cols, *_ in sectors
     )
 
     pieces, start = [], 0
-    for q, rows, cols, u, s, vh in blocks:
-        k = int(np.sum(kept[start : start + len(s)]))
+    for (q, rows, cols, *_), (u, s, vh) in zip(sectors, blocks):
+        k = int(np.count_nonzero(kept[start : start + len(s)]))  # a prefix: s falls
         start += len(s)
         if k:
             u, s, vh = u[:, :k], s[:k], vh[:k]
@@ -419,7 +486,7 @@ def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> Ten
     stats.observe_bond(len(bonds[i + 1]))
     tensors[i] = u.reshape(chi_l, p, -1)
     tensors[i + 1] = vh.reshape(-1, p, chi_r)
-    return TensorTrain(tensors, train.local_dim, i + 1 if rightward else i, phys, bonds)
+    return train._evolved(tensors, bonds, i + 1 if rightward else i)
 
 
 def _sweep(layer, train: TensorTrain) -> list:
@@ -525,6 +592,31 @@ def _require_lossless(circuit: Circuit, path: str) -> None:
             )
 
 
+def evolve_input(
+    circuit: Circuit,
+    r,
+    local_cutoff: int,
+    policy: TruncationPolicy | None = None,
+) -> tuple[TensorTrain, EvolutionStats]:
+    """The squeezed input evolved forward through a lossless circuit: the
+    part of the Schrodinger route that no outcome changes."""
+    _require_lossless(circuit, "the Schrodinger state path")
+    stats = EvolutionStats()
+    psi = squeezed_mps(r, circuit.num_modes, local_cutoff)
+    return _evolve_mps(psi, circuit, policy or TruncationPolicy(), stats, reverse=False), stats
+
+
+def project_outcome(
+    psi: TensorTrain, stats: EvolutionStats, outcome, local_cutoff: int
+) -> tuple[float, EvolutionStats]:
+    """|<n|psi>|^2 for the evolved input of :func:`evolve_input`; the stats
+    come back as a copy that carries this outcome's raw probability."""
+    outcome = _check_length(psi.num_modes, outcome)
+    amp = mps_overlap(fock_mps(outcome, local_cutoff), psi)
+    stats = replace(stats, per_layer_bonds=list(stats.per_layer_bonds), raw_probability=abs(amp) ** 2)
+    return _clamp_probability(stats.raw_probability), stats
+
+
 def schrodinger_probability(
     circuit: Circuit,
     outcome,
@@ -533,15 +625,23 @@ def schrodinger_probability(
     policy: TruncationPolicy | None = None,
 ) -> tuple[float, EvolutionStats]:
     """|<n| U |psi>|^2 by forward evolution of the squeezed input."""
-    outcome = _check_length(circuit, outcome)
-    _require_lossless(circuit, "the Schrodinger state path")
-    policy = policy or TruncationPolicy()
-    stats = EvolutionStats()
-    psi = squeezed_mps(r, circuit.num_modes, local_cutoff)
-    psi = _evolve_mps(psi, circuit, policy, stats, reverse=False)
-    amp = mps_overlap(fock_mps(outcome, local_cutoff), psi)
-    stats.raw_probability = abs(amp) ** 2
-    return _clamp_probability(stats.raw_probability), stats
+    outcome = _check_length(circuit.num_modes, outcome)
+    psi, stats = evolve_input(circuit, r, local_cutoff, policy)
+    return project_outcome(psi, stats, outcome, local_cutoff)
+
+
+def _light_cone(circuit: Circuit, outcome: tuple[int, ...]) -> Circuit:
+    """The gates that act on |outcome> evolved backward from the last layer.
+    A gate on two modes the outcome leaves empty and no later gate touches
+    meets the vacuum there, and G^dag|0, 0> = |0, 0>: it is dropped."""
+    lit = [n > 0 for n in outcome]
+    layers = []
+    for layer in reversed(circuit.layers):
+        kept = tuple(g for g in layer if lit[g.modes[0]] or lit[g.modes[1]])
+        for g in kept:
+            lit[g.modes[0]] = lit[g.modes[1]] = True
+        layers.append(kept)
+    return Circuit(circuit.num_modes, tuple(reversed(layers)))
 
 
 def heisenberg_probability_lossless(
@@ -551,15 +651,16 @@ def heisenberg_probability_lossless(
     local_cutoff: int,
     policy: TruncationPolicy | None = None,
 ) -> tuple[float, EvolutionStats]:
-    """|<psi| U^dag |n>|^2 by evolving the outcome state through the reversed circuit."""
-    outcome = _check_length(circuit, outcome)
+    """|<psi| U^dag |n>|^2 by evolving the outcome state through the reversed
+    circuit, skipping the gates outside the outcome's light cone."""
+    outcome = _check_length(circuit.num_modes, outcome)
     _require_lossless(circuit, "the lossless Heisenberg path (use heisenberg_probability_lossy)")
     if sum(outcome) > circuit.num_modes * local_cutoff:
         raise ValueError("outcome carries more photons than the truncated space holds")
     policy = policy or TruncationPolicy()
     stats = EvolutionStats()
     phi = fock_mps(outcome, local_cutoff)
-    phi = _evolve_mps(phi, circuit, policy, stats, reverse=True)
+    phi = _evolve_mps(phi, _light_cone(circuit, outcome), policy, stats, reverse=True)
     amp = mps_overlap(squeezed_mps(r, circuit.num_modes, local_cutoff), phi)
     stats.raw_probability = abs(amp) ** 2
     return _clamp_probability(stats.raw_probability), stats
@@ -576,7 +677,7 @@ def heisenberg_probability_lossy(
 
     Works for lossless circuits too (the channel degenerates to conjugation).
     """
-    outcome = _check_length(circuit, outcome)
+    outcome = _check_length(circuit.num_modes, outcome)
     policy = policy or TruncationPolicy()
     stats = EvolutionStats()
     op = fock_projector_mpo(outcome, local_cutoff)

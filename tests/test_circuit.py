@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gbstn.circuit import (
     Circuit,
@@ -158,6 +159,28 @@ class TestGateUnitary:
     def test_cutoff_validated(self):
         with pytest.raises(ValueError):
             gate_unitary_fock(GateParams(0.1, 0.1, 0.1), 0)
+
+    @pytest.mark.parametrize("cutoff", [1, 3, 6])
+    def test_blocks_match_the_matrix_exponential(self, cutoff):
+        # each photon-number block is exp(i theta H) times the phase on the
+        # lower input mode, with H the block of a_i a*_{i+1} e^{-i varphi} + h.c.
+        rng = np.random.default_rng(cutoff)
+        d = cutoff + 1
+        for _ in range(10):
+            theta, varphi, phi = rng.uniform(0.0, 2 * np.pi, size=3)
+            t = gate_tensor(GateParams(theta, varphi, phi), cutoff)
+            matrix = gate_unitary_fock(GateParams(theta, varphi, phi), cutoff)
+            assert np.linalg.norm(matrix.conj().T @ matrix - np.eye(d * d)) < 1e-13
+            for total in range(2 * cutoff + 1):
+                occ = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
+                ham = np.zeros((len(occ), len(occ)), dtype=complex)
+                for k in range(1, len(occ)):
+                    amp = np.sqrt(occ[k] * (total - occ[k] + 1))
+                    ham[k - 1, k] = amp * np.exp(-1j * varphi)
+                    ham[k, k - 1] = amp * np.exp(1j * varphi)
+                expected = scipy.linalg.expm(1j * theta * ham) * np.exp(1j * phi * occ)[None, :]
+                block = t[occ[:, None], total - occ[:, None], occ[None, :], total - occ[None, :]]
+                assert np.max(np.abs(block - expected)) < 1e-13
 
 
 class TestModeUnitary:

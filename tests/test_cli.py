@@ -243,6 +243,38 @@ class TestProb:
         assert len(_records(out)) == 3
         assert len(calls) == 1
 
+    def test_schrodinger_picture_evolves_once_per_request(self, tmp_path, capsys, monkeypatch):
+        from gbstn import tnet
+
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        inputs, gates = [], []
+        squeezed_mps, apply_gate_mps = tnet.squeezed_mps, tnet.apply_gate_mps
+
+        def counted_input(*args, **kwargs):
+            inputs.append(args)
+            return squeezed_mps(*args, **kwargs)
+
+        def counted_gate(*args, **kwargs):
+            gates.append(args)
+            return apply_gate_mps(*args, **kwargs)
+
+        monkeypatch.setattr(tnet, "squeezed_mps", counted_input)
+        monkeypatch.setattr(tnet, "apply_gate_mps", counted_gate)
+        code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                            "--outcome", "0,0,1,1", "--outcome", "1,0,0,1",
+                            "--picture", "schrodinger", "--squeezing", "0.4"], capsys)
+        assert code == 0
+        records = _records(out)
+        assert len(records) == 3
+        assert len(inputs) == 1
+        assert len(gates) == load_circuit(path).num_gates
+        for record in records:
+            p, _ = tnet.schrodinger_probability(
+                load_circuit(path), record["outcome"], 0.4, record["n_c"]
+            )
+            assert record["probability"] == p
+
     def test_gaussian_backend_propagates_once_per_request(self, tmp_path, capsys, monkeypatch):
         from gbstn import gauss
 
@@ -338,6 +370,20 @@ class TestProb:
                             "--squeezing", "0.4", "--cutoff", "2"], capsys)
         assert code == 1
         assert _records(out)[0]["error"] == "outcome length does not match the mode count"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--max-bond", "0", "max_bond must be positive"),
+         ("--svd-threshold", "2", "svd_threshold must lie in [0, 1)")],
+    )
+    def test_bad_truncation_policy_exits_1(self, tmp_path, capsys, flag, value, message):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        code, out, err = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                              flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_auto_cutoff_needs_even_modes_for_lossy(self, tmp_path, capsys):
         path = tmp_path / "lossy3.json"
@@ -526,6 +572,26 @@ class TestValidate:
         record = json.loads(out)
         assert record["ok"] is True
         assert isinstance(record["max_pairwise_difference"], float)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--totals", "a,2"], "must be comma-separated integers"),
+            (["--totals", "-2"], "must not be negative"),
+            (["--totals", "0,-1"], "must not be negative"),
+            (["--totals", "4", "--cutoff", "2"], "lies outside the cutoff 2"),
+        ],
+    )
+    def test_bad_totals_exit_1(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "3", "--depth", "3", "--seed", "13", "--output", str(path)], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the dense column's tail-mass warning at n_c = 2
+            code, out, err = run(["validate", "--circuit", str(path), "--squeezing", "0.4",
+                                  *flags], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_lossy_file_needs_a_cutoff(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -1,4 +1,6 @@
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -129,6 +131,28 @@ class TestApplyGateMps:
         with pytest.raises(UnsupportedConfigurationError):
             apply_gate_mps(fock_mps((0, 0), 2), _gate(gamma=0.1))
 
+    @pytest.mark.parametrize("operator", [False, True])
+    def test_input_train_is_left_unchanged(self, operator):
+        c = build_brickwork(4, 4, seed=7)
+        if operator:
+            train = fock_projector_mpo((1, 0, 1, 0), 2)
+            for gate in reversed(c.layers[-1] + c.layers[-2]):
+                train = apply_gate_mpo_adjoint(train, gate)
+            gate, apply = _gate(modes=(1, 2), gamma=0.1), apply_gate_mpo_adjoint
+        else:
+            train = _evolve_mps(
+                fock_mps((1, 0, 1, 0), 2), c, TruncationPolicy(), EvolutionStats(), reverse=True
+            )
+            gate, apply = _gate(modes=(1, 2)), apply_gate_mps
+        tensors = [t.copy() for t in train.tensors]
+        bonds = [q.copy() for q in train.bond_charges]
+        center = train.center
+        out = apply(train, gate)
+        assert out.tensors[1] is not train.tensors[1]
+        assert train.center == center
+        assert all(np.array_equal(a, b) for a, b in zip(train.tensors, tensors))
+        assert all(np.array_equal(a, b) for a, b in zip(train.bond_charges, bonds))
+
     def test_matches_dense_evolution(self):
         c = build_brickwork(3, 3, seed=21)
         psi = squeezed_mps(0.4, 3, 5)
@@ -237,9 +261,59 @@ class TestCanonicalForm:
         outcome = (1,) * photons + (0,) * (m - photons)
         _gate_unitary_cached.cache_clear()
         heisenberg_probability_lossless(c, outcome, 0.4, photons)
-        hits = _gate_unitary_cached.cache_info().hits
+        misses = _gate_unitary_cached.cache_info().misses
         heisenberg_probability_lossless(c, outcome, 0.4, photons)
-        assert _gate_unitary_cached.cache_info().hits - hits == 630
+        # the gates outside the light cone are never looked up
+        assert _gate_unitary_cached.cache_info().misses - misses == 0
+
+
+def _counted_gate_updates(monkeypatch) -> list:
+    calls = []
+    apply = tnet.apply_gate_mps
+
+    def counted(psi, gate, *args, **kwargs):
+        calls.append(gate)
+        return apply(psi, gate, *args, **kwargs)
+
+    monkeypatch.setattr(tnet, "apply_gate_mps", counted)
+    return calls
+
+
+class TestLightCone:
+    def test_gates_on_untouched_empty_modes_are_skipped(self, monkeypatch):
+        # photons on modes 0-3 of a depth-36 brickwork on 36 modes: reading the
+        # circuit backward, 240 of its 630 gates meet two modes still in vacuum
+        m, photons = 36, 4
+        c = build_brickwork(m, m, seed=1)
+        outcome = (1,) * photons + (0,) * (m - photons)
+        calls = _counted_gate_updates(monkeypatch)
+        p, stats = heisenberg_probability_lossless(c, outcome, 0.4, photons)
+        assert len(calls) == 390
+        assert len(stats.per_layer_bonds) == m
+        reference = gbs_probability(propagate_circuit(squeezed_vacuum_cov(0.4, m), c), outcome)
+        assert abs(p - reference) <= 1e-10 * reference
+
+    def test_every_gate_runs_when_every_mode_is_occupied(self, monkeypatch):
+        c = build_brickwork(4, 4, seed=3)
+        calls = _counted_gate_updates(monkeypatch)
+        p, _ = heisenberg_probability_lossless(c, (1, 1, 1, 1), 0.4, 4)
+        assert len(calls) == c.num_gates
+        reference = gbs_probability(propagate_circuit(squeezed_vacuum_cov(0.4, 4), c), (1, 1, 1, 1))
+        assert abs(p - reference) <= 1e-10 * reference
+
+    def test_a_gate_that_acts_widens_the_cone(self, monkeypatch):
+        # backward from n = (1, 0, 0, 0): the last layer's gate on (0, 1) acts
+        # and lights mode 1, so the middle layer's (1, 2) acts and lights 2,
+        # so the first layer's (2, 3) acts as well; (2, 3) of the last layer
+        # meets the vacuum
+        c = build_brickwork(4, 3, seed=4)
+        assert [[g.modes for g in layer] for layer in c.layers] == [
+            [(0, 1), (2, 3)], [(1, 2)], [(0, 1), (2, 3)]
+        ]
+        calls = _counted_gate_updates(monkeypatch)
+        heisenberg_probability_lossless(c, (1, 0, 0, 0), 0.4, 1)
+        assert len(calls) == 4
+        assert set(calls) == {c.layers[2][0], c.layers[1][0], *c.layers[0]}
 
 
 def _assert_charges_hold(train):
@@ -331,8 +405,27 @@ class TestChargeBlocks:
         dense = sum(
             float(chi_l * p) * (p * chi_r) * min(chi_l * p, p * chi_r) for chi_l, p, chi_r in shapes
         )
-        assert len(shapes) == c.num_gates
+        assert len(shapes) == c.num_gates - 6  # the six gates outside the light cone
         assert stats.flop_estimate < dense / 100
+
+    def test_threads_share_the_layout_cache(self):
+        # more threads than cores, switching often, from an empty cache: every
+        # thread must see whole layouts, so each probability equals the serial one
+        c = build_brickwork(8, 8, seed=5)
+        outcomes = [(1, 1, 0, 0, 0, 0, 1, 0), (0, 2, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 0, 0)]
+        serial = [heisenberg_probability_lossless(c, n, 0.4, 3)[0] for n in outcomes]
+        tnet._sectors_of.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [
+                    pool.submit(heisenberg_probability_lossless, c, n, 0.4, 3) for n in outcomes * 4
+                ]
+                results = [f.result(timeout=120)[0] for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == pytest.approx(serial * 4, rel=1e-12)
 
     def test_size_guard_raises_before_the_pair_tensor(self, monkeypatch):
         psi = fock_mps((1, 1), 2)  # the pair tensor holds 1 x 3 x 3 x 1 = 9 entries
