@@ -33,6 +33,7 @@ __all__ = [
     "with_uniform_loss",
     "gate_unitary_fock",
     "gate_tensor",
+    "gate_blocks",
     "single_photon_block",
     "single_photon_blocks",
     "circuit_to_mode_unitary",
@@ -250,11 +251,13 @@ def _hopping_eigensystems(local_cutoff: int) -> tuple:
 
 
 # holds every gate of a depth-64 brickwork (2016 gates), so that repeated
-# evaluations of one circuit reuse its gates; an entry is 16 d^4 bytes
+# evaluations of one circuit reuse its gates; an entry is 16 d^4 bytes for
+# the matrix and about 21 d^3 for the blocks of fixed total and their adjoints
 @lru_cache(maxsize=2048)
 def _gate_unitary_cached(theta: float, varphi: float, phi: float, local_cutoff: int):
     d = local_cutoff + 1
     tensor = np.zeros((d, d, d, d), dtype=np.complex128)
+    blocks, adjoints = [], []
     for total, occ, evals, evecs in _hopping_eigensystems(local_cutoff):
         # the block Hamiltonian is D H0 D^dag with D = diag(e^{i varphi m}),
         # so exp(i theta H) = D V e^{i theta Lambda} V^T D^dag; the phase
@@ -263,10 +266,14 @@ def _gate_unitary_cached(theta: float, varphi: float, phi: float, local_cutoff: 
         block *= np.multiply.outer(np.exp(1j * varphi * occ), np.exp(1j * (phi - varphi) * occ))
         out, into = occ[:, None], occ[None, :]
         tensor[out, total - out, into, total - into] = block
+        adjoint = np.ascontiguousarray(block.conj().T)
+        block.flags.writeable = adjoint.flags.writeable = False
+        blocks.append(block)
+        adjoints.append(adjoint)
     matrix = tensor.reshape(d * d, d * d)
     matrix.flags.writeable = False
     tensor.flags.writeable = False
-    return matrix, tensor
+    return matrix, tensor, (tuple(blocks), tuple(adjoints))
 
 
 def gate_unitary_fock(params: GateParams, local_cutoff: int) -> np.ndarray:
@@ -290,6 +297,17 @@ def gate_tensor(params: GateParams, local_cutoff: int) -> np.ndarray:
     if local_cutoff < 1:
         raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
     return _gate_unitary_cached(params.theta, params.varphi, params.phi, local_cutoff)[1]
+
+
+def gate_blocks(params: GateParams, local_cutoff: int, adjoint: bool = False) -> tuple:
+    """The gate's blocks of fixed photon-number total, indexed by the total T:
+    entry [j, k] of block T maps lower-mode occupation ``m_k`` to ``m_j``,
+    where m runs up from max(0, T - local_cutoff) and the upper mode holds
+    T - m.  With ``adjoint`` the blocks of the conjugate-transposed gate.
+    Read-only, from the same cache entry as :func:`gate_tensor`."""
+    if local_cutoff < 1:
+        raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
+    return _gate_unitary_cached(params.theta, params.varphi, params.phi, local_cutoff)[2][adjoint]
 
 
 def single_photon_blocks(params: Sequence[GateParams]) -> np.ndarray:

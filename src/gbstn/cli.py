@@ -142,6 +142,9 @@ def cmd_prob(args) -> int:
     if unread:
         print(f"error: --backend {args.backend} does not use {', '.join(unread)}", file=sys.stderr)
         return 1
+    if args.workers is not None and args.workers < 1:
+        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 1
     circ = _load_circuit(args.circuit)
     if circ is None:
         return 1

@@ -25,10 +25,19 @@ charges:
   it carries the trivial charge (all zeros) and each split is one block, as
   without labels.
 
-Site arrays stay dense, with zeros outside the sectors.  The block layout
-of a split depends only on the labels, so it is grouped once and reused
-from a bounded cache; an update touches the two sites and three bonds of
-its pair and nothing else of the train.
+Site arrays stay dense, with zeros outside the sectors.  The pair matrix
+of an update is stored packed, its charge blocks one after another, and is
+never built whole: a state gate acts one photon-number total T = n1 + n2 at
+a time, as its small block of fixed total (``circuit.gate_blocks``), on the
+bond pairs whose labels admit T; on the trivially charged squeezed input
+every pair admits every total.  A centre move absorbs R one charge block at
+a time.  Blocks of one row or one column are factorized in closed form (a
+norm and a unit vector), larger ones by ``numpy.linalg.qr`` and
+``numpy.linalg.svd``, which release the GIL, so threads evaluating outcomes
+factorize in parallel (scipy's gesdd wrapper would not).  The block
+layouts depend only on the labels, so they are
+grouped once and reused from bounded caches; an update touches the two
+sites and three bonds of its pair and nothing else of the train.
 
 Probabilities are computed three ways:
 
@@ -55,11 +64,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .circuit import Circuit, Gate, gate_tensor, kraus_set
+from .circuit import Circuit, Gate, gate_blocks, gate_tensor, kraus_set
 from .errors import NumericalFailureError, ResourceLimitError, UnsupportedConfigurationError
 from .fockdense import squeeze_values, single_mode_squeezed_vector
 
@@ -137,12 +147,51 @@ class EvolutionStats:
         }
 
 
+_ONE = np.ones((1, 1), dtype=np.complex128)
+_ONE.flags.writeable = False
+
+
+def _unit(vector: np.ndarray) -> tuple[np.ndarray, float]:
+    """A block of one row or one column as a unit vector of its shape and its
+    norm; an all-zero block gives the first unit vector and 0."""
+    norm = math.sqrt(np.vdot(vector, vector).real)
+    if norm > 0.0:
+        return vector / norm, norm
+    unit = np.zeros(vector.shape, dtype=np.complex128)
+    unit.flat[0] = 1.0
+    return unit, 0.0
+
+
 def _svd(matrix: np.ndarray):
+    """Thin SVD of a charge block: in closed form for one row or one column,
+    by numpy otherwise."""
+    rows, cols = matrix.shape
+    if rows == 1:
+        vh, norm = _unit(matrix)
+        return _ONE, np.array([norm]), vh
+    if cols == 1:
+        u, norm = _unit(matrix)
+        return u, np.array([norm]), _ONE
     try:
         return np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but sturdier
         return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
+
+
+def _qr(matrix: np.ndarray):
+    """Thin QR of a charge block: in closed form for one row or one column,
+    by numpy otherwise.  Not scipy's LAPACK wrappers: scipy links its own
+    OpenBLAS, and with more than one BLAS thread its spinning threads and
+    numpy's fight over the cores (a Schrodinger evolution at n_c = 8 ran 6x
+    slower on two threads)."""
+    rows, cols = matrix.shape
+    if cols == 1:
+        q, norm = _unit(matrix)
+        return q, np.full((1, 1), norm, dtype=np.complex128)
+    if rows == 1:
+        return _ONE, matrix
+    return np.linalg.qr(matrix)
 
 
 class TensorTrain:
@@ -311,11 +360,22 @@ def _groups(charges: np.ndarray) -> dict[int, np.ndarray]:
     return dict(zip(ordered[np.r_[0, cuts]].tolist(), np.split(order, cuts)))
 
 
+def _shared(rows: np.ndarray, cols: np.ndarray) -> list:
+    """``(charge, rows, columns)`` for each charge that rows and columns both
+    carry, ascending: the charge blocks of a matrix and their order."""
+    col_groups = _groups(cols)
+    return [(q, r, col_groups[q]) for q, r in _groups(rows).items() if q in col_groups]
+
+
+def _run(index: np.ndarray):
+    """A non-empty ascending index, as a slice if it runs without a gap."""
+    return slice(index[0], index[-1] + 1) if index[-1] - index[0] + 1 == len(index) else index
+
+
 def _grid(rows: np.ndarray, cols: np.ndarray):
     """Index of the block ``rows`` x ``cols`` (both non-empty); an index that
     runs without a gap becomes a slice, so a whole-matrix block is a view."""
-    r = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == len(rows) else rows
-    c = slice(cols[0], cols[-1] + 1) if cols[-1] - cols[0] + 1 == len(cols) else cols
+    r, c = _run(rows), _run(cols)
     return (rows[:, None], cols) if r is rows and c is cols else (r, c)
 
 
@@ -323,23 +383,21 @@ def _grid(rows: np.ndarray, cols: np.ndarray):
 def _sectors_of(rows: bytes, cols: bytes, mids: bytes | None) -> tuple:
     """Charge blocks of a matrix whose rows and columns carry the charges in
     ``rows`` and ``cols`` (int64 bytes): ``(charge, rows, columns, block
-    index, middle)`` per charge both share, ascending.  With ``mids``, the
-    labels of a bond the matrix is a product over, ``middle`` indexes the
-    charge's (rows x middle, middle x columns) blocks of the two factors, and
-    is None where no middle index carries the charge.  Read-only, so threads
-    share the result."""
-    row_groups = _groups(np.frombuffer(rows, dtype=np.int64))
-    col_groups = _groups(np.frombuffer(cols, dtype=np.int64))
+    index, middle, span)`` per charge both share, ascending.  ``span`` is the
+    block's slice of the packed matrix, which holds the blocks one after
+    another, each row-major.  With ``mids``, the labels of a bond the matrix
+    is a product over, ``middle`` indexes the charge's (rows x middle,
+    middle x columns) blocks of the two factors, and is None where no middle
+    index carries the charge.  Read-only, so threads share the result."""
     mid_groups = {} if mids is None else _groups(np.frombuffer(mids, dtype=np.int64))
-    sectors = []
-    for q, r in row_groups.items():
-        c = col_groups.get(q)
-        if c is None:
-            continue
+    sectors, start = [], 0
+    for q, r, c in _shared(np.frombuffer(rows, dtype=np.int64), np.frombuffer(cols, dtype=np.int64)):
         r.flags.writeable = c.flags.writeable = False
         m = mid_groups.get(q)
         middle = None if m is None else (_grid(r, m), _grid(m, c))
-        sectors.append((q, r, c, _grid(r, c), middle))
+        stop = start + len(r) * len(c)
+        sectors.append((q, r, c, _grid(r, c), middle, slice(start, stop)))
+        start = stop
     return tuple(sectors)
 
 
@@ -350,6 +408,63 @@ def _sectors(row_charges: np.ndarray, col_charges: np.ndarray, mid_charges=None)
     if len(row_charges) + len(col_charges) > SECTOR_SIZE:
         return _sectors_of.__wrapped__(*key)
     return _sectors_of(*key)
+
+
+@lru_cache(maxsize=SECTOR_CACHE)
+def _totals_of(left: bytes, right: bytes, phys: bytes) -> tuple:
+    """Where a two-mode gate acts in the packed pair matrix of a state train
+    (see :func:`_sectors_of`) whose pair lies between bonds labelled ``left``
+    and ``right``, with physical charges ``phys`` (int64 bytes); a physical
+    index is an occupation.  Returns ``(order, totals)``: ``order`` lists the
+    packed entries total by total, and ``(T, start, stop, width)`` says that
+    ``order[start:stop]``, as a (width, pairs) matrix, holds photon-number
+    total T = n1 + n2: one row per lower-mode occupation n1, ascending as in
+    :func:`gate_blocks`, and one column per bond pair (alpha, beta) whose
+    labels admit every split of T.  Each packed entry appears once.
+    Read-only, so threads share the result."""
+    ql, qr, c = (np.frombuffer(x, dtype=np.int64) for x in (left, right, phys))
+    p = len(c)
+    # packed offset of row (alpha, n1) and place of column (n2, beta) in its block
+    row_at = np.zeros(len(ql) * p, dtype=np.int64)
+    col_at = np.zeros(p * len(qr), dtype=np.int64)
+    size = 0
+    for _, r, cc in _shared(_row_charges(ql, c), _col_charges(c, qr)):
+        row_at[r] = size + np.arange(len(r)) * len(cc)
+        col_at[cc] = np.arange(len(cc))
+        size += len(r) * len(cc)
+    row_at, col_at = row_at.reshape(len(ql), p), col_at.reshape(p, len(qr))
+    left_groups, right_groups = _groups(ql), _groups(qr)
+    a, b = np.array(list(left_groups)), np.array(list(right_groups))
+    pieces, totals, start = [], [], 0
+    for t in range(2 * p - 1):
+        n1 = np.arange(max(0, t - p + 1), min(t, p - 1) + 1)
+        n2 = t - n1
+        # left label a reaches right label b through every split (n1, n2)
+        admits = np.all((a + c[n1][:, None])[:, :, None] == (b - c[n2][:, None])[:, None, :], axis=0)
+        columns = []
+        for i, j in zip(*np.nonzero(admits)):
+            rows_at = row_at[left_groups[a[i]]][:, n1].T  # (splits, alpha)
+            cols_at = col_at[n2][:, right_groups[b[j]]]  # (splits, beta)
+            columns.append((rows_at[:, :, None] + cols_at[:, None, :]).reshape(len(n1), -1))
+        if columns:
+            piece = np.concatenate(columns, axis=1).ravel()
+            totals.append((t, start, start + len(piece), len(n1)))
+            pieces.append(piece)
+            start += len(piece)
+    if start != size:
+        raise ValueError("a two-mode gate does not keep these physical charges")
+    order = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
+    order.flags.writeable = False
+    return order, tuple(totals)
+
+
+def _totals(left: np.ndarray, right: np.ndarray, phys: np.ndarray) -> tuple:
+    """The layout of :func:`_totals_of` for label vectors; cached under the
+    rule of :func:`_sectors`, on the pair matrix's rows plus columns."""
+    key = (left.tobytes(), right.tobytes(), phys.tobytes())
+    if len(phys) * (len(left) + len(right)) > SECTOR_SIZE:
+        return _totals_of.__wrapped__(*key)
+    return _totals_of(*key)
 
 
 def _assemble(shape, pieces):
@@ -395,23 +510,43 @@ def _move_center(
         chi_l, p, chi_r = tensors[k].shape
         matrix = tensors[k].reshape(chi_l * p, chi_r)
         pieces = [
-            (q, rows, cols, *np.linalg.qr(matrix[grid]))
-            for q, rows, cols, grid, _ in _sectors(_row_charges(bonds[k], phys), bonds[k + 1])
+            (q, rows, cols, *_qr(matrix[grid]))
+            for q, rows, cols, grid, *_ in _sectors(_row_charges(bonds[k], phys), bonds[k + 1])
         ]
-        q_mat, rest, bonds[k + 1] = _assemble(matrix.shape, pieces)
+        # R is block diagonal: block q meets the rows of the next site whose
+        # left label is q, and of those only the columns of charge q
+        following = tensors[k + 1].reshape(chi_r, -1)
+        blocks = {q: grid for q, _, _, grid, *_ in _sectors(bonds[k + 1], _col_charges(phys, bonds[k + 2]))}
+        q_mat, _, bonds[k + 1] = _assemble(matrix.shape, pieces)
         tensors[k] = q_mat.reshape(chi_l, p, -1)
-        tensors[k + 1] = np.tensordot(rest, tensors[k + 1], axes=([1], [0]))
+        absorbed = np.zeros((len(bonds[k + 1]), following.shape[1]), dtype=np.complex128)
+        row = 0
+        for q, _, _, _, rest in pieces:
+            if q in blocks:
+                absorbed[row : row + len(rest), blocks[q][1]] = rest @ following[blocks[q]]
+            row += len(rest)
+        tensors[k + 1] = absorbed.reshape(-1, *tensors[k + 1].shape[1:])
     for k in range(stop, target, -1):
         chi_l, p, chi_r = tensors[k].shape
         matrix = tensors[k].reshape(chi_l, p * chi_r)
         pieces = []
-        for q, rows, cols, grid, _ in _sectors(bonds[k], _col_charges(phys, bonds[k + 1])):
+        for q, rows, cols, grid, *_ in _sectors(bonds[k], _col_charges(phys, bonds[k + 1])):
             # A = R^T Q^T, from the QR of A^T
-            q_mat, rest = np.linalg.qr(matrix[grid].T)
+            q_mat, rest = _qr(matrix[grid].T)
             pieces.append((q, rows, cols, rest.T, q_mat.T))
-        rest, q_mat, bonds[k] = _assemble(matrix.shape, pieces)
+        # as above: block q meets the rows of charge q of the previous site
+        preceding = tensors[k - 1].reshape(-1, chi_l)
+        blocks = {q: (rows, grid) for q, rows, _, grid, *_ in _sectors(_row_charges(bonds[k - 1], phys), bonds[k])}
+        _, q_mat, bonds[k] = _assemble(matrix.shape, pieces)
         tensors[k] = q_mat.reshape(-1, p, chi_r)
-        tensors[k - 1] = np.tensordot(tensors[k - 1], rest, axes=([2], [0]))
+        absorbed = np.zeros((preceding.shape[0], len(bonds[k])), dtype=np.complex128)
+        col = 0
+        for q, _, _, rest, _ in pieces:
+            if q in blocks:
+                rows, grid = blocks[q]
+                absorbed[_run(rows), col : col + rest.shape[1]] = preceding[grid] @ rest
+            col += rest.shape[1]
+        tensors[k - 1] = absorbed.reshape(*tensors[k - 1].shape[:2], -1)
 
 
 def _kept(s_all: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
@@ -429,16 +564,49 @@ def _kept(s_all: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
     return kept
 
 
-def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> TensorTrain:
-    """Map the pair tensor (chi_l, p, p, chi_r) of sites (i, i+1) with
-    ``local_map`` and split it back at the centre; returns a new train and
-    leaves ``train`` as it was.
+class _Pair(NamedTuple):
+    """Where a packed pair matrix comes from: the pair tensor's shape (chi_l,
+    p, p, chi_r), the labels of the bonds left and right of the pair, the
+    physical charges, and the charge blocks (:func:`_sectors_of`)."""
 
-    ``local_map`` must keep the train's charges.  The split takes one SVD
-    per charge block of the pair matrix; the truncation rule acts on all
-    blocks' singular values together, as on the whole matrix.  The centre
-    keeps moving the way it came: from the left (or from nowhere) the split
-    is u | s.vh and leaves it on i+1, from the right u.s | vh on i.
+    shape: tuple[int, int, int, int]
+    left: np.ndarray
+    right: np.ndarray
+    phys: np.ndarray
+    sectors: tuple
+
+
+def _unpacked(packed: np.ndarray, pair: _Pair) -> np.ndarray:
+    """The pair tensor of a packed pair matrix, zero outside its blocks."""
+    chi_l, p, _, chi_r = pair.shape
+    matrix = np.zeros((chi_l * p, p * chi_r), dtype=np.complex128)
+    for _, rows, cols, grid, _, span in pair.sectors:
+        matrix[grid] = packed[span].reshape(len(rows), len(cols))
+    return matrix.reshape(pair.shape)
+
+
+def _packed(theta: np.ndarray, pair: _Pair) -> np.ndarray:
+    """The charge blocks of a pair tensor that keeps the pair's charges, packed."""
+    chi_l, p, _, chi_r = pair.shape
+    matrix = theta.reshape(chi_l * p, p * chi_r)
+    packed = np.empty(pair.sectors[-1][5].stop if pair.sectors else 0, dtype=np.complex128)
+    for _, rows, cols, grid, _, span in pair.sectors:
+        packed[span].reshape(len(rows), len(cols))[...] = matrix[grid]
+    return packed
+
+
+def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> TensorTrain:
+    """Map the pair of sites (i, i+1) with ``local_map`` and split it back at
+    the centre; returns a new train and leaves ``train`` as it was.
+
+    The pair matrix, rows (alpha, n1) and columns (n2, beta), is built only
+    where its charge blocks lie, packed (:func:`_sectors_of`), and
+    ``local_map(packed, pair)`` returns the packed image under the map given
+    the layout ``pair`` (:class:`_Pair`); the map must keep the train's
+    charges.  The split takes one SVD per charge block; the truncation rule
+    acts on all blocks' singular values together, as on the whole matrix.
+    The centre keeps moving the way it came: from the left (or from nowhere)
+    the split is u | s.vh and leaves it on i+1, from the right u.s | vh on i.
     """
     policy = policy or TruncationPolicy()
     stats = stats if stats is not None else EvolutionStats()
@@ -454,18 +622,20 @@ def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> Ten
             f"the pair tensor of modes {(i, i + 1)} would hold {chi_l} x {p} x {p} x {chi_r} "
             f"entries, above the size guard {DENSE_GUARD}"
         )
-    # the pair matrix, rows (alpha, n1) and columns (n2, beta), has the same
-    # charge blocks before and after the local map: build it block by block
+    # the pair matrix has the same charge blocks before and after the map
     sectors = _sectors(
         _row_charges(bonds[i], phys), _col_charges(phys, bonds[i + 2]), bonds[i + 1]
     )
     left, right = a.reshape(chi_l * p, -1), b.reshape(-1, p * chi_r)
-    theta = np.zeros((chi_l * p, p * chi_r), dtype=np.complex128)
-    for _, _, _, grid, middle in sectors:
-        if middle is not None:  # else zero until the local map acts
-            theta[grid] = left[middle[0]] @ right[middle[1]]
-    matrix = local_map(theta.reshape(chi_l, p, p, chi_r)).reshape(chi_l * p, p * chi_r)
-    blocks = [_svd(matrix[grid]) for _, _, _, grid, _ in sectors]
+    packed = np.empty(sectors[-1][5].stop if sectors else 0, dtype=np.complex128)
+    for _, rows, cols, _, middle, span in sectors:
+        block = packed[span].reshape(len(rows), len(cols))
+        if middle is None:  # zero until the local map acts
+            block.fill(0.0)
+        else:
+            np.matmul(left[middle[0]], right[middle[1]], out=block)
+    packed = local_map(packed, _Pair((chi_l, p, p, chi_r), bonds[i], bonds[i + 2], phys, sectors))
+    blocks = [_svd(packed[span].reshape(len(rows), len(cols))) for _, rows, cols, *_, span in sectors]
 
     s_all = np.concatenate([s for _, s, _ in blocks]) if blocks else np.zeros(0)
     kept = _kept(s_all, policy)
@@ -482,7 +652,7 @@ def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> Ten
             u, s, vh = u[:, :k], s[:k], vh[:k]
             u, vh = (u, s[:, None] * vh) if rightward else (u * s, vh)
             pieces.append((q, rows, cols, u, vh))
-    u, vh, bonds[i + 1] = _assemble(matrix.shape, pieces)
+    u, vh, bonds[i + 1] = _assemble((chi_l * p, p * chi_r), pieces)
     stats.observe_bond(len(bonds[i + 1]))
     tensors[i] = u.reshape(chi_l, p, -1)
     tensors[i + 1] = vh.reshape(-1, p, chi_r)
@@ -516,14 +686,21 @@ def apply_gate_mps(
         raise UnsupportedConfigurationError(
             "lossy gates cannot be applied to a state; use the operator path"
         )
-    d = psi.local_dim
-    g = gate_tensor(gate.params, d - 1).reshape(d * d, d * d)
-    if reverse:
-        g = g.conj().T
+    # G keeps the pair's photon number T = n1 + n2, so it acts as one small
+    # block per T, on the bond pairs (alpha, beta) that hold T
+    blocks = gate_blocks(gate.params, psi.local_dim - 1, adjoint=reverse)
 
-    def local_map(theta):  # (chi_l, p1, p2, chi_r)
-        chi_l, chi_r = theta.shape[0], theta.shape[3]
-        return (g @ theta.reshape(chi_l, d * d, chi_r)).reshape(theta.shape)
+    def local_map(packed, pair):
+        order, totals = _totals(pair.left, pair.right, pair.phys)
+        entries = packed[order]
+        mapped = np.empty_like(entries)
+        for t, start, stop, width in totals:
+            np.matmul(
+                blocks[t], entries[start:stop].reshape(width, -1),
+                out=mapped[start:stop].reshape(width, -1),
+            )
+        packed[order] = mapped
+        return packed
 
     return _apply_two_site(psi, gate.modes[0], local_map, policy, stats)
 
@@ -562,7 +739,8 @@ def apply_gate_mpo_adjoint(
         # (K^dag W K)[m, n] = conj(K)[a, m] W[a, b] K[b, n], as a map on vec(W)
         kraus = np.einsum("kam,kbn->mnab", ops.conj(), ops).reshape(d * d, d * d)
 
-    def local_map(theta):  # (chi_l, (m1, n1), (m2, n2), chi_r)
+    def local_map(packed, pair):
+        theta = _unpacked(packed, pair)  # (chi_l, (m1, n1), (m2, n2), chi_r)
         chi_l, chi_r = theta.shape[0], theta.shape[3]
         if kraus is not None:
             axis = 1 + gate.lossy_mode  # the lossy site's leg of the pair
@@ -572,7 +750,7 @@ def apply_gate_mpo_adjoint(
         theta = np.tensordot(g.conj(), theta, axes=([0, 1], [1, 3]))  # (m1', m2', l, n1, n2, r)
         # (.) G: O's in legs meet the gate's out legs
         theta = np.tensordot(theta, g, axes=([3, 4], [0, 1]))  # (m1', m2', l, r, n1', n2')
-        return theta.transpose(2, 0, 4, 1, 5, 3).reshape(chi_l, d * d, d * d, chi_r)
+        return _packed(theta.transpose(2, 0, 4, 1, 5, 3), pair)
 
     return _apply_two_site(operator, gate.modes[0], local_map, policy, stats)
 

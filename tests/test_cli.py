@@ -131,6 +131,16 @@ class TestProb:
         assert [r["outcome"] for r in a] == [[0, 0, 0, 0], [1, 1, 0, 0], [2, 0, 0, 0]]
         assert a == b
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_1(self, tmp_path, capsys, workers):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        code, out, err = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                              "--workers", workers], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"--workers must be at least 1, got {workers}" in err
+
     def test_partial_failure_writes_good_records_and_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         run(["gen", "--modes", "2", "--depth", "2", "--seed", "4", "--output", str(path)], capsys)

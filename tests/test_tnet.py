@@ -415,6 +415,7 @@ class TestChargeBlocks:
         outcomes = [(1, 1, 0, 0, 0, 0, 1, 0), (0, 2, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 0, 0)]
         serial = [heisenberg_probability_lossless(c, n, 0.4, 3)[0] for n in outcomes]
         tnet._sectors_of.cache_clear()
+        tnet._totals_of.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -434,6 +435,143 @@ class TestChargeBlocks:
         monkeypatch.setattr(tnet, "DENSE_GUARD", 8)
         with pytest.raises(ResourceLimitError, match="size guard"):
             apply_gate_mps(psi, _gate())
+
+
+def _blocks():
+    """Complex blocks of every shape the factorizations take apart, and zeros."""
+    rng = np.random.default_rng(11)
+    shapes = [(1, 1), (1, 6), (6, 1), (9, 4), (4, 9), (5, 5)]
+    for shape in shapes:
+        yield rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        yield np.zeros(shape, dtype=np.complex128)
+
+
+def _assert_orthonormal_columns(q):
+    assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), rtol=0.0, atol=1e-14)
+
+
+class TestFactorizations:
+    @pytest.mark.parametrize("block", list(_blocks()), ids=lambda b: f"{b.shape}-{np.any(b)}")
+    def test_qr_rebuilds_the_block_with_orthonormal_q(self, block):
+        q, r = tnet._qr(block)
+        k = min(block.shape)
+        assert q.shape == (block.shape[0], k) and r.shape == (k, block.shape[1])
+        assert np.max(np.abs(q @ r - block)) <= 1e-14 * max(1.0, np.max(np.abs(block)))
+        _assert_orthonormal_columns(q)
+        assert np.all(np.tril(r, -1) == 0.0)
+
+    @pytest.mark.parametrize("block", list(_blocks()), ids=lambda b: f"{b.shape}-{np.any(b)}")
+    def test_svd_rebuilds_the_block_with_orthonormal_factors(self, block):
+        u, s, vh = tnet._svd(block)
+        k = min(block.shape)
+        assert u.shape == (block.shape[0], k) and s.shape == (k,) and vh.shape == (k, block.shape[1])
+        assert np.max(np.abs((u * s) @ vh - block)) <= 1e-14 * max(1.0, np.max(np.abs(block)))
+        _assert_orthonormal_columns(u)
+        _assert_orthonormal_columns(vh.conj().T)
+        assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
+
+    def test_a_zero_vector_gives_a_unit_vector_and_zero(self):
+        u, s, vh = tnet._svd(np.zeros((4, 1), dtype=np.complex128))
+        assert s.tolist() == [0.0] and u[:, 0].tolist() == [1, 0, 0, 0] and vh.tolist() == [[1]]
+        q, r = tnet._qr(np.zeros((1, 3), dtype=np.complex128))
+        assert q.tolist() == [[1]] and r.tolist() == [[0, 0, 0]]
+
+    def test_no_vector_block_reaches_numpy(self, monkeypatch):
+        shapes = {"svd": [], "qr": []}
+        for name in shapes:
+            wrapped = getattr(np.linalg, name)
+
+            def counted(matrix, *args, _name=name, _wrapped=wrapped, **kwargs):
+                shapes[_name].append(matrix.shape)
+                return _wrapped(matrix, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        c = build_brickwork(12, 12, seed=1)
+        p, _ = heisenberg_probability_lossless(c, (1,) * 6 + (0,) * 6, 0.4, 6)
+        assert p > 0.0
+        assert shapes["svd"]  # the larger blocks do go through numpy
+        assert [shape for calls in shapes.values() for shape in calls if min(shape) == 1] == []
+
+
+def _captured_pair(monkeypatch, train, gate, reverse=False):
+    """The local map apply_gate_mps hands the two-site kernel, and the packed
+    layout of the gate's pair in ``train``."""
+    captured = []
+    monkeypatch.setattr(tnet, "_apply_two_site", lambda train, i, local_map, *_: captured.append(local_map))
+    apply_gate_mps(train, gate, reverse=reverse)
+    monkeypatch.undo()
+    i, bonds, phys = gate.modes[0], train.bond_charges, train.phys_charges
+    chi_l, p, chi_r = train.tensors[i].shape[0], train.local_dim, train.tensors[i + 1].shape[2]
+    sectors = tnet._sectors(
+        tnet._row_charges(bonds[i], phys), tnet._col_charges(phys, bonds[i + 2]), bonds[i + 1]
+    )
+    pair = tnet._Pair((chi_l, p, p, chi_r), bonds[i], bonds[i + 2], phys, sectors)
+    return captured[0], pair
+
+
+class TestGateByTotal:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("charged", [True, False])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_equals_the_dense_gate_on_the_pair(self, monkeypatch, d, charged, reverse):
+        c = build_brickwork(4, 2, seed=d)
+        if charged:  # the outcome state, bonds labelled by the photons to their left
+            train = _evolve_mps(
+                fock_mps((1, 2, 0, 1), d - 1), c, TruncationPolicy(), EvolutionStats(), reverse=True
+            )
+        else:  # the squeezed input: every pair holds every total
+            train = _evolve_mps(
+                squeezed_mps(0.5, 4, d - 1), c, TruncationPolicy(), EvolutionStats(), reverse=False
+            )
+        assert len(set(train.bond_charges[2].tolist())) == (3 if charged else 1)
+        gate = _gate(0.7, 0.3, 1.9, modes=(1, 2))
+        local_map, pair = _captured_pair(monkeypatch, train, gate, reverse)
+        rng = np.random.default_rng(d)
+        size = pair.sectors[-1][5].stop
+        packed = rng.normal(size=size) + 1j * rng.normal(size=size)
+        g = gate_tensor(gate.params, d - 1).reshape(d * d, d * d)
+        if reverse:
+            g = g.conj().T
+        chi_l, _, _, chi_r = pair.shape
+        theta = tnet._unpacked(packed, pair).reshape(chi_l, d * d, chi_r)
+        dense = (g @ theta).reshape(pair.shape)
+        # G keeps the charges: nothing lands outside the blocks
+        assert np.array_equal(tnet._unpacked(tnet._packed(dense, pair), pair), dense)
+        mapped = local_map(packed.copy(), pair)
+        assert np.max(np.abs(mapped - tnet._packed(dense, pair))) <= 1e-14 * np.max(np.abs(packed))
+
+    def test_layout_lists_each_packed_entry_once(self):
+        train = _evolve_mps(
+            fock_mps((1, 2, 0, 1), 3), build_brickwork(4, 2, seed=3), TruncationPolicy(),
+            EvolutionStats(), reverse=True,
+        )
+        bonds, phys = train.bond_charges, train.phys_charges
+        order, totals = tnet._totals(bonds[1], bonds[3], phys)
+        sectors = tnet._sectors(tnet._row_charges(bonds[1], phys), tnet._col_charges(phys, bonds[3]))
+        assert sorted(order.tolist()) == list(range(sectors[-1][5].stop))
+        assert [t for t, *_ in totals] == sorted({t for t, *_ in totals})
+        assert all((stop - start) % width == 0 for _, start, stop, width in totals)
+
+    def test_physical_charges_a_gate_does_not_keep_are_rejected(self):
+        # charges 0, 2, 1 on occupations 0, 1, 2: the splits (0, 2) and (1, 1)
+        # of two photons carry different charges, so no per-total map exists
+        basis = np.eye(3, dtype=np.complex128)
+        train = tnet._product_train([basis[1], basis[1]], 3, 0, [0, 2, 1], [2, 2])
+        with pytest.raises(ValueError, match="does not keep these physical charges"):
+            apply_gate_mps(train, _gate())
+
+    def test_layouts_above_the_size_limit_are_not_stored(self, monkeypatch):
+        # a pair of two 2-index bonds at d = 3: 6 rows plus 6 columns
+        left, right, phys = np.array([0, 1]), np.array([1, 2]), np.arange(3)
+        rows, cols = tnet._row_charges(left, phys), tnet._col_charges(phys, right)
+        for limit, stored in ((11, False), (12, True)):
+            monkeypatch.setattr(tnet, "SECTOR_SIZE", limit)
+            tnet._totals_of.cache_clear()
+            tnet._sectors_of.cache_clear()
+            tnet._totals(left, right, phys)
+            tnet._sectors(rows, cols)
+            assert tnet._totals_of.cache_info().currsize == int(stored)
+            assert tnet._sectors_of.cache_info().currsize == int(stored)
 
 
 class TestTruncation:
