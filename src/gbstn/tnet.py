@@ -27,17 +27,21 @@ charges:
 
 Site arrays stay dense, with zeros outside the sectors.  The pair matrix
 of an update is stored packed, its charge blocks one after another, and is
-never built whole: a state gate acts one photon-number total T = n1 + n2 at
-a time, as its small block of fixed total (``circuit.gate_blocks``), on the
-bond pairs whose labels admit T; on the trivially charged squeezed input
-every pair admits every total.  A centre move absorbs R one charge block at
-a time.  Blocks of one row or one column are factorized in closed form (a
-norm and a unit vector), larger ones by ``numpy.linalg.qr`` and
-``numpy.linalg.svd``, which release the GIL, so threads evaluating outcomes
-factorize in parallel (scipy's gesdd wrapper would not).  The block
-layouts depend only on the labels, so they are
-grouped once and reused from bounded caches; an update touches the two
-sites and three bonds of its pair and nothing else of the train.
+never built whole.  Every local map is given as data to the one kernel: a
+key per pair index, the quantity the map keeps, and the map's small block
+on each key's pair indices, applied on the bond pairs whose labels admit
+that key.  A state gate keeps the photon-number total T = n1 + n2 (its
+blocks are ``circuit.gate_blocks``; on the trivially charged squeezed input
+every pair admits every total); the adjoint channel keeps the charge sum
+(m1 - n1) + (m2 - n2), and its blocks are built from the gate and the Kraus
+operators per call.  A centre move absorbs R one charge block at a time.
+Blocks of one row or one column are factorized in closed form (a norm and a
+unit vector), larger ones by ``numpy.linalg.qr`` and ``numpy.linalg.svd``,
+which release the GIL, so threads evaluating outcomes factorize in parallel
+(scipy's gesdd wrapper would not).  The block layouts depend only on the
+labels and keys, so they are grouped once and reused from bounded caches; an
+update touches the two sites and three bonds of its pair and nothing else of
+the train.
 
 Probabilities are computed three ways:
 
@@ -64,7 +68,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -93,9 +96,16 @@ __all__ = [
 ]
 
 DENSE_GUARD = 10**7
-# charge-block layouts kept for reuse: at most SECTOR_CACHE of them, each of
-# at most SECTOR_SIZE rows plus columns (under 40 kB), so the cache stays
-# below 40 MB.  Larger layouts are grouped afresh; their SVDs outweigh that.
+# charge-block layouts kept for reuse: at most SECTOR_CACHE of each kind, and
+# only for pairs of at most SECTOR_SIZE rows plus columns; larger layouts are
+# grouped afresh, as their SVDs outweigh that.  A _sectors_of entry holds
+# int64 indices over the rows, the columns and the middle bond (at most half
+# as long), in its key and again in its value: about 25 kB at most, 25 MB in
+# all.  A _totals_of entry holds the two bonds' labels, the p physical
+# charges and the map's p^2 keys (625 for an operator at d = 5: 5 kB), and
+# one int64 per packed entry.  Those number up to (SECTOR_SIZE / 2)^2, 2 MB
+# (a single block, as on the squeezed input), so that cache's bound is 2 GB;
+# entries measured on the bench instances stay below 0.7 MB.
 SECTOR_CACHE = 1024
 SECTOR_SIZE = 1024
 
@@ -411,18 +421,19 @@ def _sectors(row_charges: np.ndarray, col_charges: np.ndarray, mid_charges=None)
 
 
 @lru_cache(maxsize=SECTOR_CACHE)
-def _totals_of(left: bytes, right: bytes, phys: bytes) -> tuple:
-    """Where a two-mode gate acts in the packed pair matrix of a state train
-    (see :func:`_sectors_of`) whose pair lies between bonds labelled ``left``
-    and ``right``, with physical charges ``phys`` (int64 bytes); a physical
-    index is an occupation.  Returns ``(order, totals)``: ``order`` lists the
-    packed entries total by total, and ``(T, start, stop, width)`` says that
-    ``order[start:stop]``, as a (width, pairs) matrix, holds photon-number
-    total T = n1 + n2: one row per lower-mode occupation n1, ascending as in
-    :func:`gate_blocks`, and one column per bond pair (alpha, beta) whose
-    labels admit every split of T.  Each packed entry appears once.
-    Read-only, so threads share the result."""
-    ql, qr, c = (np.frombuffer(x, dtype=np.int64) for x in (left, right, phys))
+def _totals_of(left: bytes, right: bytes, phys: bytes, keys: bytes) -> tuple:
+    """Where a two-site map acts in the packed pair matrix of a train (see
+    :func:`_sectors_of`) whose pair lies between bonds labelled ``left`` and
+    ``right``, with physical charges ``phys``, when the map keeps ``keys``,
+    one per pair index n1 * p + n2 (all int64 bytes).  Returns ``(order,
+    groups)``: ``order`` lists the packed entries key by key, and ``(k,
+    start, stop, width)`` says that ``order[start:stop]``, as a (width,
+    pairs) matrix, holds key k: one row per pair index of key k, ascending,
+    and one column per bond pair (alpha, beta) whose labels admit every one
+    of those pair indices.  Each packed entry appears once, or the map does
+    not keep the train's charges and this raises.  Read-only, so threads
+    share the result."""
+    ql, qr, c, key = (np.frombuffer(x, dtype=np.int64) for x in (left, right, phys, keys))
     p = len(c)
     # packed offset of row (alpha, n1) and place of column (n2, beta) in its block
     row_at = np.zeros(len(ql) * p, dtype=np.int64)
@@ -435,33 +446,32 @@ def _totals_of(left: bytes, right: bytes, phys: bytes) -> tuple:
     row_at, col_at = row_at.reshape(len(ql), p), col_at.reshape(p, len(qr))
     left_groups, right_groups = _groups(ql), _groups(qr)
     a, b = np.array(list(left_groups)), np.array(list(right_groups))
-    pieces, totals, start = [], [], 0
-    for t in range(2 * p - 1):
-        n1 = np.arange(max(0, t - p + 1), min(t, p - 1) + 1)
-        n2 = t - n1
-        # left label a reaches right label b through every split (n1, n2)
+    pieces, groups, start = [], [], 0
+    for k, index in _groups(key).items():
+        n1, n2 = np.divmod(index, p)
+        # left label a reaches right label b through every pair index (n1, n2)
         admits = np.all((a + c[n1][:, None])[:, :, None] == (b - c[n2][:, None])[:, None, :], axis=0)
         columns = []
         for i, j in zip(*np.nonzero(admits)):
-            rows_at = row_at[left_groups[a[i]]][:, n1].T  # (splits, alpha)
-            cols_at = col_at[n2][:, right_groups[b[j]]]  # (splits, beta)
+            rows_at = row_at[left_groups[a[i]]][:, n1].T  # (pair indices, alpha)
+            cols_at = col_at[n2][:, right_groups[b[j]]]  # (pair indices, beta)
             columns.append((rows_at[:, :, None] + cols_at[:, None, :]).reshape(len(n1), -1))
         if columns:
             piece = np.concatenate(columns, axis=1).ravel()
-            totals.append((t, start, start + len(piece), len(n1)))
+            groups.append((k, start, start + len(piece), len(n1)))
             pieces.append(piece)
             start += len(piece)
     if start != size:
-        raise ValueError("a two-mode gate does not keep these physical charges")
+        raise ValueError("a two-site map does not keep these physical charges")
     order = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
     order.flags.writeable = False
-    return order, tuple(totals)
+    return order, tuple(groups)
 
 
-def _totals(left: np.ndarray, right: np.ndarray, phys: np.ndarray) -> tuple:
+def _totals(left: np.ndarray, right: np.ndarray, phys: np.ndarray, keys: np.ndarray) -> tuple:
     """The layout of :func:`_totals_of` for label vectors; cached under the
     rule of :func:`_sectors`, on the pair matrix's rows plus columns."""
-    key = (left.tobytes(), right.tobytes(), phys.tobytes())
+    key = (left.tobytes(), right.tobytes(), phys.tobytes(), keys.tobytes())
     if len(phys) * (len(left) + len(right)) > SECTOR_SIZE:
         return _totals_of.__wrapped__(*key)
     return _totals_of(*key)
@@ -564,49 +574,22 @@ def _kept(s_all: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
     return kept
 
 
-class _Pair(NamedTuple):
-    """Where a packed pair matrix comes from: the pair tensor's shape (chi_l,
-    p, p, chi_r), the labels of the bonds left and right of the pair, the
-    physical charges, and the charge blocks (:func:`_sectors_of`)."""
+def _apply_two_site(train: TensorTrain, i: int, keys, blocks, policy, stats) -> TensorTrain:
+    """Map the pair of sites (i, i+1) and split it back at the centre;
+    returns a new train and leaves ``train`` as it was.
 
-    shape: tuple[int, int, int, int]
-    left: np.ndarray
-    right: np.ndarray
-    phys: np.ndarray
-    sectors: tuple
-
-
-def _unpacked(packed: np.ndarray, pair: _Pair) -> np.ndarray:
-    """The pair tensor of a packed pair matrix, zero outside its blocks."""
-    chi_l, p, _, chi_r = pair.shape
-    matrix = np.zeros((chi_l * p, p * chi_r), dtype=np.complex128)
-    for _, rows, cols, grid, _, span in pair.sectors:
-        matrix[grid] = packed[span].reshape(len(rows), len(cols))
-    return matrix.reshape(pair.shape)
-
-
-def _packed(theta: np.ndarray, pair: _Pair) -> np.ndarray:
-    """The charge blocks of a pair tensor that keeps the pair's charges, packed."""
-    chi_l, p, _, chi_r = pair.shape
-    matrix = theta.reshape(chi_l * p, p * chi_r)
-    packed = np.empty(pair.sectors[-1][5].stop if pair.sectors else 0, dtype=np.complex128)
-    for _, rows, cols, grid, _, span in pair.sectors:
-        packed[span].reshape(len(rows), len(cols))[...] = matrix[grid]
-    return packed
-
-
-def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> TensorTrain:
-    """Map the pair of sites (i, i+1) with ``local_map`` and split it back at
-    the centre; returns a new train and leaves ``train`` as it was.
-
-    The pair matrix, rows (alpha, n1) and columns (n2, beta), is built only
-    where its charge blocks lie, packed (:func:`_sectors_of`), and
-    ``local_map(packed, pair)`` returns the packed image under the map given
-    the layout ``pair`` (:class:`_Pair`); the map must keep the train's
-    charges.  The split takes one SVD per charge block; the truncation rule
-    acts on all blocks' singular values together, as on the whole matrix.
-    The centre keeps moving the way it came: from the left (or from nowhere)
-    the split is u | s.vh and leaves it on i+1, from the right u.s | vh on i.
+    The map is given as data: ``keys`` holds one integer per pair index
+    n1 * p + n2, the quantity the map keeps, and ``blocks[k]`` is the map on
+    the pair indices of key k, in ascending order.  The pair matrix, rows
+    (alpha, n1) and columns (n2, beta), is built only where its charge
+    blocks lie, packed (:func:`_sectors_of`); the map is one gather of the
+    packed entries key by key (:func:`_totals_of`), one matmul per key and
+    one scatter, and must keep the train's charges.  This is the only code
+    that reads or writes a packed pair matrix.  The split takes one SVD per
+    charge block; the truncation rule acts on all blocks' singular values
+    together, as on the whole matrix.  The centre keeps moving the way it
+    came: from the left (or from nowhere) the split is u | s.vh and leaves
+    it on i+1, from the right u.s | vh on i.
     """
     policy = policy or TruncationPolicy()
     stats = stats if stats is not None else EvolutionStats()
@@ -630,14 +613,22 @@ def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> Ten
     packed = np.empty(sectors[-1][5].stop if sectors else 0, dtype=np.complex128)
     for _, rows, cols, _, middle, span in sectors:
         block = packed[span].reshape(len(rows), len(cols))
-        if middle is None:  # zero until the local map acts
+        if middle is None:  # zero until the map acts
             block.fill(0.0)
         else:
             np.matmul(left[middle[0]], right[middle[1]], out=block)
-    packed = local_map(packed, _Pair((chi_l, p, p, chi_r), bonds[i], bonds[i + 2], phys, sectors))
-    blocks = [_svd(packed[span].reshape(len(rows), len(cols))) for _, rows, cols, *_, span in sectors]
+    order, groups = _totals(bonds[i], bonds[i + 2], phys, keys)
+    entries = packed[order]
+    mapped = np.empty_like(entries)
+    for k, start, stop, width in groups:
+        np.matmul(
+            blocks[k], entries[start:stop].reshape(width, -1),
+            out=mapped[start:stop].reshape(width, -1),
+        )
+    packed[order] = mapped
+    factors = [_svd(packed[span].reshape(len(rows), len(cols))) for _, rows, cols, *_, span in sectors]
 
-    s_all = np.concatenate([s for _, s, _ in blocks]) if blocks else np.zeros(0)
+    s_all = np.concatenate([s for _, s, _ in factors]) if factors else np.zeros(0)
     kept = _kept(s_all, policy)
     stats.truncation_weight += float(np.sum(s_all[~kept] ** 2))
     stats.flop_estimate += sum(
@@ -645,7 +636,7 @@ def _apply_two_site(train: TensorTrain, i: int, local_map, policy, stats) -> Ten
     )
 
     pieces, start = [], 0
-    for (q, rows, cols, *_), (u, s, vh) in zip(sectors, blocks):
+    for (q, rows, cols, *_), (u, s, vh) in zip(sectors, factors):
         k = int(np.count_nonzero(kept[start : start + len(s)]))  # a prefix: s falls
         start += len(s)
         if k:
@@ -688,21 +679,10 @@ def apply_gate_mps(
         )
     # G keeps the pair's photon number T = n1 + n2, so it acts as one small
     # block per T, on the bond pairs (alpha, beta) that hold T
+    occupation = np.arange(psi.local_dim)
+    totals = np.add.outer(occupation, occupation).ravel()
     blocks = gate_blocks(gate.params, psi.local_dim - 1, adjoint=reverse)
-
-    def local_map(packed, pair):
-        order, totals = _totals(pair.left, pair.right, pair.phys)
-        entries = packed[order]
-        mapped = np.empty_like(entries)
-        for t, start, stop, width in totals:
-            np.matmul(
-                blocks[t], entries[start:stop].reshape(width, -1),
-                out=mapped[start:stop].reshape(width, -1),
-            )
-        packed[order] = mapped
-        return packed
-
-    return _apply_two_site(psi, gate.modes[0], local_map, policy, stats)
+    return _apply_two_site(psi, gate.modes[0], totals, blocks, policy, stats)
 
 
 def _evolve_mps(
@@ -730,29 +710,33 @@ def apply_gate_mpo_adjoint(
 
     The Kraus sum acts on the gate's lossy site first (it creates photons in
     this direction), then the two sites are conjugated by the gate unitary.
+    Both keep the charge sum Q = (m1 - n1) + (m2 - n2) of a pair index
+    ((m1, n1), (m2, n2)), so the map is one block C_Q K_Q per Q, built on
+    the pair indices of charge Q alone, never as the d^4 x d^4
+    superoperator: K_Q is the Kraus sum on the lossy leg and C_Q[i, j] =
+    conj(g[m1_j, m2_j, m1_i, m2_i]) g[n1_j, n2_j, n1_i, n2_i] the
+    conjugation by the gate tensor g.
     """
     d = operator.local_dim
     g = gate_tensor(gate.params, d - 1)
+    charge = np.subtract.outer(np.arange(d), np.arange(d)).ravel()  # m - n on leg (m, n)
+    sums = np.add.outer(charge, charge).ravel()
     kraus = None
     if gate.loss_gamma > 0.0:
         ops = np.stack(kraus_set(gate.loss_gamma, d - 1))
         # (K^dag W K)[m, n] = conj(K)[a, m] W[a, b] K[b, n], as a map on vec(W)
         kraus = np.einsum("kam,kbn->mnab", ops.conj(), ops).reshape(d * d, d * d)
-
-    def local_map(packed, pair):
-        theta = _unpacked(packed, pair)  # (chi_l, (m1, n1), (m2, n2), chi_r)
-        chi_l, chi_r = theta.shape[0], theta.shape[3]
+    blocks = {}
+    out, into = (slice(None), None), (None, slice(None))  # rows i, columns j
+    for q, index in _groups(sums).items():
+        legs = np.divmod(index, d * d)
+        (m1, n1), (m2, n2) = (np.divmod(leg, d) for leg in legs)
+        block = g[m1[into], m2[into], m1[out], m2[out]].conj() * g[n1[into], n2[into], n1[out], n2[out]]
         if kraus is not None:
-            axis = 1 + gate.lossy_mode  # the lossy site's leg of the pair
-            theta = np.moveaxis(np.tensordot(kraus, theta, axes=([1], [axis])), 0, axis)
-        theta = theta.reshape(chi_l, d, d, d, d, chi_r)
-        # G^dag O: the gate's out legs meet O's out legs
-        theta = np.tensordot(g.conj(), theta, axes=([0, 1], [1, 3]))  # (m1', m2', l, n1, n2, r)
-        # (.) G: O's in legs meet the gate's out legs
-        theta = np.tensordot(theta, g, axes=([3, 4], [0, 1]))  # (m1', m2', l, r, n1', n2')
-        return _packed(theta.transpose(2, 0, 4, 1, 5, 3), pair)
-
-    return _apply_two_site(operator, gate.modes[0], local_map, policy, stats)
+            lossy, other = legs[gate.lossy_mode], legs[1 - gate.lossy_mode]
+            block = block @ (kraus[lossy[out], lossy[into]] * (other[out] == other[into]))
+        blocks[q] = block
+    return _apply_two_site(operator, gate.modes[0], sums, blocks, policy, stats)
 
 
 def _clamp_probability(raw: float) -> float:
@@ -803,7 +787,7 @@ def schrodinger_probability(
     policy: TruncationPolicy | None = None,
 ) -> tuple[float, EvolutionStats]:
     """|<n| U |psi>|^2 by forward evolution of the squeezed input."""
-    outcome = _check_length(circuit.num_modes, outcome)
+    outcome = _check_outcome(_check_length(circuit.num_modes, outcome), local_cutoff)
     psi, stats = evolve_input(circuit, r, local_cutoff, policy)
     return project_outcome(psi, stats, outcome, local_cutoff)
 
@@ -833,8 +817,6 @@ def heisenberg_probability_lossless(
     circuit, skipping the gates outside the outcome's light cone."""
     outcome = _check_length(circuit.num_modes, outcome)
     _require_lossless(circuit, "the lossless Heisenberg path (use heisenberg_probability_lossy)")
-    if sum(outcome) > circuit.num_modes * local_cutoff:
-        raise ValueError("outcome carries more photons than the truncated space holds")
     policy = policy or TruncationPolicy()
     stats = EvolutionStats()
     phi = fock_mps(outcome, local_cutoff)

@@ -14,6 +14,7 @@ from gbstn.circuit import (
     build_brickwork,
     circuit_to_mode_unitary,
     gate_tensor,
+    kraus_set,
     with_uniform_loss,
 )
 from gbstn.errors import NumericalFailureError, ResourceLimitError, UnsupportedConfigurationError
@@ -493,20 +494,48 @@ class TestFactorizations:
         assert [shape for calls in shapes.values() for shape in calls if min(shape) == 1] == []
 
 
-def _captured_pair(monkeypatch, train, gate, reverse=False):
-    """The local map apply_gate_mps hands the two-site kernel, and the packed
-    layout of the gate's pair in ``train``."""
+def _captured_map(monkeypatch, apply, train, gate, **kwargs):
+    """The train ``apply`` returns, and the map it hands the two-site kernel
+    assembled into a dense matrix over the pair indices n1 * p + n2."""
     captured = []
-    monkeypatch.setattr(tnet, "_apply_two_site", lambda train, i, local_map, *_: captured.append(local_map))
-    apply_gate_mps(train, gate, reverse=reverse)
+    apply_two_site = tnet._apply_two_site
+
+    def recorded(train, i, keys, blocks, *args):
+        captured.append((keys, blocks))
+        return apply_two_site(train, i, keys, blocks, *args)
+
+    monkeypatch.setattr(tnet, "_apply_two_site", recorded)
+    out = apply(train, gate, TruncationPolicy(svd_threshold=0.0), **kwargs)
     monkeypatch.undo()
-    i, bonds, phys = gate.modes[0], train.bond_charges, train.phys_charges
-    chi_l, p, chi_r = train.tensors[i].shape[0], train.local_dim, train.tensors[i + 1].shape[2]
-    sectors = tnet._sectors(
-        tnet._row_charges(bonds[i], phys), tnet._col_charges(phys, bonds[i + 2]), bonds[i + 1]
-    )
-    pair = tnet._Pair((chi_l, p, p, chi_r), bonds[i], bonds[i + 2], phys, sectors)
-    return captured[0], pair
+    (keys, blocks), = captured
+    dense = np.zeros((len(keys), len(keys)), dtype=np.complex128)
+    for k in np.unique(keys):
+        index = np.flatnonzero(keys == k)
+        dense[np.ix_(index, index)] = blocks[k]
+    return out, dense
+
+
+def _random_fill(train, seed):
+    """A train with ``train``'s labels and random entries wherever they allow
+    one, so that every charge block of a pair matrix is generic."""
+    rng = np.random.default_rng(seed)
+    tensors = []
+    for k, t in enumerate(train.tensors):
+        allowed = np.add.outer(train.bond_charges[k], train.phys_charges)[:, :, None] == (
+            train.bond_charges[k + 1][None, None, :]
+        )
+        tensors.append(np.where(allowed, rng.normal(size=t.shape) + 1j * rng.normal(size=t.shape), 0.0))
+    return tnet.TensorTrain(tensors, train.local_dim, None, train.phys_charges, train.bond_charges)
+
+
+def _embedded(tensor, first, num_modes):
+    """An operator on the modes from ``first`` on, as a tensor with axes
+    (out, ..., in, ...) like ``gate_tensor``, in the little-endian basis of
+    ``to_matrix``."""
+    k, d = tensor.ndim // 2, tensor.shape[0]
+    axes = list(range(k))[::-1] + list(range(k, 2 * k))[::-1]
+    little = tensor.transpose(axes).reshape(d**k, d**k)
+    return np.kron(np.kron(np.eye(d ** (num_modes - first - k)), little), np.eye(d**first))
 
 
 class TestGateByTotal:
@@ -524,33 +553,37 @@ class TestGateByTotal:
                 squeezed_mps(0.5, 4, d - 1), c, TruncationPolicy(), EvolutionStats(), reverse=False
             )
         assert len(set(train.bond_charges[2].tolist())) == (3 if charged else 1)
+        train = _random_fill(train, d)
         gate = _gate(0.7, 0.3, 1.9, modes=(1, 2))
-        local_map, pair = _captured_pair(monkeypatch, train, gate, reverse)
-        rng = np.random.default_rng(d)
-        size = pair.sectors[-1][5].stop
-        packed = rng.normal(size=size) + 1j * rng.normal(size=size)
-        g = gate_tensor(gate.params, d - 1).reshape(d * d, d * d)
+        out, local_map = _captured_map(monkeypatch, apply_gate_mps, train, gate, reverse=reverse)
+        g = gate_tensor(gate.params, d - 1)
         if reverse:
-            g = g.conj().T
-        chi_l, _, _, chi_r = pair.shape
-        theta = tnet._unpacked(packed, pair).reshape(chi_l, d * d, chi_r)
-        dense = (g @ theta).reshape(pair.shape)
-        # G keeps the charges: nothing lands outside the blocks
-        assert np.array_equal(tnet._unpacked(tnet._packed(dense, pair), pair), dense)
-        mapped = local_map(packed.copy(), pair)
-        assert np.max(np.abs(mapped - tnet._packed(dense, pair))) <= 1e-14 * np.max(np.abs(packed))
+            g = g.conj().transpose(2, 3, 0, 1)
+        # the blocks by total are G (or G^dag) on the pair indices, exactly
+        assert np.array_equal(local_map, g.reshape(d * d, d * d))
+        # and the kernel applies them wherever the pair's charge blocks lie
+        dense = np.moveaxis(np.tensordot(g, train.to_dense(), axes=([2, 3], [1, 2])), (0, 1), (1, 2))
+        assert np.max(np.abs(out.to_dense() - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_layout_lists_each_packed_entry_once(self):
-        train = _evolve_mps(
-            fock_mps((1, 2, 0, 1), 3), build_brickwork(4, 2, seed=3), TruncationPolicy(),
-            EvolutionStats(), reverse=True,
+        c = build_brickwork(4, 2, seed=3)
+        state = _evolve_mps(
+            fock_mps((1, 2, 0, 1), 3), c, TruncationPolicy(), EvolutionStats(), reverse=True
         )
-        bonds, phys = train.bond_charges, train.phys_charges
-        order, totals = tnet._totals(bonds[1], bonds[3], phys)
-        sectors = tnet._sectors(tnet._row_charges(bonds[1], phys), tnet._col_charges(phys, bonds[3]))
-        assert sorted(order.tolist()) == list(range(sectors[-1][5].stop))
-        assert [t for t, *_ in totals] == sorted({t for t, *_ in totals})
-        assert all((stop - start) % width == 0 for _, start, stop, width in totals)
+        operator = fock_projector_mpo((1, 2, 0, 1), 3)
+        for gate in [g for layer in reversed(c.layers) for g in layer]:
+            operator = apply_gate_mpo_adjoint(operator, gate)
+        # a state gate keeps the occupation totals n1 + n2, the adjoint
+        # channel the charge sums (m1 - n1) + (m2 - n2)
+        for train, charges in ((state, np.arange(4)), (operator, operator.phys_charges)):
+            keys = np.add.outer(charges, charges).ravel()
+            bonds, phys = train.bond_charges, train.phys_charges
+            assert len(set(bonds[2].tolist())) > 1
+            order, groups = tnet._totals(bonds[1], bonds[3], phys, keys)
+            sectors = tnet._sectors(tnet._row_charges(bonds[1], phys), tnet._col_charges(phys, bonds[3]))
+            assert sorted(order.tolist()) == list(range(sectors[-1][5].stop))
+            assert [k for k, *_ in groups] == sorted({k for k, *_ in groups})
+            assert all((stop - start) % width == 0 for _, start, stop, width in groups)
 
     def test_physical_charges_a_gate_does_not_keep_are_rejected(self):
         # charges 0, 2, 1 on occupations 0, 1, 2: the splits (0, 2) and (1, 1)
@@ -559,16 +592,24 @@ class TestGateByTotal:
         train = tnet._product_train([basis[1], basis[1]], 3, 0, [0, 2, 1], [2, 2])
         with pytest.raises(ValueError, match="does not keep these physical charges"):
             apply_gate_mps(train, _gate())
+        # charge m + n on the (out m, in n) leg: pair indices of one charge
+        # sum (m1 - n1) + (m2 - n2) carry different charges m + n
+        basis = np.eye(9, dtype=np.complex128)
+        charges = np.add.outer(np.arange(3), np.arange(3)).ravel()
+        train = tnet._product_train([basis[4], basis[4]], 3, 0, charges, [2, 2])
+        with pytest.raises(ValueError, match="does not keep these physical charges"):
+            apply_gate_mpo_adjoint(train, _gate())
 
     def test_layouts_above_the_size_limit_are_not_stored(self, monkeypatch):
         # a pair of two 2-index bonds at d = 3: 6 rows plus 6 columns
         left, right, phys = np.array([0, 1]), np.array([1, 2]), np.arange(3)
+        keys = np.add.outer(phys, phys).ravel()
         rows, cols = tnet._row_charges(left, phys), tnet._col_charges(phys, right)
         for limit, stored in ((11, False), (12, True)):
             monkeypatch.setattr(tnet, "SECTOR_SIZE", limit)
             tnet._totals_of.cache_clear()
             tnet._sectors_of.cache_clear()
-            tnet._totals(left, right, phys)
+            tnet._totals(left, right, phys, keys)
             tnet._sectors(rows, cols)
             assert tnet._totals_of.cache_info().currsize == int(stored)
             assert tnet._sectors_of.cache_info().currsize == int(stored)
@@ -633,6 +674,27 @@ class TestMpoAdjoint:
             rhs = float(np.real(np.trace(rho.matrix @ op.to_matrix())))
             assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    @pytest.mark.parametrize("lossy", [0, 1])
+    def test_one_step_equals_the_dense_channel_on_an_evolved_train(self, d, gamma, lossy):
+        exact = TruncationPolicy(svd_threshold=0.0)
+        c = with_uniform_loss(build_brickwork(4, 4, seed=d), 0.1)
+        op = fock_projector_mpo((1, 0, 1, 1), d - 1)
+        for gate in [g for layer in reversed(c.layers[-2:]) for g in layer]:
+            op = apply_gate_mpo_adjoint(op, gate, exact)
+        assert all(len(set(op.bond_charges[k].tolist())) > 1 for k in (1, 2, 3))
+        gate = _gate(0.7, 0.3, 1.9, modes=(1, 2), gamma=gamma, lossy=lossy)
+        out = apply_gate_mpo_adjoint(op, gate, exact)
+        # O -> U^dag (sum_mu K_mu^dag O K_mu) U on the whole space
+        u = _embedded(gate_tensor(gate.params, d - 1), 1, 4)
+        matrix = op.to_matrix()
+        lossed = sum(
+            k.conj().T @ matrix @ k for k in (_embedded(k, 1 + lossy, 4) for k in kraus_set(gamma, d - 1))
+        )
+        expected = u.conj().T @ lossed @ u
+        assert np.max(np.abs(out.to_matrix() - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestHeisenbergLossy:
     def test_zero_loss_matches_lossless_path(self):
@@ -683,26 +745,39 @@ class TestClamping:
         assert _clamp_probability(1.0 + 1e-12) == 1.0
 
 
+_ROUTES = [
+    (schrodinger_probability, 0.0),
+    (heisenberg_probability_lossless, 0.0),
+    (heisenberg_probability_lossy, 0.05),
+]
+
+
+def _counted_two_site_updates(monkeypatch) -> list:
+    calls = []
+    apply_two_site = tnet._apply_two_site
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return apply_two_site(*args, **kwargs)
+
+    monkeypatch.setattr(tnet, "_apply_two_site", counted)
+    return calls
+
+
 class TestOutcomeLength:
     @pytest.mark.parametrize("outcome", [(1, 1, 0), (1, 1, 0, 0, 0)])
-    @pytest.mark.parametrize(
-        "route, gamma",
-        [
-            (schrodinger_probability, 0.0),
-            (heisenberg_probability_lossless, 0.0),
-            (heisenberg_probability_lossy, 0.05),
-        ],
-    )
+    @pytest.mark.parametrize("route, gamma", _ROUTES)
     def test_checked_before_any_gate(self, monkeypatch, route, gamma, outcome):
-        calls = []
-        apply_two_site = tnet._apply_two_site
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return apply_two_site(*args, **kwargs)
-
-        monkeypatch.setattr(tnet, "_apply_two_site", counted)
+        calls = _counted_two_site_updates(monkeypatch)
         c = with_uniform_loss(build_brickwork(4, 4, seed=1), gamma)
         with pytest.raises(ValueError, match="outcome length does not match the mode count"):
             route(c, outcome, 0.4, 3)
+        assert calls == []
+
+    @pytest.mark.parametrize("route, gamma", _ROUTES)
+    def test_cutoff_checked_before_any_gate(self, monkeypatch, route, gamma):
+        calls = _counted_two_site_updates(monkeypatch)
+        c = with_uniform_loss(build_brickwork(4, 4, seed=1), gamma)
+        with pytest.raises(ValueError, match="outside the cutoff 3"):
+            route(c, (4, 0, 0, 0), 0.4, 3)
         assert calls == []
