@@ -125,16 +125,21 @@ def _prob_record(evaluate, outcome, backend, picture, n_c, recommended) -> dict:
     }
 
 
+# the flags each backend reads: the dense backend truncates nothing and has
+# no picture, the exact Gaussian one takes no cutoff either
+_READS = {
+    "tn": {"--cutoff", "--max-bond", "--svd-threshold", "--epsilon", "--picture"},
+    "dense": {"--cutoff", "--epsilon"},
+    "gaussian": set(),
+}
+
+
 def _unread_flags(args) -> list[str]:
     """The flags given explicitly that the chosen backend never reads."""
-    unread = []
-    if args.backend == "gaussian":  # exact: no cutoff, no truncation
-        given = (("--cutoff", args.cutoff), ("--max-bond", args.max_bond),
-                 ("--svd-threshold", args.svd_threshold), ("--epsilon", args.epsilon))
-        unread += [flag for flag, value in given if value is not None]
-    if args.backend != "tn" and args.picture is not None:
-        unread.append("--picture")
-    return unread
+    given = (("--cutoff", args.cutoff), ("--max-bond", args.max_bond),
+             ("--svd-threshold", args.svd_threshold), ("--epsilon", args.epsilon),
+             ("--picture", args.picture))
+    return [flag for flag, value in given if value is not None and flag not in _READS[args.backend]]
 
 
 def cmd_prob(args) -> int:
@@ -151,6 +156,8 @@ def cmd_prob(args) -> int:
     epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
     picture = (args.picture or "heisenberg") if args.backend == "tn" else None
     try:
+        # once here, not once per outcome on the routes that read it per outcome
+        fockdense.squeeze_values(args.squeezing, circ.num_modes)
         truncation = {"max_bond": args.max_bond, "svd_threshold": args.svd_threshold}
         policy = tnet.TruncationPolicy(**{k: v for k, v in truncation.items() if v is not None})
         recommended = n_cs = [None] * len(args.outcome)

@@ -1,16 +1,29 @@
 """Tensor-train engine: one train type in canonical form, one two-site update.
 
 A :class:`TensorTrain` has a leg of dimension d = n_c + 1 per mode for a
-state and d^2 for an operator, its (out, in) pair vectorised.  The train
-keeps an orthogonality centre, and every gate is one ``_apply_two_site``:
-QR moves the centre onto the pair, the gate's local map acts, an SVD splits
-the pair and drops Schmidt values, so truncation removes exactly their weight.
+state and d^2 for an operator, its (out, in) pair vectorised.  Every gate is
+one ``_apply_two_site``: the gate's local map acts on the pair, an SVD
+splits it and drops Schmidt values, so truncation removes exactly their
+weight.  The split needs the pair's Schmidt matrix, which a train supplies
+in one of two forms:
+
+* a state train (``fock_mps``, ``squeezed_mps``) carries the Schmidt values
+  of every bond and keeps all its sites right isometries; the split scales
+  the pair's rows by the left bond's values and moves no centre (Vidal,
+  arXiv:quant-ph/0310089; Hastings, arXiv:0903.3253).  Gates are unitary,
+  so the new sites stay isometries as long as a split drops no more than
+  machine epsilon of the weight; a split that drops more (under
+  ``max_bond`` or a large ``svd_threshold``) returns the train without
+  Schmidt values, and it takes the centre form from the next gate on;
+* an operator train keeps an orthogonality centre, and QR moves it onto
+  the pair first: the adjoint channel is not unitary, so the Schmidt form
+  would not keep its sites isometries.
 
 Every train carries photon-number (U(1)) charge labels (Singh, Pfeifer &
 Vidal, arXiv:0907.2994): one integer per physical index and one integer
 vector per bond, the charge summed over the sites to the bond's left.  A
 site entry whose left label plus physical charge differs from its right
-label is zero.  The gates conserve photon number, so every QR and SVD
+label is zero.  The gates conserve photon number, so every SVD and QR
 splits into one small factorization per charge the rows and the columns
 share; the blocks that do not match are zero and never factorized, and
 rows whose count exceeds the train's total drop out.  Which trains carry which
@@ -209,8 +222,15 @@ class TensorTrain:
 
     ``local_dim`` is the Fock dimension d of one mode; the physical leg is d
     for a state and d^2 for an operator.  Sites left of ``center`` are left
-    isometries and sites right of it right isometries; ``center`` is None
-    when the train is not known to be in canonical form.
+    isometries and sites right of it right isometries.
+
+    ``schmidt``, when not None, holds one vector per bond (k = 0 and M, the
+    boundaries, hold a single 1): the Schmidt values of the state across
+    that cut, in the bond's index order.  A train that carries them has
+    every site after site 0 right-isometric and its norm in site 0 (and so
+    in the interior Schmidt values); its ``center`` is None, because its
+    updates never move one.  Without Schmidt values, ``center`` None means
+    the train is not known to be in canonical form.
 
     ``phys_charges`` holds the charge of each physical index and
     ``bond_charges[k]`` the label of each index of the bond left of site k
@@ -226,6 +246,7 @@ class TensorTrain:
         center: int | None = None,
         phys_charges=None,
         bond_charges=None,
+        schmidt=None,
     ):
         if not tensors:
             raise ValueError("a tensor train needs at least one site")
@@ -243,17 +264,26 @@ class TensorTrain:
             raise ValueError("physical charges do not match the physical legs")
         if [len(q) for q in bond_charges] != dims:
             raise ValueError("bond charges do not match the bond dimensions")
+        if schmidt is not None:
+            if center is not None:
+                raise ValueError("a train that carries Schmidt values has no centre")
+            schmidt = [np.asarray(s, dtype=float) for s in schmidt]
+            if [len(s) for s in schmidt] != dims:
+                raise ValueError("Schmidt values do not match the bond dimensions")
         self.tensors = tensors
         self.local_dim = local_dim
         self.center = center
         self.phys_charges = np.asarray(phys_charges, dtype=np.int64)
         self.bond_charges = [np.asarray(q, dtype=np.int64) for q in bond_charges]
+        self.schmidt = schmidt
 
-    def _evolved(self, tensors, bond_charges, center) -> "TensorTrain":
-        """A train over the same legs with new sites, bond labels and centre,
-        not checked again: the two-site kernel keeps them consistent."""
+    def _evolved(self, tensors, bond_charges, center, schmidt) -> "TensorTrain":
+        """A train over the same legs with new sites, bond labels, centre and
+        Schmidt values, not checked again: the two-site kernel keeps them
+        consistent."""
         train = object.__new__(TensorTrain)
         train.tensors, train.bond_charges, train.center = tensors, bond_charges, center
+        train.schmidt = schmidt
         train.local_dim, train.phys_charges = self.local_dim, self.phys_charges
         return train
 
@@ -286,14 +316,25 @@ class TensorTrain:
 
 
 def _product_train(
-    vectors, local_dim: int, center: int | None, phys_charges=None, site_charges=None
+    vectors, local_dim: int, center: int | None, phys_charges=None, site_charges=None, schmidt=None
 ) -> TensorTrain:
     """Bond-1 train of ``vectors``; site k carries charge ``site_charges[k]``."""
     bonds = None
     if site_charges is not None:
         bonds = [np.array([q]) for q in np.concatenate([[0], np.cumsum(site_charges)])]
     tensors = [v.reshape(1, -1, 1) for v in vectors]
-    return TensorTrain(tensors, local_dim, center, phys_charges, bonds)
+    return TensorTrain(tensors, local_dim, center, phys_charges, bonds, schmidt)
+
+
+def _state_train(vectors, local_dim: int, phys_charges=None, site_charges=None) -> TensorTrain:
+    """Product state in Schmidt form: every site after the first a unit
+    vector, the state's norm in site 0 and on every interior bond (a product
+    state's one Schmidt value across any cut), 1 on the boundaries."""
+    norms = [float(np.linalg.norm(v)) for v in vectors]
+    norm = math.prod(norms)
+    vectors = [vectors[0] * (norm / norms[0])] + [v / n for v, n in zip(vectors[1:], norms[1:])]
+    schmidt = [np.ones(1)] + [np.full(1, norm)] * (len(vectors) - 1) + [np.ones(1)]
+    return _product_train(vectors, local_dim, None, phys_charges, site_charges, schmidt)
 
 
 def _check_length(num_modes: int, outcome) -> tuple[int, ...]:
@@ -312,19 +353,20 @@ def _check_outcome(outcome, local_cutoff: int) -> tuple[int, ...]:
 
 
 def fock_mps(outcome, local_cutoff: int) -> TensorTrain:
-    """Product state |n_1, ..., n_M> (all bonds 1, unit sites, so canonical),
-    charge n on the leg of occupation n."""
+    """Product state |n_1, ..., n_M> (all bonds 1, unit sites, Schmidt
+    values 1), charge n on the leg of occupation n."""
     d = local_cutoff + 1
     outcome = _check_outcome(outcome, local_cutoff)
     basis = np.eye(d, dtype=np.complex128)
-    return _product_train([basis[n] for n in outcome], d, 0, np.arange(d), outcome)
+    return _state_train([basis[n] for n in outcome], d, np.arange(d), outcome)
 
 
 def squeezed_mps(r, num_modes: int, local_cutoff: int) -> TensorTrain:
-    """Product state of truncated squeezed vacua; norm < 1 is kept, not fixed.
-    Not a photon-number eigenstate, so it carries the trivial charge."""
+    """Product state of truncated squeezed vacua; norm < 1 is kept, not fixed,
+    in site 0 and the Schmidt values.  Not a photon-number eigenstate, so it
+    carries the trivial charge."""
     vectors = [single_mode_squeezed_vector(rk, local_cutoff) for rk in squeeze_values(r, num_modes)]
-    return _product_train(vectors, local_cutoff + 1, None)
+    return _state_train(vectors, local_cutoff + 1)
 
 
 def fock_projector_mpo(outcome, local_cutoff: int) -> TensorTrain:
@@ -514,7 +556,9 @@ def _move_center(
 ) -> None:
     """QR-sweep ``tensors`` in place, one QR per charge block, to make
     ``target`` the centre; ``bonds`` takes the new bonds' charges.  From an
-    unknown centre, every site on either side of it is swept."""
+    unknown centre, every site on either side of it is swept.  Reached only
+    by trains without Schmidt values: operator trains, and state trains
+    after a split that dropped more than machine epsilon of their weight."""
     start, stop = (0, len(tensors) - 1) if center is None else (center, center)
     for k in range(start, target):
         chi_l, p, chi_r = tensors[k].shape
@@ -575,8 +619,8 @@ def _kept(s_all: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
 
 
 def _apply_two_site(train: TensorTrain, i: int, keys, blocks, policy, stats) -> TensorTrain:
-    """Map the pair of sites (i, i+1) and split it back at the centre;
-    returns a new train and leaves ``train`` as it was.
+    """Map the pair of sites (i, i+1) and split it back; returns a new train
+    and leaves ``train`` as it was.
 
     The map is given as data: ``keys`` holds one integer per pair index
     n1 * p + n2, the quantity the map keeps, and ``blocks[k]`` is the map on
@@ -587,17 +631,33 @@ def _apply_two_site(train: TensorTrain, i: int, keys, blocks, policy, stats) -> 
     one scatter, and must keep the train's charges.  This is the only code
     that reads or writes a packed pair matrix.  The split takes one SVD per
     charge block; the truncation rule acts on all blocks' singular values
-    together, as on the whole matrix.  The centre keeps moving the way it
-    came: from the left (or from nowhere) the split is u | s.vh and leaves
-    it on i+1, from the right u.s | vh on i.
+    together, as on the whole matrix.
+
+    A train that carries Schmidt values (a state) is split without a centre
+    (Vidal, arXiv:quant-ph/0310089; Hastings, arXiv:0903.3253): its sites
+    after site 0 are right isometries, so the mapped pair Theta' with its
+    rows (alpha, n1) scaled by the left bond's Schmidt values (1 on the
+    boundary, where site 0 holds the norm) is the state's Schmidt matrix
+    across the pair's cut.  Its SVD X.S.Y gives the new right site Y, the
+    new bond's Schmidt values S, and the new left site Theta'.Y^dag, again
+    a right isometry for i > 0, since a unitary gate keeps Theta' one.  A split
+    that drops more than machine epsilon times the pair's squared weight
+    leaves Theta'.Y^dag short of an isometry: the train comes back without
+    Schmidt values and with centre None, so the next update sweeps it into
+    canonical form.  Any other train (an operator, whose adjoint channel is
+    not unitary) keeps a centre, which moves onto the pair first and keeps
+    moving the way it came: from the left (or from nowhere) the split is
+    u | s.vh and leaves it on i+1, from the right u.s | vh on i.
     """
     policy = policy or TruncationPolicy()
     stats = stats if stats is not None else EvolutionStats()
     if i + 1 >= train.num_modes:
         raise ValueError(f"gate on modes {(i, i + 1)} does not fit in {train.num_modes} modes")
-    rightward = train.center is None or train.center <= i
+    schmidt = train.schmidt
     tensors, bonds, phys = list(train.tensors), list(train.bond_charges), train.phys_charges
-    _move_center(tensors, bonds, phys, train.center, i if rightward else i + 1)
+    if schmidt is None:
+        rightward = train.center is None or train.center <= i
+        _move_center(tensors, bonds, phys, train.center, i if rightward else i + 1)
     a, b = tensors[i], tensors[i + 1]
     chi_l, p, chi_r = a.shape[0], a.shape[1], b.shape[2]
     if chi_l * p * p * chi_r > DENSE_GUARD:
@@ -626,33 +686,53 @@ def _apply_two_site(train: TensorTrain, i: int, keys, blocks, policy, stats) -> 
             out=mapped[start:stop].reshape(width, -1),
         )
     packed[order] = mapped
-    factors = [_svd(packed[span].reshape(len(rows), len(cols))) for _, rows, cols, *_, span in sectors]
+    theta = [packed[span].reshape(len(rows), len(cols)) for _, rows, cols, *_, span in sectors]
+    if schmidt is None:
+        factors = [_svd(block) for block in theta]
+    else:
+        weights = np.repeat(schmidt[i], p)  # of row (alpha, n1)
+        factors = [_svd(weights[rows, None] * block) for (_, rows, *_), block in zip(sectors, theta)]
 
     s_all = np.concatenate([s for _, s, _ in factors]) if factors else np.zeros(0)
     kept = _kept(s_all, policy)
-    stats.truncation_weight += float(np.sum(s_all[~kept] ** 2))
+    dropped = float(np.sum(s_all[~kept] ** 2))
+    stats.truncation_weight += dropped
     stats.flop_estimate += sum(
         float(len(rows)) * len(cols) * min(len(rows), len(cols)) for _, rows, cols, *_ in sectors
     )
 
-    pieces, start = [], 0
-    for (q, rows, cols, *_), (u, s, vh) in zip(sectors, factors):
+    pieces, values, start = [], [], 0
+    for (q, rows, cols, *_), block, (u, s, vh) in zip(sectors, theta, factors):
         k = int(np.count_nonzero(kept[start : start + len(s)]))  # a prefix: s falls
         start += len(s)
         if k:
             u, s, vh = u[:, :k], s[:k], vh[:k]
-            u, vh = (u, s[:, None] * vh) if rightward else (u * s, vh)
+            if schmidt is not None:
+                u = block @ vh.conj().T
+            elif rightward:
+                vh = s[:, None] * vh
+            else:
+                u = u * s
             pieces.append((q, rows, cols, u, vh))
+            values.append(s)
     u, vh, bonds[i + 1] = _assemble((chi_l * p, p * chi_r), pieces)
     stats.observe_bond(len(bonds[i + 1]))
     tensors[i] = u.reshape(chi_l, p, -1)
     tensors[i + 1] = vh.reshape(-1, p, chi_r)
-    return train._evolved(tensors, bonds, i + 1 if rightward else i)
+    if schmidt is None:
+        return train._evolved(tensors, bonds, i + 1 if rightward else i, None)
+    if dropped > np.finfo(float).eps * float(np.sum(s_all**2)):
+        return train._evolved(tensors, bonds, None, None)
+    schmidt = list(schmidt)
+    schmidt[i + 1] = np.concatenate(values) if values else np.zeros(1)
+    return train._evolved(tensors, bonds, None, schmidt)
 
 
 def _sweep(layer, train: TensorTrain) -> list:
     """The gates of a layer ordered to carry the centre across it from the
-    end it is nearest to.  Gates of one layer act on disjoint pairs and commute."""
+    end it is nearest to.  Gates of one layer act on disjoint pairs and
+    commute.  A train with centre None, in Schmidt form (whose updates move
+    no centre) or not known to be canonical, takes them in ascending order."""
     gates = sorted(layer, key=lambda g: g.modes[0])
     if gates and train.center is not None:
         if 2 * train.center > gates[0].modes[0] + gates[-1].modes[1]:

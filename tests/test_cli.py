@@ -312,6 +312,8 @@ class TestProb:
             ("gaussian", "--max-bond", "8"),
             ("gaussian", "--svd-threshold", "1e-10"),
             ("gaussian", "--epsilon", "1e-4"),
+            ("dense", "--max-bond", "1"),
+            ("dense", "--svd-threshold", "1e-10"),
             ("dense", "--picture", "schrodinger"),
             ("gaussian", "--picture", "heisenberg"),
         ],
@@ -394,6 +396,20 @@ class TestProb:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("squeezing", ["0.4,0.3", "nan"])
+    @pytest.mark.parametrize(
+        "route", [["--backend", "tn"], ["--backend", "tn", "--picture", "schrodinger"],
+                  ["--backend", "dense"], ["--backend", "gaussian"]],
+    )
+    def test_bad_squeezing_exits_1_before_any_outcome(self, tmp_path, capsys, route, squeezing):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        code, out, err = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                              "--outcome", "2,0,0,0", "--squeezing", squeezing, *route], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
     def test_auto_cutoff_needs_even_modes_for_lossy(self, tmp_path, capsys):
         path = tmp_path / "lossy3.json"

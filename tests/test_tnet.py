@@ -91,6 +91,18 @@ class TestStates:
         assert 1.0 - kept < 3e-5
         assert kept < 1.0  # not renormalized
 
+    def test_state_trains_carry_schmidt_values_and_no_centre(self):
+        psi = squeezed_mps([0.2, 0.5, 0.3], 3, 6)
+        norm = psi.norm()
+        assert psi.center is None
+        assert [s.tolist() for s in psi.schmidt] == [[1.0], [pytest.approx(norm)], [pytest.approx(norm)], [1.0]]
+        for t in psi.tensors[1:]:
+            assert abs(np.linalg.norm(t) - 1.0) < 1e-14
+        with pytest.raises(ValueError, match="no centre"):
+            tnet.TensorTrain(psi.tensors, psi.local_dim, 0, schmidt=psi.schmidt)
+        with pytest.raises(ValueError, match="Schmidt values do not match"):
+            tnet.TensorTrain(psi.tensors, psi.local_dim, schmidt=psi.schmidt[:-1])
+
     def test_squeezed_mps_matches_dense(self):
         psi = squeezed_mps([0.2, 0.5], 2, 8)
         dense = dense_squeezed_vacuum([0.2, 0.5], local_cutoff=8)
@@ -147,12 +159,18 @@ class TestApplyGateMps:
             gate, apply = _gate(modes=(1, 2)), apply_gate_mps
         tensors = [t.copy() for t in train.tensors]
         bonds = [q.copy() for q in train.bond_charges]
+        schmidt = None if operator else [s.copy() for s in train.schmidt]
         center = train.center
         out = apply(train, gate)
         assert out.tensors[1] is not train.tensors[1]
         assert train.center == center
         assert all(np.array_equal(a, b) for a, b in zip(train.tensors, tensors))
         assert all(np.array_equal(a, b) for a, b in zip(train.bond_charges, bonds))
+        if operator:
+            assert train.schmidt is None
+        else:
+            assert len(train.schmidt) == len(schmidt)
+            assert all(np.array_equal(a, b) for a, b in zip(train.schmidt, schmidt))
 
     def test_matches_dense_evolution(self):
         c = build_brickwork(3, 3, seed=21)
@@ -245,6 +263,60 @@ class TestCanonicalForm:
         )
         assert stats.truncation_weight > 0.1
         assert abs((1.0 - phi.norm() ** 2) - stats.truncation_weight) < 1e-12
+
+    def test_truncation_weight_is_the_lost_norm_of_the_squeezed_input(self):
+        # the input's norm is below 1 and sits in site 0 and the Schmidt values
+        c = build_brickwork(6, 6, seed=2)
+        psi = squeezed_mps(0.5, 6, 3)
+        stats = EvolutionStats()
+        out = _evolve_mps(psi, c, TruncationPolicy(max_bond=4), stats, reverse=False)
+        assert stats.truncation_weight > 0.01
+        assert abs((psi.norm() ** 2 - out.norm() ** 2) - stats.truncation_weight) < 1e-12
+        # the first split that dropped weight left Schmidt form for a centre
+        assert out.schmidt is None and out.center is not None
+
+    @pytest.mark.parametrize("state", ["outcome", "input"])
+    def test_schmidt_values_are_those_of_the_state(self, state):
+        c = build_brickwork(6, 6, seed=3)
+        if state == "outcome":
+            train, reverse = fock_mps((1, 0, 2, 0, 1, 1), 5), True
+        else:
+            train, reverse = squeezed_mps(0.5, 6, 3), False
+        out = _evolve_mps(train, c, TruncationPolicy(svd_threshold=0.0), EvolutionStats(), reverse)
+        assert out.center is None and out.max_bond() > 4
+        dense = out.to_dense()
+        d = dense.shape[0]
+        for k in range(1, 6):
+            s = np.linalg.svd(dense.reshape(d**k, -1), compute_uv=False)
+            assert len(out.schmidt[k]) == out.tensors[k].shape[0]
+            kept = np.sort(out.schmidt[k])[::-1]
+            assert np.max(np.abs(kept - s[: len(kept)])) <= 1e-12 * s[0]
+            assert np.all(s[len(kept):] <= 1e-12 * s[0])
+        for t in out.tensors[1:]:
+            rows = t.reshape(t.shape[0], -1)
+            assert np.max(np.abs(rows @ rows.conj().T - np.eye(len(rows)))) <= 1e-12
+
+    def test_lossless_route_takes_no_qr(self, monkeypatch):
+        m, photons = 36, 4
+        c = build_brickwork(m, m, seed=1)
+        qr_calls, trains = [], []
+        qr, overlap = np.linalg.qr, tnet.mps_overlap
+
+        def counted_qr(*args, **kwargs):
+            qr_calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        def captured(bra, ket):
+            trains.append(ket)
+            return overlap(bra, ket)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(tnet, "mps_overlap", captured)
+        p, _ = heisenberg_probability_lossless(c, (1,) * photons + (0,) * (m - photons), 0.4, photons)
+        assert p > 0.0
+        assert qr_calls == []
+        (phi,) = trains
+        assert phi.schmidt is not None and phi.max_bond() > 1
 
     def test_bond_stays_at_the_outcome_ceiling(self):
         m, photons = 36, 4
@@ -380,7 +452,7 @@ class TestChargeBlocks:
         #           values are kept, and the new bond has labels 0, 1, 2
         #   (1, 2): rows of charge 0, 1, 2 number 1, 2, 3 (those of charge 3
         #           and 4 match no column), one column each: 1 + 2 + 3 = 6 flops
-        #   (0, 1): a QR of site 2 moves the centre back (labels stay 0, 1, 2);
+        #   (0, 1): bond 2 keeps labels 0, 1, 2 from the split before;
         #           one row each, columns of charge 0, 1, 2 number 3, 2, 1
         #           (negative charges match no row): 3 + 2 + 1 = 6 flops
         c = build_brickwork(3, 3, seed=4)
