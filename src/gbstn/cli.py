@@ -91,16 +91,17 @@ def _dense_output(circ, squeezing, n_c):
     return fockdense.dense_evolve_density(state.to_density(), circ)
 
 
-def _evaluator(circ, squeezing, backend, picture, policy, cutoffs):
+def _evaluator(circ, squeezing, backend, picture, policy, outcomes, cutoffs):
     """``evaluate(outcome, n_c) -> (probability, stats or None)`` on one
     backend.  The work no outcome changes is done here, once per request:
-    the Gaussian covariance, or the dense output or the Schrodinger picture's
-    evolved input for each n_c in ``cutoffs``."""
+    the Gaussian covariance, the dense output for each n_c in ``cutoffs``,
+    or the Schrodinger picture's evolved input per total of ``outcomes``."""
     if backend == "tn" and picture == "schrodinger":
-        states = {n_c: tnet.evolve_input(circ, squeezing, n_c, policy) for n_c in set(cutoffs)}
-        return lambda outcome, n_c: tnet.project_outcome(*states[n_c], outcome, n_c)
+        states = {t: tnet.evolve_input(circ, squeezing, t, policy) for t in {sum(n) for n in outcomes}}
+        return lambda outcome, n_c: tnet.project_outcome(*states[sum(outcome)], outcome)
     if backend == "tn":
-        return lambda outcome, n_c: tnet.probability(circ, outcome, squeezing, n_c, policy, picture)
+        route = tnet.heisenberg_probability_lossless if circ.is_lossless else tnet.heisenberg_probability_lossy
+        return lambda outcome, n_c: route(circ, outcome, squeezing, n_c, policy)
     if backend == "dense":
         outputs = {n_c: _dense_output(circ, squeezing, n_c) for n_c in set(cutoffs)}
         return lambda outcome, n_c: (fockdense.dense_probability(outputs[n_c], outcome), None)
@@ -125,33 +126,43 @@ def _prob_record(evaluate, outcome, backend, picture, n_c, recommended) -> dict:
     }
 
 
-# the flags each backend reads: the dense backend truncates nothing and has
-# no picture, the exact Gaussian one takes no cutoff either
+# the flags each route reads: the dense backend truncates nothing and has no
+# picture, the exact Gaussian backend and Schrodinger picture take no cutoff
 _READS = {
     "tn": {"--cutoff", "--max-bond", "--svd-threshold", "--epsilon", "--picture"},
+    "schrodinger": {"--max-bond", "--svd-threshold", "--picture"},
     "dense": {"--cutoff", "--epsilon"},
     "gaussian": set(),
 }
 
 
-def _unread_flags(args) -> list[str]:
-    """The flags given explicitly that the chosen backend never reads."""
+def _unread_flags(args, lossless: bool) -> str | None:
+    """Which flags given explicitly the chosen route never reads, as an error
+    message, or None.  The cutoff rule reads ``--epsilon`` only on a lossy
+    circuit."""
+    route, reads = f"--backend {args.backend}", _READS[args.backend]
+    if args.backend == "tn" and args.picture == "schrodinger":
+        route, reads = f"{route} --picture schrodinger", _READS["schrodinger"]
     given = (("--cutoff", args.cutoff), ("--max-bond", args.max_bond),
              ("--svd-threshold", args.svd_threshold), ("--epsilon", args.epsilon),
              ("--picture", args.picture))
-    return [flag for flag, value in given if value is not None and flag not in _READS[args.backend]]
+    unread = [flag for flag, value in given if value is not None and flag not in reads]
+    if unread:
+        return f"{route} does not use {', '.join(unread)}"
+    if args.epsilon is not None and lossless:
+        return f"{route} does not use --epsilon on a lossless circuit"
 
 
 def cmd_prob(args) -> int:
-    unread = _unread_flags(args)
-    if unread:
-        print(f"error: --backend {args.backend} does not use {', '.join(unread)}", file=sys.stderr)
-        return 1
     if args.workers is not None and args.workers < 1:
         print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
         return 1
     circ = _load_circuit(args.circuit)
     if circ is None:
+        return 1
+    unread = _unread_flags(args, circ.is_lossless)
+    if unread:
+        print(f"error: {unread}", file=sys.stderr)
         return 1
     epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
     picture = (args.picture or "heisenberg") if args.backend == "tn" else None
@@ -161,7 +172,7 @@ def cmd_prob(args) -> int:
         truncation = {"max_bond": args.max_bond, "svd_threshold": args.svd_threshold}
         policy = tnet.TruncationPolicy(**{k: v for k, v in truncation.items() if v is not None})
         recommended = n_cs = [None] * len(args.outcome)
-        if args.backend != "gaussian":  # the exact Gaussian backend takes no cutoff
+        if args.backend != "gaussian" and picture != "schrodinger":  # the exact routes take none
             recommended = [
                 analysis.recommended_cutoff(circ, args.squeezing, sum(n), epsilon)
                 for n in args.outcome
@@ -172,7 +183,7 @@ def cmd_prob(args) -> int:
                     "automatic cutoff selection needs an even mode count and uniform "
                     "squeezing for lossy circuits; pass --cutoff explicitly"
                 )
-        evaluate = _evaluator(circ, args.squeezing, args.backend, picture, policy, n_cs)
+        evaluate = _evaluator(circ, args.squeezing, args.backend, picture, policy, args.outcome, n_cs)
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -288,7 +299,7 @@ def cmd_validate(args) -> int:
         if n_c is None:
             n_c = analysis.recommended_cutoff(circ, args.squeezing, max(totals))
         evaluators = {
-            name: _evaluator(circ, args.squeezing, backend, picture, policy, [n_c])
+            name: _evaluator(circ, args.squeezing, backend, picture, policy, outcomes, [n_c])
             for name, backend, picture in routes
             if circ.is_lossless or picture != "schrodinger"
         }
@@ -353,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     # reject them when given
     p.add_argument(
         "--picture", choices=("heisenberg", "schrodinger"), default=None,
-        help="tn backend only (default: heisenberg)",
+        help="tn backend only (default: heisenberg); schrodinger is exact, with no --cutoff or --epsilon",
     )
     p.add_argument("--backend", choices=("tn", "dense", "gaussian"), default="tn")
     p.add_argument("--cutoff", type=int, default=None, help="local cutoff n_c (default: auto)")

@@ -1,23 +1,23 @@
 """Tensor-train engine: one train type in canonical form, one two-site update.
 
-A :class:`TensorTrain` has a leg of dimension d = n_c + 1 per mode for a
-state and d^2 for an operator, its (out, in) pair vectorised.  Every gate is
-one ``_apply_two_site``: the gate's local map acts on the pair, an SVD
-splits it and drops Schmidt values, so truncation removes exactly their
-weight.  The split needs the pair's Schmidt matrix, which a train supplies
-in one of two forms:
+A :class:`TensorTrain` has a leg of dimension d per mode for a state and
+d^2 for an operator, its (out, in) pair vectorised.  Every gate is one
+``_apply_two_site``: the gate's local map acts on the pair, an SVD splits it
+and drops Schmidt values, so truncation removes exactly their weight.  The
+split needs the pair's Schmidt matrix, which a train supplies in one of two
+forms:
 
-* a state train (``fock_mps``, ``squeezed_mps``) carries the Schmidt values
-  of every bond and keeps all its sites right isometries; the split scales
-  the pair's rows by the left bond's values and moves no centre (Vidal,
+* ``fock_mps`` and ``squeezed_mps`` carry the Schmidt values of every bond
+  and keep all their sites right isometries; the split scales the pair's
+  rows by the left bond's values and moves no centre (Vidal,
   arXiv:quant-ph/0310089; Hastings, arXiv:0903.3253).  Gates are unitary,
   so the new sites stay isometries as long as a split drops no more than
   machine epsilon of the weight; a split that drops more (under
   ``max_bond`` or a large ``svd_threshold``) returns the train without
   Schmidt values, and it takes the centre form from the next gate on;
-* an operator train keeps an orthogonality centre, and QR moves it onto
-  the pair first: the adjoint channel is not unitary, so the Schmidt form
-  would not keep its sites isometries.
+* any other train keeps an orthogonality centre, and QR moves it onto the
+  pair first: an operator, since the adjoint channel is not unitary, and
+  the projected input, built without Schmidt values.
 
 Every train carries photon-number (U(1)) charge labels (Singh, Pfeifer &
 Vidal, arXiv:0907.2994): one integer per physical index and one integer
@@ -26,41 +26,39 @@ site entry whose left label plus physical charge differs from its right
 label is zero.  The gates conserve photon number, so every SVD and QR
 splits into one small factorization per charge the rows and the columns
 share; the blocks that do not match are zero and never factorized, and
-rows whose count exceeds the train's total drop out.  Which trains carry which
-charges:
+rows whose count exceeds the train's total drop out.  The charges:
 
 * the outcome state |n> (``fock_mps``): charge n on a leg of occupation n,
-  total sum(n), kept by every gate and its adjoint;
+  total sum(n), kept by every gate and its adjoint; the projected input
+  Pi_N psi (``projected_squeezed_mps``) likewise, with total N;
 * the outcome projector (``fock_projector_mpo``): charge m - n on the
   (out m, in n) leg, total 0, kept by G^dag O G and by the Kraus sum, since
   each K_mu lowers out and in counts alike;
-* the squeezed input (``squeezed_mps``): not a photon-number eigenstate, so
-  it carries the trivial charge (all zeros) and each split is one block, as
-  without labels.
+* the whole squeezed input (``squeezed_mps``), which the Heisenberg routes
+  close on, is no photon-number eigenstate: it carries the trivial charge.
 
 Site arrays stay dense, with zeros outside the sectors.  The pair matrix
 of an update is stored packed, its charge blocks one after another, and is
-never built whole.  Every local map is given as data to the one kernel: a
-key per pair index, the quantity the map keeps, and the map's small block
-on each key's pair indices, applied on the bond pairs whose labels admit
-that key.  A state gate keeps the photon-number total T = n1 + n2 (its
-blocks are ``circuit.gate_blocks``; on the trivially charged squeezed input
-every pair admits every total); the adjoint channel keeps the charge sum
-(m1 - n1) + (m2 - n2), and its blocks are built from the gate and the Kraus
-operators per call.  A centre move absorbs R one charge block at a time.
-Blocks of one row or one column are factorized in closed form (a norm and a
-unit vector), larger ones by ``numpy.linalg.qr`` and ``numpy.linalg.svd``,
-which release the GIL, so threads evaluating outcomes factorize in parallel
-(scipy's gesdd wrapper would not).  The block layouts depend only on the
-labels and keys, so they are grouped once and reused from bounded caches; an
-update touches the two sites and three bonds of its pair and nothing else of
-the train.
+never built whole.  Every local map reaches the one kernel as its block for
+each key k on the pair indices (n1, n2) whose physical charges sum to k: a
+state gate's blocks of fixed photon-number total (``circuit.gate_blocks``),
+or on the trivial charge the whole gate; the adjoint channel's blocks of
+fixed (m1 - n1) + (m2 - n2), built per call.  A packed entry (alpha, n1,
+n2, beta) lies in a charge block exactly when label(beta) - label(alpha) is
+its key, so the labels alone lay out where each block acts, and a pair's
+layout is grouped once and reused from a bounded cache.  A centre move
+absorbs R one charge block at a time.  Blocks of one row or one column are
+factorized in closed form (a norm and a unit vector), larger ones by
+``numpy.linalg.qr`` and ``numpy.linalg.svd``, which release the GIL, so
+threads evaluating outcomes factorize in parallel (scipy's gesdd wrapper
+would not).  An update touches the two sites and three bonds of its pair
+and nothing else of the train.
 
 Probabilities are computed three ways:
 
-* ``schrodinger_probability``: evolve the squeezed input forward
-  (``evolve_input``), project on the outcome (``project_outcome``); the two
-  steps are public so that one evolution serves many outcomes.
+* ``schrodinger_probability``: evolve Pi_N psi, the input's part with the
+  outcome's photon total, forward (``evolve_input``), and project on the
+  outcome (``project_outcome``); one evolution serves every outcome of N.
 * ``heisenberg_probability_lossless``: evolve the outcome state through the
   time-reversed circuit (reverse layer order, conjugate-transposed gates) and
   overlap with the unevolved input.  Valid because for unitary circuits the
@@ -79,8 +77,8 @@ truncation statistics.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -95,6 +93,7 @@ __all__ = [
     "TensorTrain",
     "fock_mps",
     "squeezed_mps",
+    "projected_squeezed_mps",
     "fock_projector_mpo",
     "apply_gate_mps",
     "apply_gate_mpo_adjoint",
@@ -105,22 +104,17 @@ __all__ = [
     "schrodinger_probability",
     "heisenberg_probability_lossless",
     "heisenberg_probability_lossy",
-    "probability",
 ]
 
 DENSE_GUARD = 10**7
-# charge-block layouts kept for reuse: at most SECTOR_CACHE of each kind, and
-# only for pairs of at most SECTOR_SIZE rows plus columns; larger layouts are
-# grouped afresh, as their SVDs outweigh that.  A _sectors_of entry holds
-# int64 indices over the rows, the columns and the middle bond (at most half
-# as long), in its key and again in its value: about 25 kB at most, 25 MB in
-# all.  A _totals_of entry holds the two bonds' labels, the p physical
-# charges and the map's p^2 keys (625 for an operator at d = 5: 5 kB), and
-# one int64 per packed entry.  Those number up to (SECTOR_SIZE / 2)^2, 2 MB
-# (a single block, as on the squeezed input), so that cache's bound is 2 GB;
-# entries measured on the bench instances stay below 0.7 MB.
-SECTOR_CACHE = 1024
-SECTOR_SIZE = 1024
+# pair layouts kept for reuse, oldest out first, within LAYOUT_BUDGET bytes
+# in all.  An entry is charged 16 bytes per index it is built on (packed
+# entries, rows, columns and middle indices; its key and its middle groups
+# hold fewer again, and 8 bytes each) and 2 kB per charge block for its
+# Python objects (1.4 kB at most measured), so the charge bounds what it
+# holds: the 201 layouts of an M = 32, N = 8 evaluation hold 38 MB and are
+# charged 71 MiB.  A layout charged more than the budget is grouped afresh.
+LAYOUT_BUDGET = 128 * 2**20
 
 
 @dataclass(frozen=True)
@@ -364,9 +358,30 @@ def fock_mps(outcome, local_cutoff: int) -> TensorTrain:
 def squeezed_mps(r, num_modes: int, local_cutoff: int) -> TensorTrain:
     """Product state of truncated squeezed vacua; norm < 1 is kept, not fixed,
     in site 0 and the Schmidt values.  Not a photon-number eigenstate, so it
-    carries the trivial charge."""
+    carries the trivial charge, on which a gate is one block.  The
+    Heisenberg routes close on it."""
     vectors = [single_mode_squeezed_vector(rk, local_cutoff) for rk in squeeze_values(r, num_modes)]
     return _state_train(vectors, local_cutoff + 1)
+
+
+def projected_squeezed_mps(r, num_modes: int, total: int) -> TensorTrain:
+    """Pi_N psi: the squeezed input's part with N = ``total`` photons, all
+    that a photon-number-keeping circuit carries to an outcome of N.  Bond
+    labels count the photons to the left (the even counts up to N inside),
+    and legs of dimension max(N, 1) + 1 make it exact.  No Schmidt values:
+    its first update sweeps it canonical.  An odd N leaves its last site 0."""
+    if total < 0:
+        raise ValueError(f"photon total must be >= 0, got {total}")
+    cutoff = max(total, 1)
+    vectors = [single_mode_squeezed_vector(rk, cutoff) for rk in squeeze_values(r, num_modes)]
+    occupation = np.arange(cutoff + 1)
+    inner = [np.arange(0, total + 1, 2)] * (num_modes - 1)
+    bonds = [np.zeros(1, dtype=np.int64), *inner, np.array([total])]
+    tensors = [
+        v[None, :, None] * (np.add.outer(left, occupation)[:, :, None] == right)
+        for v, left, right in zip(vectors, bonds, bonds[1:])
+    ]
+    return TensorTrain(tensors, cutoff + 1, None, occupation, bonds)
 
 
 def fock_projector_mpo(outcome, local_cutoff: int) -> TensorTrain:
@@ -431,92 +446,72 @@ def _grid(rows: np.ndarray, cols: np.ndarray):
     return (rows[:, None], cols) if r is rows and c is cols else (r, c)
 
 
-@lru_cache(maxsize=SECTOR_CACHE)
-def _sectors_of(rows: bytes, cols: bytes, mids: bytes | None) -> tuple:
-    """Charge blocks of a matrix whose rows and columns carry the charges in
-    ``rows`` and ``cols`` (int64 bytes): ``(charge, rows, columns, block
-    index, middle, span)`` per charge both share, ascending.  ``span`` is the
-    block's slice of the packed matrix, which holds the blocks one after
-    another, each row-major.  With ``mids``, the labels of a bond the matrix
-    is a product over, ``middle`` indexes the charge's (rows x middle,
-    middle x columns) blocks of the two factors, and is None where no middle
-    index carries the charge.  Read-only, so threads share the result."""
-    mid_groups = {} if mids is None else _groups(np.frombuffer(mids, dtype=np.int64))
-    sectors, start = [], 0
-    for q, r, c in _shared(np.frombuffer(rows, dtype=np.int64), np.frombuffer(cols, dtype=np.int64)):
-        r.flags.writeable = c.flags.writeable = False
-        m = mid_groups.get(q)
-        middle = None if m is None else (_grid(r, m), _grid(m, c))
-        stop = start + len(r) * len(c)
-        sectors.append((q, r, c, _grid(r, c), middle, slice(start, stop)))
-        start = stop
-    return tuple(sectors)
-
-
-def _sectors(row_charges: np.ndarray, col_charges: np.ndarray, mid_charges=None) -> tuple:
-    """The charge blocks of :func:`_sectors_of` for charge vectors."""
-    mids = None if mid_charges is None else mid_charges.tobytes()
-    key = (row_charges.tobytes(), col_charges.tobytes(), mids)
-    if len(row_charges) + len(col_charges) > SECTOR_SIZE:
-        return _sectors_of.__wrapped__(*key)
-    return _sectors_of(*key)
-
-
-@lru_cache(maxsize=SECTOR_CACHE)
-def _totals_of(left: bytes, right: bytes, phys: bytes, keys: bytes) -> tuple:
-    """Where a two-site map acts in the packed pair matrix of a train (see
-    :func:`_sectors_of`) whose pair lies between bonds labelled ``left`` and
-    ``right``, with physical charges ``phys``, when the map keeps ``keys``,
-    one per pair index n1 * p + n2 (all int64 bytes).  Returns ``(order,
-    groups)``: ``order`` lists the packed entries key by key, and ``(k,
-    start, stop, width)`` says that ``order[start:stop]``, as a (width,
-    pairs) matrix, holds key k: one row per pair index of key k, ascending,
-    and one column per bond pair (alpha, beta) whose labels admit every one
-    of those pair indices.  Each packed entry appears once, or the map does
-    not keep the train's charges and this raises.  Read-only, so threads
-    share the result."""
-    ql, qr, c, key = (np.frombuffer(x, dtype=np.int64) for x in (left, right, phys, keys))
-    p = len(c)
+def _layout_of(left: np.ndarray, mid: np.ndarray, right: np.ndarray, phys: np.ndarray) -> tuple:
+    """The layout of a pair between bonds labelled ``left``, ``mid`` and
+    ``right`` on physical charges ``phys``: ``(sectors, order, groups)``.
+    ``sectors`` holds ``(charge, rows, columns, middle, span)`` per charge
+    block of the pair matrix (rows (alpha, n1), columns (n2, beta)),
+    ascending: ``span`` is its slice of the packed matrix (the blocks one
+    after another, row-major), ``middle`` indexes the charge's (rows x mid,
+    mid x columns) blocks of the two sites, None where no mid index has it.
+    For ``(k, start, stop, width)`` in ``groups``, ``order[start:stop]`` is
+    the (width, pairs) matrix of the packed offsets of key k: a row per pair
+    index n1 * p + n2 with phys[n1] + phys[n2] = k, ascending, a column per
+    (alpha, beta) with label(beta) - label(alpha) = k.  These are exactly
+    the packed entries, each once.  Read-only, so threads share it."""
+    p = len(phys)
+    mid_groups = _groups(mid)
     # packed offset of row (alpha, n1) and place of column (n2, beta) in its block
-    row_at = np.zeros(len(ql) * p, dtype=np.int64)
-    col_at = np.zeros(p * len(qr), dtype=np.int64)
-    size = 0
-    for _, r, cc in _shared(_row_charges(ql, c), _col_charges(c, qr)):
-        row_at[r] = size + np.arange(len(r)) * len(cc)
-        col_at[cc] = np.arange(len(cc))
-        size += len(r) * len(cc)
-    row_at, col_at = row_at.reshape(len(ql), p), col_at.reshape(p, len(qr))
-    left_groups, right_groups = _groups(ql), _groups(qr)
-    a, b = np.array(list(left_groups)), np.array(list(right_groups))
+    row_at = np.zeros(len(left) * p, dtype=np.int64)
+    col_at = np.zeros(p * len(right), dtype=np.int64)
+    sectors, size = [], 0
+    for q, rows, cols in _shared(_row_charges(left, phys), _col_charges(phys, right)):
+        rows.flags.writeable = cols.flags.writeable = False
+        m = mid_groups.get(q)
+        middle = None if m is None else (_grid(rows, m), _grid(m, cols))
+        row_at[rows] = size + np.arange(len(rows)) * len(cols)
+        col_at[cols] = np.arange(len(cols))
+        sectors.append((q, rows, cols, middle, slice(size, size + len(rows) * len(cols))))
+        size += len(rows) * len(cols)
+    row_at, col_at = row_at.reshape(len(left), p), col_at.reshape(p, len(right))
+    left_groups, right_groups = _groups(left), _groups(right)
     pieces, groups, start = [], [], 0
-    for k, index in _groups(key).items():
+    for k, index in _groups(np.add.outer(phys, phys).ravel()).items():
         n1, n2 = np.divmod(index, p)
-        # left label a reaches right label b through every pair index (n1, n2)
-        admits = np.all((a + c[n1][:, None])[:, :, None] == (b - c[n2][:, None])[:, None, :], axis=0)
-        columns = []
-        for i, j in zip(*np.nonzero(admits)):
-            rows_at = row_at[left_groups[a[i]]][:, n1].T  # (pair indices, alpha)
-            cols_at = col_at[n2][:, right_groups[b[j]]]  # (pair indices, beta)
-            columns.append((rows_at[:, :, None] + cols_at[:, None, :]).reshape(len(n1), -1))
+        columns = [
+            (row_at[alphas][:, n1].T[:, :, None] + col_at[n2][:, right_groups[a + k]][:, None, :])
+            for a, alphas in left_groups.items() if a + k in right_groups
+        ]
         if columns:
-            piece = np.concatenate(columns, axis=1).ravel()
-            groups.append((k, start, start + len(piece), len(n1)))
-            pieces.append(piece)
-            start += len(piece)
-    if start != size:
-        raise ValueError("a two-site map does not keep these physical charges")
+            pieces.append(np.concatenate([c.reshape(len(index), -1) for c in columns], axis=1).ravel())
+            groups.append((k, start, start + len(pieces[-1]), len(index)))
+            start += len(pieces[-1])
     order = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
     order.flags.writeable = False
-    return order, tuple(groups)
+    return tuple(sectors), order, tuple(groups)
 
 
-def _totals(left: np.ndarray, right: np.ndarray, phys: np.ndarray, keys: np.ndarray) -> tuple:
-    """The layout of :func:`_totals_of` for label vectors; cached under the
-    rule of :func:`_sectors`, on the pair matrix's rows plus columns."""
-    key = (left.tobytes(), right.tobytes(), phys.tobytes(), keys.tobytes())
-    if len(phys) * (len(left) + len(right)) > SECTOR_SIZE:
-        return _totals_of.__wrapped__(*key)
-    return _totals_of(*key)
+_layouts: dict = {}  # key -> (layout, bytes charged)
+_layouts_lock = threading.Lock()
+
+
+def _pair_layout(left: np.ndarray, mid: np.ndarray, right: np.ndarray, phys: np.ndarray) -> tuple:
+    """The layout of :func:`_layout_of`, from the cache when it is there; a
+    new one is stored if its charge fits in ``LAYOUT_BUDGET``, the oldest
+    entries making way."""
+    key = (left.tobytes(), mid.tobytes(), right.tobytes(), phys.tobytes())
+    entry = _layouts.get(key)
+    if entry is not None:
+        return entry[0]
+    layout = _layout_of(left, mid, right, phys)
+    cost = 16 * (len(layout[1]) + len(phys) * (len(left) + len(right)) + len(mid)) + 2048 * len(layout[0])
+    with _layouts_lock:
+        held = sum(charged for _, charged in _layouts.values())
+        while _layouts and held + cost > LAYOUT_BUDGET >= cost:
+            held -= _layouts.pop(next(iter(_layouts)))[1]
+        if held + cost <= LAYOUT_BUDGET:
+            _layouts[key] = (layout, cost)
+    return layout
 
 
 def _assemble(shape, pieces):
@@ -564,13 +559,13 @@ def _move_center(
         chi_l, p, chi_r = tensors[k].shape
         matrix = tensors[k].reshape(chi_l * p, chi_r)
         pieces = [
-            (q, rows, cols, *_qr(matrix[grid]))
-            for q, rows, cols, grid, *_ in _sectors(_row_charges(bonds[k], phys), bonds[k + 1])
+            (q, rows, cols, *_qr(matrix[_grid(rows, cols)]))
+            for q, rows, cols in _shared(_row_charges(bonds[k], phys), bonds[k + 1])
         ]
         # R is block diagonal: block q meets the rows of the next site whose
         # left label is q, and of those only the columns of charge q
         following = tensors[k + 1].reshape(chi_r, -1)
-        blocks = {q: grid for q, _, _, grid, *_ in _sectors(bonds[k + 1], _col_charges(phys, bonds[k + 2]))}
+        blocks = {q: _grid(r, c) for q, r, c in _shared(bonds[k + 1], _col_charges(phys, bonds[k + 2]))}
         q_mat, _, bonds[k + 1] = _assemble(matrix.shape, pieces)
         tensors[k] = q_mat.reshape(chi_l, p, -1)
         absorbed = np.zeros((len(bonds[k + 1]), following.shape[1]), dtype=np.complex128)
@@ -584,13 +579,13 @@ def _move_center(
         chi_l, p, chi_r = tensors[k].shape
         matrix = tensors[k].reshape(chi_l, p * chi_r)
         pieces = []
-        for q, rows, cols, grid, *_ in _sectors(bonds[k], _col_charges(phys, bonds[k + 1])):
+        for q, rows, cols in _shared(bonds[k], _col_charges(phys, bonds[k + 1])):
             # A = R^T Q^T, from the QR of A^T
-            q_mat, rest = _qr(matrix[grid].T)
+            q_mat, rest = _qr(matrix[_grid(rows, cols)].T)
             pieces.append((q, rows, cols, rest.T, q_mat.T))
         # as above: block q meets the rows of charge q of the previous site
         preceding = tensors[k - 1].reshape(-1, chi_l)
-        blocks = {q: (rows, grid) for q, rows, _, grid, *_ in _sectors(_row_charges(bonds[k - 1], phys), bonds[k])}
+        blocks = {q: (r, _grid(r, c)) for q, r, c in _shared(_row_charges(bonds[k - 1], phys), bonds[k])}
         _, q_mat, bonds[k] = _assemble(matrix.shape, pieces)
         tensors[k] = q_mat.reshape(-1, p, chi_r)
         absorbed = np.zeros((preceding.shape[0], len(bonds[k])), dtype=np.complex128)
@@ -618,17 +613,17 @@ def _kept(s_all: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
     return kept
 
 
-def _apply_two_site(train: TensorTrain, i: int, keys, blocks, policy, stats) -> TensorTrain:
+def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> TensorTrain:
     """Map the pair of sites (i, i+1) and split it back; returns a new train
     and leaves ``train`` as it was.
 
-    The map is given as data: ``keys`` holds one integer per pair index
-    n1 * p + n2, the quantity the map keeps, and ``blocks[k]`` is the map on
-    the pair indices of key k, in ascending order.  The pair matrix, rows
+    The map is given as data: ``blocks[k]`` is the map on the pair indices
+    n1 * p + n2 of key k = phys_charges[n1] + phys_charges[n2], in ascending
+    order, so the map must keep the train's charges.  The pair matrix, rows
     (alpha, n1) and columns (n2, beta), is built only where its charge
-    blocks lie, packed (:func:`_sectors_of`); the map is one gather of the
-    packed entries key by key (:func:`_totals_of`), one matmul per key and
-    one scatter, and must keep the train's charges.  This is the only code
+    blocks lie, packed; the map is one gather of the packed entries key by
+    key, one matmul per key and one scatter, all laid out by
+    :func:`_pair_layout` from the labels alone.  This is the only code
     that reads or writes a packed pair matrix.  The split takes one SVD per
     charge block; the truncation rule acts on all blocks' singular values
     together, as on the whole matrix.
@@ -666,18 +661,15 @@ def _apply_two_site(train: TensorTrain, i: int, keys, blocks, policy, stats) -> 
             f"entries, above the size guard {DENSE_GUARD}"
         )
     # the pair matrix has the same charge blocks before and after the map
-    sectors = _sectors(
-        _row_charges(bonds[i], phys), _col_charges(phys, bonds[i + 2]), bonds[i + 1]
-    )
+    sectors, order, groups = _pair_layout(bonds[i], bonds[i + 1], bonds[i + 2], phys)
     left, right = a.reshape(chi_l * p, -1), b.reshape(-1, p * chi_r)
-    packed = np.empty(sectors[-1][5].stop if sectors else 0, dtype=np.complex128)
-    for _, rows, cols, _, middle, span in sectors:
+    packed = np.empty(len(order), dtype=np.complex128)
+    for _, rows, cols, middle, span in sectors:
         block = packed[span].reshape(len(rows), len(cols))
         if middle is None:  # zero until the map acts
             block.fill(0.0)
         else:
             np.matmul(left[middle[0]], right[middle[1]], out=block)
-    order, groups = _totals(bonds[i], bonds[i + 2], phys, keys)
     entries = packed[order]
     mapped = np.empty_like(entries)
     for k, start, stop, width in groups:
@@ -757,12 +749,17 @@ def apply_gate_mps(
         raise UnsupportedConfigurationError(
             "lossy gates cannot be applied to a state; use the operator path"
         )
-    # G keeps the pair's photon number T = n1 + n2, so it acts as one small
-    # block per T, on the bond pairs (alpha, beta) that hold T
-    occupation = np.arange(psi.local_dim)
-    totals = np.add.outer(occupation, occupation).ravel()
-    blocks = gate_blocks(gate.params, psi.local_dim - 1, adjoint=reverse)
-    return _apply_two_site(psi, gate.modes[0], totals, blocks, policy, stats)
+    # G keeps the pair's photon number T = n1 + n2, so on occupation charges
+    # it acts as one small block per T; on the trivial charge it is one block
+    d = psi.local_dim
+    if np.array_equal(psi.phys_charges, np.arange(d)):
+        blocks = gate_blocks(gate.params, d - 1, adjoint=reverse)
+    elif not psi.phys_charges.any():
+        g = gate_tensor(gate.params, d - 1).reshape(d * d, d * d)
+        blocks = {0: g.conj().T if reverse else g}
+    else:
+        raise ValueError("a two-site map does not keep these physical charges")
+    return _apply_two_site(psi, gate.modes[0], blocks, policy, stats)
 
 
 def _evolve_mps(
@@ -798,8 +795,10 @@ def apply_gate_mpo_adjoint(
     conjugation by the gate tensor g.
     """
     d = operator.local_dim
-    g = gate_tensor(gate.params, d - 1)
     charge = np.subtract.outer(np.arange(d), np.arange(d)).ravel()  # m - n on leg (m, n)
+    if not np.array_equal(operator.phys_charges, charge):
+        raise ValueError("a two-site map does not keep these physical charges")
+    g = gate_tensor(gate.params, d - 1)
     sums = np.add.outer(charge, charge).ravel()
     kraus = None
     if gate.loss_gamma > 0.0:
@@ -816,7 +815,7 @@ def apply_gate_mpo_adjoint(
             lossy, other = legs[gate.lossy_mode], legs[1 - gate.lossy_mode]
             block = block @ (kraus[lossy[out], lossy[into]] * (other[out] == other[into]))
         blocks[q] = block
-    return _apply_two_site(operator, gate.modes[0], sums, blocks, policy, stats)
+    return _apply_two_site(operator, gate.modes[0], blocks, policy, stats)
 
 
 def _clamp_probability(raw: float) -> float:
@@ -837,24 +836,27 @@ def _require_lossless(circuit: Circuit, path: str) -> None:
 def evolve_input(
     circuit: Circuit,
     r,
-    local_cutoff: int,
+    total: int,
     policy: TruncationPolicy | None = None,
 ) -> tuple[TensorTrain, EvolutionStats]:
-    """The squeezed input evolved forward through a lossless circuit: the
-    part of the Schrodinger route that no outcome changes."""
+    """The squeezed input's part with ``total`` photons evolved forward
+    through a lossless circuit: the part of the Schrodinger route that no
+    outcome of that total changes."""
     _require_lossless(circuit, "the Schrodinger state path")
     stats = EvolutionStats()
-    psi = squeezed_mps(r, circuit.num_modes, local_cutoff)
+    psi = projected_squeezed_mps(r, circuit.num_modes, total)
     return _evolve_mps(psi, circuit, policy or TruncationPolicy(), stats, reverse=False), stats
 
 
-def project_outcome(
-    psi: TensorTrain, stats: EvolutionStats, outcome, local_cutoff: int
-) -> tuple[float, EvolutionStats]:
-    """|<n|psi>|^2 for the evolved input of :func:`evolve_input`; the stats
-    come back as a copy that carries this outcome's raw probability."""
+def project_outcome(psi: TensorTrain, stats: EvolutionStats, outcome) -> tuple[float, EvolutionStats]:
+    """|<n|psi>|^2 for the evolved input of :func:`evolve_input`, whose photon
+    total the outcome must hold; the stats come back as a copy that carries
+    this outcome's raw probability."""
     outcome = _check_length(psi.num_modes, outcome)
-    amp = mps_overlap(fock_mps(outcome, local_cutoff), psi)
+    total = int(psi.bond_charges[-1][0])
+    if sum(outcome) != total:
+        raise ValueError(f"outcome {outcome} does not hold the evolved input's {total} photons")
+    amp = mps_overlap(fock_mps(outcome, psi.local_dim - 1), psi)
     stats = replace(stats, per_layer_bonds=list(stats.per_layer_bonds), raw_probability=abs(amp) ** 2)
     return _clamp_probability(stats.raw_probability), stats
 
@@ -863,13 +865,14 @@ def schrodinger_probability(
     circuit: Circuit,
     outcome,
     r,
-    local_cutoff: int,
     policy: TruncationPolicy | None = None,
 ) -> tuple[float, EvolutionStats]:
-    """|<n| U |psi>|^2 by forward evolution of the squeezed input."""
-    outcome = _check_outcome(_check_length(circuit.num_modes, outcome), local_cutoff)
-    psi, stats = evolve_input(circuit, r, local_cutoff, policy)
-    return project_outcome(psi, stats, outcome, local_cutoff)
+    """|<n| U |psi>|^2 = |<n| U Pi_N |psi>|^2 by forward evolution of the
+    squeezed input's part with the outcome's photon total N; exact, with no
+    cutoff."""
+    outcome = _check_length(circuit.num_modes, outcome)
+    psi, stats = evolve_input(circuit, r, sum(outcome), policy)
+    return project_outcome(psi, stats, outcome)
 
 
 def _light_cone(circuit: Circuit, outcome: tuple[int, ...]) -> Circuit:
@@ -931,24 +934,4 @@ def heisenberg_probability_lossy(
         raise NumericalFailureError(f"non-real probability {value!r}")
     stats.raw_probability = value.real
     return _clamp_probability(value.real), stats
-
-
-def probability(
-    circuit: Circuit,
-    outcome,
-    r,
-    local_cutoff: int,
-    policy: TruncationPolicy | None = None,
-    picture: str = "heisenberg",
-) -> tuple[float, EvolutionStats]:
-    """One outcome by the route its picture and circuit call for: the
-    Schrodinger state path, the lossless Heisenberg state path, or the
-    adjoint channel when any gate is lossy."""
-    if picture == "schrodinger":
-        return schrodinger_probability(circuit, outcome, r, local_cutoff, policy)
-    if picture == "heisenberg":
-        if circuit.is_lossless:
-            return heisenberg_probability_lossless(circuit, outcome, r, local_cutoff, policy)
-        return heisenberg_probability_lossy(circuit, outcome, r, local_cutoff, policy)
-    raise ValueError(f"unknown picture {picture!r}")
 

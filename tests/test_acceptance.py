@@ -41,11 +41,12 @@ from gbstn.tnet import (
     EvolutionStats,
     TruncationPolicy,
     _evolve_mps,
+    evolve_input,
     fock_mps,
     heisenberg_probability_lossless,
     heisenberg_probability_lossy,
     mps_overlap,
-    schrodinger_probability,
+    project_outcome,
 )
 
 
@@ -80,7 +81,6 @@ class TriangleData:
 @pytest.fixture(scope="session")
 def lossless_triangle() -> TriangleData:
     policy = TruncationPolicy()  # unlimited bond, default threshold
-    outcomes = [n for t in C1_TOTALS for n in outcomes_with_total(C1_MODES, t)]
     heis, schr, dens, gaus = {}, {}, {}, {}
     heis_stats, schr_stats = {}, {}
     start = time.monotonic()
@@ -92,16 +92,17 @@ def lossless_triangle() -> TriangleData:
         gstate = propagate(
             squeezed_vacuum_cov(C1_R, C1_MODES), circuit_to_mode_unitary(circuit)
         )
-        for n in outcomes:
-            key = (seed, n)
-            heis[key], heis_stats[key] = heisenberg_probability_lossless(
-                circuit, n, C1_R, C1_CUTOFF, policy
-            )
-            schr[key], schr_stats[key] = schrodinger_probability(
-                circuit, n, C1_R, C1_CUTOFF, policy
-            )
-            dens[key] = dense_probability(state, n)
-            gaus[key] = gbs_probability(gstate, n)
+        for total in C1_TOTALS:
+            # the Schrodinger route evolves the input's part with each total once
+            evolved = evolve_input(circuit, C1_R, total, policy)
+            for n in outcomes_with_total(C1_MODES, total):
+                key = (seed, n)
+                heis[key], heis_stats[key] = heisenberg_probability_lossless(
+                    circuit, n, C1_R, C1_CUTOFF, policy
+                )
+                schr[key], schr_stats[key] = project_outcome(*evolved, n)
+                dens[key] = dense_probability(state, n)
+                gaus[key] = gbs_probability(gstate, n)
     elapsed = time.monotonic() - start
     return TriangleData(heis, schr, dens, gaus, heis_stats, schr_stats, elapsed)
 

@@ -71,7 +71,7 @@ class TestProb:
         run(["gen", "--modes", "4", "--depth", "4", "--seed", "3", "--output", str(path)], capsys)
         values = {}
         for backend, flags in [("tn", ["--picture", "heisenberg", "--cutoff", "6"]),
-                               ("tn", ["--picture", "schrodinger", "--cutoff", "6"]),
+                               ("tn", ["--picture", "schrodinger"]),
                                ("dense", ["--cutoff", "6"]), ("gaussian", [])]:
             code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
                                 "--squeezing", "0.4", "--backend", backend, *flags], capsys)
@@ -259,17 +259,17 @@ class TestProb:
         path = tmp_path / "c.json"
         run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
         inputs, gates = [], []
-        squeezed_mps, apply_gate_mps = tnet.squeezed_mps, tnet.apply_gate_mps
+        projected_squeezed_mps, apply_gate_mps = tnet.projected_squeezed_mps, tnet.apply_gate_mps
 
         def counted_input(*args, **kwargs):
             inputs.append(args)
-            return squeezed_mps(*args, **kwargs)
+            return projected_squeezed_mps(*args, **kwargs)
 
         def counted_gate(*args, **kwargs):
             gates.append(args)
             return apply_gate_mps(*args, **kwargs)
 
-        monkeypatch.setattr(tnet, "squeezed_mps", counted_input)
+        monkeypatch.setattr(tnet, "projected_squeezed_mps", counted_input)
         monkeypatch.setattr(tnet, "apply_gate_mps", counted_gate)
         code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
                             "--outcome", "0,0,1,1", "--outcome", "1,0,0,1",
@@ -280,10 +280,32 @@ class TestProb:
         assert len(inputs) == 1
         assert len(gates) == load_circuit(path).num_gates
         for record in records:
-            p, _ = tnet.schrodinger_probability(
-                load_circuit(path), record["outcome"], 0.4, record["n_c"]
-            )
+            assert record["n_c"] is None and record["recommended_n_c"] is None
+            p, _ = tnet.schrodinger_probability(load_circuit(path), record["outcome"], 0.4)
             assert record["probability"] == p
+
+    def test_schrodinger_picture_evolves_once_per_total(self, tmp_path, capsys, monkeypatch):
+        from gbstn import tnet
+
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        totals = []
+        evolve_input = tnet.evolve_input
+
+        def counted(circuit, r, total, *args):
+            totals.append(total)
+            return evolve_input(circuit, r, total, *args)
+
+        monkeypatch.setattr(tnet, "evolve_input", counted)
+        code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                            "--outcome", "0,0,0,0", "--outcome", "2,0,0,0", "--outcome", "1,0,0,0",
+                            "--picture", "schrodinger", "--squeezing", "0.4"], capsys)
+        assert code == 0
+        assert sorted(totals) == [0, 1, 2]
+        records = _records(out)
+        assert [r["outcome"] for r in records] == [[1, 1, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, 0]]
+        assert records[3]["probability"] == 0.0
+        assert records[1]["probability"] > records[0]["probability"] > 0.0
 
     def test_gaussian_backend_propagates_once_per_request(self, tmp_path, capsys, monkeypatch):
         from gbstn import gauss
@@ -316,6 +338,10 @@ class TestProb:
             ("dense", "--svd-threshold", "1e-10"),
             ("dense", "--picture", "schrodinger"),
             ("gaussian", "--picture", "heisenberg"),
+            # the cutoff rule reads the spillover bound only on a lossy circuit
+            ("tn", "--epsilon", "1e-2"),
+            ("tn", "--epsilon", "1e-12"),
+            ("dense", "--epsilon", "1e-2"),
         ],
     )
     def test_flag_the_backend_does_not_read_exits_1(self, tmp_path, capsys, backend, flag, value):
@@ -326,6 +352,16 @@ class TestProb:
         assert code == 1
         assert out == ""
         assert f"--backend {backend} does not use {flag}" in err
+
+    @pytest.mark.parametrize("flag, value", [("--cutoff", "4"), ("--epsilon", "1e-3")])
+    def test_schrodinger_picture_takes_no_cutoff(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        code, out, err = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                              "--picture", "schrodinger", flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"--backend tn --picture schrodinger does not use {flag}" in err
 
     def test_only_the_tn_backend_records_a_picture(self, tmp_path, capsys):
         path = tmp_path / "c.json"

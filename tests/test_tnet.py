@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gbstn.analysis import dmax_fbs
+from gbstn.analysis import dmax_bipartite, dmax_closed_form, dmax_fbs
 from gbstn.circuit import (
     Circuit,
     Gate,
@@ -32,11 +32,14 @@ from gbstn.tnet import (
     TruncationPolicy,
     apply_gate_mpo_adjoint,
     apply_gate_mps,
+    evolve_input,
     fock_mps,
     fock_projector_mpo,
     heisenberg_probability_lossless,
     heisenberg_probability_lossy,
     mps_overlap,
+    project_outcome,
+    projected_squeezed_mps,
     schrodinger_probability,
     squeezed_mps,
     _evolve_mps,
@@ -187,7 +190,7 @@ class TestPictureEquivalence:
         c = build_brickwork(4, 4, seed=seed)
         for n in [(0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 1), (0, 2, 2, 0)]:
             ph, _ = heisenberg_probability_lossless(c, n, 0.5, 6)
-            ps, _ = schrodinger_probability(c, n, 0.5, 6)
+            ps, _ = schrodinger_probability(c, n, 0.5)
             assert abs(ph - ps) < 1e-8
 
     def test_heisenberg_matches_gaussian(self):
@@ -198,7 +201,7 @@ class TestPictureEquivalence:
 
     def test_identity_circuit_factorizes(self):
         c = build_brickwork(3, 2, angles=[(0.0, 0.0, 0.0)] * 2)
-        p, _ = schrodinger_probability(c, (2, 0, 2), 0.5, 8)
+        p, _ = schrodinger_probability(c, (2, 0, 2), 0.5)
         v = np.abs(single_mode_squeezed_vector(0.5, 8)) ** 2
         assert abs(p - v[2] * v[0] * v[2]) < 1e-12
 
@@ -212,7 +215,54 @@ class TestPictureEquivalence:
         with pytest.raises(UnsupportedConfigurationError):
             heisenberg_probability_lossless(c, (0, 0), 0.4, 3)
         with pytest.raises(UnsupportedConfigurationError):
-            schrodinger_probability(c, (0, 0), 0.4, 3)
+            schrodinger_probability(c, (0, 0), 0.4)
+
+
+class TestProjectedInput:
+    def test_is_the_part_of_the_input_with_that_total(self):
+        for total in range(5):
+            psi = projected_squeezed_mps(0.5, 4, total)
+            d = max(total, 1) + 1
+            pair = np.add.outer(np.arange(d), np.arange(d))
+            counts = np.add.outer(pair, pair)
+            expected = np.where(counts == total, squeezed_mps(0.5, 4, d - 1).to_dense(), 0.0)
+            assert psi.local_dim == d and psi.schmidt is None and psi.center is None
+            assert np.allclose(psi.to_dense(), expected, rtol=0.0, atol=1e-15)
+            _assert_charges_hold(psi)
+
+    def test_bond_stays_below_the_fixed_photon_number_count(self):
+        # the paper's count of a fixed-photon-number state across each cut
+        m, photons = 16, 6
+        c = build_brickwork(m, m, seed=1)
+        psi, stats = evolve_input(c, 0.4, photons)
+        assert stats.max_bond_seen == dmax_closed_form(m, photons)
+        for k in range(1, m):
+            assert psi.tensors[k].shape[0] <= dmax_bipartite(k, m - k, photons)
+        outcome = (1,) * photons + (0,) * (m - photons)
+        p, _ = project_outcome(psi, stats, outcome)
+        reference = gbs_probability(propagate_circuit(squeezed_vacuum_cov(0.4, m), c), outcome)
+        assert abs(p - reference) <= 1e-10 * reference
+
+    @pytest.mark.parametrize("outcome", [(1, 0, 0, 0), (1, 1, 1, 0), (3, 0, 2, 0)])
+    def test_odd_total_gives_zero(self, outcome):
+        c = build_brickwork(4, 4, seed=2)
+        p, stats = schrodinger_probability(c, outcome, 0.4)
+        assert p == 0.0 and stats.raw_probability == 0.0
+
+    def test_vacuum_outcome(self):
+        c = build_brickwork(4, 4, seed=2)
+        p, stats = schrodinger_probability(c, (0, 0, 0, 0), 0.4)
+        reference = gbs_probability(propagate_circuit(squeezed_vacuum_cov(0.4, 4), c), (0, 0, 0, 0))
+        assert abs(p - reference) <= 1e-12 * reference
+        assert stats.max_bond_seen == 1
+
+    def test_outcome_of_another_total_is_rejected(self):
+        c = build_brickwork(4, 4, seed=2)
+        psi, stats = evolve_input(c, 0.4, 2)
+        with pytest.raises(ValueError, match="does not hold the evolved input's 2 photons"):
+            project_outcome(psi, stats, (1, 1, 1, 1))
+        p, _ = project_outcome(psi, stats, (1, 1, 0, 0))
+        assert p == schrodinger_probability(c, (1, 1, 0, 0), 0.4)[0]
 
 
 class TestBondBounds:
@@ -247,7 +297,7 @@ class TestBondBounds:
 
     def test_schrodinger_bound(self):
         c = build_brickwork(4, 4, seed=16)
-        _, stats = schrodinger_probability(c, (0, 0, 0, 0), 0.4, 4)
+        _, stats = schrodinger_probability(c, (0, 0, 0, 0), 0.4)
         assert stats.max_bond_seen <= 5 ** 2  # (n_c + 1)^(M/2)
 
 
@@ -487,8 +537,7 @@ class TestChargeBlocks:
         c = build_brickwork(8, 8, seed=5)
         outcomes = [(1, 1, 0, 0, 0, 0, 1, 0), (0, 2, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 0, 0)]
         serial = [heisenberg_probability_lossless(c, n, 0.4, 3)[0] for n in outcomes]
-        tnet._sectors_of.cache_clear()
-        tnet._totals_of.cache_clear()
+        tnet._layouts.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -572,14 +621,15 @@ def _captured_map(monkeypatch, apply, train, gate, **kwargs):
     captured = []
     apply_two_site = tnet._apply_two_site
 
-    def recorded(train, i, keys, blocks, *args):
-        captured.append((keys, blocks))
-        return apply_two_site(train, i, keys, blocks, *args)
+    def recorded(train, i, blocks, *args):
+        captured.append(blocks)
+        return apply_two_site(train, i, blocks, *args)
 
     monkeypatch.setattr(tnet, "_apply_two_site", recorded)
     out = apply(train, gate, TruncationPolicy(svd_threshold=0.0), **kwargs)
     monkeypatch.undo()
-    (keys, blocks), = captured
+    (blocks,) = captured
+    keys = np.add.outer(train.phys_charges, train.phys_charges).ravel()
     dense = np.zeros((len(keys), len(keys)), dtype=np.complex128)
     for k in np.unique(keys):
         index = np.flatnonzero(keys == k)
@@ -651,10 +701,10 @@ class TestGateByTotal:
             keys = np.add.outer(charges, charges).ravel()
             bonds, phys = train.bond_charges, train.phys_charges
             assert len(set(bonds[2].tolist())) > 1
-            order, groups = tnet._totals(bonds[1], bonds[3], phys, keys)
-            sectors = tnet._sectors(tnet._row_charges(bonds[1], phys), tnet._col_charges(phys, bonds[3]))
-            assert sorted(order.tolist()) == list(range(sectors[-1][5].stop))
+            sectors, order, groups = tnet._pair_layout(bonds[1], bonds[2], bonds[3], phys)
+            assert sorted(order.tolist()) == list(range(sectors[-1][4].stop))
             assert [k for k, *_ in groups] == sorted({k for k, *_ in groups})
+            assert {k for k, *_ in groups} <= set(keys.tolist())
             assert all((stop - start) % width == 0 for _, start, stop, width in groups)
 
     def test_physical_charges_a_gate_does_not_keep_are_rejected(self):
@@ -673,18 +723,34 @@ class TestGateByTotal:
             apply_gate_mpo_adjoint(train, _gate())
 
     def test_layouts_above_the_size_limit_are_not_stored(self, monkeypatch):
-        # a pair of two 2-index bonds at d = 3: 6 rows plus 6 columns
-        left, right, phys = np.array([0, 1]), np.array([1, 2]), np.arange(3)
-        keys = np.add.outer(phys, phys).ravel()
-        rows, cols = tnet._row_charges(left, phys), tnet._col_charges(phys, right)
-        for limit, stored in ((11, False), (12, True)):
-            monkeypatch.setattr(tnet, "SECTOR_SIZE", limit)
-            tnet._totals_of.cache_clear()
-            tnet._sectors_of.cache_clear()
-            tnet._totals(left, right, phys, keys)
-            tnet._sectors(rows, cols)
-            assert tnet._totals_of.cache_info().currsize == int(stored)
-            assert tnet._sectors_of.cache_info().currsize == int(stored)
+        # a pair of two 2-index bonds at d = 3: 6 rows plus 6 columns, a
+        # 1-index middle bond, and 8 packed entries, one per (alpha, n1, n2,
+        # beta) with n1 + n2 = label(beta) - label(alpha): 2 + 3 + 1 + 2, in
+        # the charge blocks 0, 1 and 2 of 1 x 2, 2 x 2 and 2 x 1 entries
+        left, mid, right, phys = np.array([0, 1]), np.array([1]), np.array([1, 2]), np.arange(3)
+        sectors, order, _ = tnet._layout_of(left, mid, right, phys)
+        assert len(order) == 8 and len(sectors) == 3
+        cost = 16 * (8 + 6 + 6 + 1) + 2048 * 3
+        for limit, stored in ((cost - 1, False), (cost, True)):
+            monkeypatch.setattr(tnet, "LAYOUT_BUDGET", limit)
+            monkeypatch.setattr(tnet, "_layouts", {})
+            tnet._pair_layout(left, mid, right, phys)
+            assert len(tnet._layouts) == int(stored)
+
+    def test_the_oldest_layouts_make_way_within_the_budget(self, monkeypatch):
+        phys = np.arange(3)
+        pairs = [(np.array([0, 1]), np.array([1]), np.array([1, 2]) + k) for k in range(3)]
+        monkeypatch.setattr(tnet, "_layouts", {})
+        for pair in pairs:
+            tnet._pair_layout(*pair, phys)
+        costs = [charged for _, charged in tnet._layouts.values()]
+        monkeypatch.setattr(tnet, "LAYOUT_BUDGET", sum(costs[1:]))
+        monkeypatch.setattr(tnet, "_layouts", {})
+        for pair in pairs:
+            tnet._pair_layout(*pair, phys)
+        assert list(tnet._layouts) == [
+            tuple(x.tobytes() for x in (*pair, phys)) for pair in pairs[1:]
+        ]
 
 
 class TestTruncation:
@@ -698,9 +764,11 @@ class TestTruncation:
             assert abs(p0 - p1) <= 1e-9
 
     def test_truncation_weight_accumulates(self):
+        # four photons: the vacuum's part of the input is a product state,
+        # which no cap truncates
         c = build_brickwork(4, 4, seed=19)
         tight = TruncationPolicy(max_bond=2)
-        _, stats = schrodinger_probability(c, (0, 0, 0, 0), 0.5, 6, tight)
+        _, stats = schrodinger_probability(c, (1, 1, 1, 1), 0.5, tight)
         assert stats.truncation_weight > 0.0
         assert stats.max_bond_seen <= 2
 
@@ -842,11 +910,13 @@ class TestOutcomeLength:
     def test_checked_before_any_gate(self, monkeypatch, route, gamma, outcome):
         calls = _counted_two_site_updates(monkeypatch)
         c = with_uniform_loss(build_brickwork(4, 4, seed=1), gamma)
+        cutoff = () if route is schrodinger_probability else (3,)
         with pytest.raises(ValueError, match="outcome length does not match the mode count"):
-            route(c, outcome, 0.4, 3)
+            route(c, outcome, 0.4, *cutoff)
         assert calls == []
 
-    @pytest.mark.parametrize("route, gamma", _ROUTES)
+    # the Schrodinger route takes no cutoff
+    @pytest.mark.parametrize("route, gamma", _ROUTES[1:])
     def test_cutoff_checked_before_any_gate(self, monkeypatch, route, gamma):
         calls = _counted_two_site_updates(monkeypatch)
         c = with_uniform_loss(build_brickwork(4, 4, seed=1), gamma)
