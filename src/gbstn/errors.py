@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one size guard."""
+
+# the largest array, in entries, that a dense conversion or a two-site update
+# may allocate; past it they raise ResourceLimitError instead
+SIZE_LIMIT = 10**7
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -8,9 +12,15 @@ class UnsupportedConfigurationError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Refusal to allocate a dense Fock space larger than the guard size."""
+    """Refusal to allocate an array larger than the size guard."""
 
 
 class NumericalFailureError(ArithmeticError):
     """A numerically meaningless result (non-finite determinant, probability
     below the roundoff clamp window, ...)."""
+
+
+def check_size(entries: int, what: str) -> None:
+    """Raise :class:`ResourceLimitError` if ``what`` holds more than ``SIZE_LIMIT`` entries."""
+    if entries > SIZE_LIMIT:
+        raise ResourceLimitError(f"{what} would hold {entries} entries, above the size guard {SIZE_LIMIT}")

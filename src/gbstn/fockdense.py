@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.linalg
 
 from .circuit import Circuit, gate_tensor, kraus_set
-from .errors import ResourceLimitError, UnsupportedConfigurationError
+from .errors import UnsupportedConfigurationError, check_size
 
 __all__ = [
     "DenseState",
@@ -30,18 +29,6 @@ __all__ = [
     "dense_probability",
     "flat_index",
 ]
-
-FOCK_SIZE_GUARD = 10**7
-
-
-def _check_size(num_modes: int, local_cutoff: int) -> None:
-    size = (local_cutoff + 1) ** num_modes
-    if size > FOCK_SIZE_GUARD:
-        raise ResourceLimitError(
-            f"dense Fock space of {size} amplitudes exceeds the guard "
-            f"({FOCK_SIZE_GUARD}); use the tensor-network engine instead"
-        )
-
 
 def flat_index(outcome, local_cutoff: int) -> int:
     """Little-endian flat basis index of a photon-count configuration."""
@@ -71,11 +58,7 @@ class DenseState:
 
     def to_density(self) -> "DenseDensity":
         v = self.vector()
-        if v.size**2 > FOCK_SIZE_GUARD:
-            raise ResourceLimitError(
-                f"dense density matrix of {v.size}^2 entries exceeds the guard "
-                f"({FOCK_SIZE_GUARD}); use the tensor-network engine instead"
-            )
+        check_size(v.size**2, "the dense density matrix")
         return DenseDensity(
             matrix=np.outer(v, v.conj()),
             num_modes=self.num_modes,
@@ -109,26 +92,27 @@ class DenseDensity:
 
 
 @lru_cache(maxsize=512)
-def _squeezed_vector_cached(r: float, local_cutoff: int, pad: int) -> np.ndarray:
-    dim = local_cutoff + 1 + pad
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    generator = 0.5 * r * (a @ a - a.T @ a.T)
-    column = scipy.linalg.expm(generator)[:, 0]
-    vector = column[: local_cutoff + 1].astype(np.complex128)
+def _squeezed_vector_cached(r: float, local_cutoff: int) -> np.ndarray:
+    # c_0 = 1 / sqrt(cosh r), c_{n+2} = -tanh(r) sqrt((n + 1) / (n + 2)) c_n
+    n = np.arange(0, local_cutoff - 1, 2)
+    ratios = -np.tanh(r) * np.sqrt((n + 1) / (n + 2))
+    vector = np.zeros(local_cutoff + 1, dtype=np.complex128)
+    vector[::2] = np.cumprod(np.r_[1.0 / np.sqrt(np.cosh(r)), ratios])
     vector.flags.writeable = False
     return vector
 
 
-def single_mode_squeezed_vector(r: float, local_cutoff: int, pad: int = 20) -> np.ndarray:
-    """Truncated squeezed-vacuum amplitudes <n|S(r)|0>, n = 0..local_cutoff.
+def single_mode_squeezed_vector(r: float, local_cutoff: int) -> np.ndarray:
+    """Truncated squeezed-vacuum amplitudes <n|S(r)|0>, n = 0..local_cutoff,
+    of S(r) = exp{ r (a^2 - a*^2) / 2 }, in closed form:
 
-    S(r) = exp{ r (a^2 - a*^2) / 2 } is exponentiated at cutoff
-    local_cutoff + pad so the retained amplitudes are free of edge effects;
-    the result is then truncated and NOT renormalized: the missing tail mass
-    is the honest cutoff error of every engine built on top of this vector.
-    The returned array is cached and read-only.
+        <2k|S(r)|0> = (-tanh r)^k sqrt((2k)!) / (2^k k!) / sqrt(cosh r),
+
+    and 0 at odd n.  The result is NOT renormalized: the missing tail mass is
+    the honest cutoff error of every engine built on top of this vector.  The
+    returned array is cached and read-only.
     """
-    return _squeezed_vector_cached(float(r), int(local_cutoff), int(pad))
+    return _squeezed_vector_cached(float(r), int(local_cutoff))
 
 
 def squeeze_values(r, num_modes: int | None = None) -> np.ndarray:
@@ -156,7 +140,7 @@ def dense_squeezed_vacuum(r, num_modes: int | None = None, local_cutoff: int = 1
     m = values.size
     if m < 1:
         raise ValueError("need at least one mode")
-    _check_size(m, local_cutoff)
+    check_size((local_cutoff + 1) ** m, "the dense Fock space")
     vectors = [single_mode_squeezed_vector(rk, local_cutoff) for rk in values]
     worst_tail = max(1.0 - float(np.vdot(v, v).real) for v in vectors)
     if worst_tail > 1e-12:
@@ -173,7 +157,7 @@ def dense_squeezed_vacuum(r, num_modes: int | None = None, local_cutoff: int = 1
 def dense_fock_state(outcome, local_cutoff: int) -> DenseState:
     outcome = tuple(int(n) for n in outcome)
     m = len(outcome)
-    _check_size(m, local_cutoff)
+    check_size((local_cutoff + 1) ** m, "the dense Fock space")
     d = local_cutoff + 1
     amplitudes = np.zeros((d,) * m, dtype=np.complex128)
     amplitudes[outcome] = 1.0

@@ -5,10 +5,10 @@ Covariance matrices are 2M x 2M in the operator ordering
 
     sigma_ij = <{zeta_i, zeta_j^dag}>/2 - <zeta_i><zeta_j^dag>.
 
-The squeezed-vacuum entries below were obtained numerically from the dense
-Fock oracle (expm of the squeeze generator at high cutoff) and then frozen as
-hyperbolic closed forms; a regression test keeps them honest.  Circuits are
-propagated one layer at a time, with each gate's loss applied exactly.
+The squeezed-vacuum entries below are hyperbolic closed forms; a regression
+test checks them against the moments of the dense Fock oracle's closed-form
+amplitudes <n|S(r)|0>.  Circuits are propagated one layer at a time, with
+each gate's loss applied exactly.
 Outcome probabilities follow from the hafnian of a submatrix of the kernel
 A = X (1 - sigma_Q^{-1}), the closed-form result for zero-displacement
 Gaussian states; each state computes A and the normalization once.  The
@@ -85,8 +85,7 @@ def squeezed_vacuum_cov(r, num_modes: int | None = None) -> GaussianState:
     """Covariance of a product of single-mode squeezed vacua.
 
     Per mode: sigma_kk = sigma_{M+k,M+k} = cosh(2r)/2 and the cross entries
-    sigma_{k,M+k} = sigma_{M+k,k} = -sinh(2r)/2 (derived from the dense
-    oracle for S(r) = exp{r(a^2 - a*^2)/2}).
+    sigma_{k,M+k} = sigma_{M+k,k} = -sinh(2r)/2, for S(r) = exp{r(a^2 - a*^2)/2}.
     """
     values = squeeze_values(r, num_modes)
     m = values.size

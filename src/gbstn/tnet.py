@@ -7,17 +7,17 @@ and drops Schmidt values, so truncation removes exactly their weight.  The
 split needs the pair's Schmidt matrix, which a train supplies in one of two
 forms:
 
-* ``fock_mps`` and ``squeezed_mps`` carry the Schmidt values of every bond
-  and keep all their sites right isometries; the split scales the pair's
-  rows by the left bond's values and moves no centre (Vidal,
+* a state train is built with the Schmidt values of every bond, in closed
+  form, and keeps all its sites right isometries; the split scales the
+  pair's rows by the left bond's values and moves no centre (Vidal,
   arXiv:quant-ph/0310089; Hastings, arXiv:0903.3253).  Gates are unitary,
   so the new sites stay isometries as long as a split drops no more than
   machine epsilon of the weight; a split that drops more (under
   ``max_bond`` or a large ``svd_threshold``) returns the train without
   Schmidt values, and it takes the centre form from the next gate on;
 * any other train keeps an orthogonality centre, and QR moves it onto the
-  pair first: an operator, since the adjoint channel is not unitary, and
-  the projected input, built without Schmidt values.
+  pair first: an operator, since the adjoint channel is not unitary, and a
+  state after a split that truncated.
 
 Every train carries photon-number (U(1)) charge labels (Singh, Pfeifer &
 Vidal, arXiv:0907.2994): one integer per physical index and one integer
@@ -81,10 +81,9 @@ import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .circuit import Circuit, Gate, gate_blocks, gate_tensor, kraus_set
-from .errors import NumericalFailureError, ResourceLimitError, UnsupportedConfigurationError
+from .errors import NumericalFailureError, UnsupportedConfigurationError, check_size
 from .fockdense import squeeze_values, single_mode_squeezed_vector
 
 __all__ = [
@@ -106,7 +105,6 @@ __all__ = [
     "heisenberg_probability_lossy",
 ]
 
-DENSE_GUARD = 10**7
 # pair layouts kept for reuse, oldest out first, within LAYOUT_BUDGET bytes
 # in all.  An entry is charged 16 bytes per index it is built on (packed
 # entries, rows, columns and middle indices; its key and its middle groups
@@ -192,7 +190,10 @@ def _svd(matrix: np.ndarray):
     try:
         return np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but sturdier
+        # gesdd occasionally fails to converge; gesvd is slower but sturdier.
+        # Imported here, so that importing the package loads no scipy
+        import scipy.linalg
+
         return scipy.linalg.svd(matrix, full_matrices=False, lapack_driver="gesvd")
 
 
@@ -220,11 +221,12 @@ class TensorTrain:
 
     ``schmidt``, when not None, holds one vector per bond (k = 0 and M, the
     boundaries, hold a single 1): the Schmidt values of the state across
-    that cut, in the bond's index order.  A train that carries them has
-    every site after site 0 right-isometric and its norm in site 0 (and so
-    in the interior Schmidt values); its ``center`` is None, because its
-    updates never move one.  Without Schmidt values, ``center`` None means
-    the train is not known to be in canonical form.
+    that cut, in the bond's index order; every state train is built with
+    them.  A train that carries them has every site after site 0
+    right-isometric and its norm in site 0 (and so in the interior Schmidt
+    values); its ``center`` is None, because its updates never move one.
+    Without them (an operator, or a state after a split that truncated),
+    ``center`` None means the train is not known to be in canonical form.
 
     ``phys_charges`` holds the charge of each physical index and
     ``bond_charges[k]`` the label of each index of the bond left of site k
@@ -293,8 +295,7 @@ class TensorTrain:
 
     def to_dense(self) -> np.ndarray:
         """Full array, axis k = leg of mode k; guarded against large spaces."""
-        if math.prod(t.shape[1] for t in self.tensors) > DENSE_GUARD:
-            raise ResourceLimitError("dense contraction would exceed the size guard")
+        check_size(math.prod(t.shape[1] for t in self.tensors), "the dense contraction")
         acc = self.tensors[0][0]  # (p, chi)
         for t in self.tensors[1:]:
             acc = np.tensordot(acc, t, axes=([-1], [0]))
@@ -309,26 +310,42 @@ class TensorTrain:
         return acc.reshape((size, size), order="F")
 
 
-def _product_train(
-    vectors, local_dim: int, center: int | None, phys_charges=None, site_charges=None, schmidt=None
-) -> TensorTrain:
-    """Bond-1 train of ``vectors``; site k carries charge ``site_charges[k]``."""
-    bonds = None
-    if site_charges is not None:
-        bonds = [np.array([q]) for q in np.concatenate([[0], np.cumsum(site_charges)])]
-    tensors = [v.reshape(1, -1, 1) for v in vectors]
-    return TensorTrain(tensors, local_dim, center, phys_charges, bonds, schmidt)
+def _schmidt_train(vectors, local_dim: int, phys_charges, total: int) -> TensorTrain:
+    """The part of charge ``total`` of the product state of ``vectors``, in
+    Schmidt form; site k's vector holds amplitudes on physical indices of
+    charges ``phys_charges``, none negative.
 
-
-def _state_train(vectors, local_dim: int, phys_charges=None, site_charges=None) -> TensorTrain:
-    """Product state in Schmidt form: every site after the first a unit
-    vector, the state's norm in site 0 and on every interior bond (a product
-    state's one Schmidt value across any cut), 1 on the boundaries."""
-    norms = [float(np.linalg.norm(v)) for v in vectors]
-    norm = math.prod(norms)
-    vectors = [vectors[0] * (norm / norms[0])] + [v / n for v, n in zip(vectors[1:], norms[1:])]
-    schmidt = [np.ones(1)] + [np.full(1, norm)] * (len(vectors) - 1) + [np.ones(1)]
-    return _product_train(vectors, local_dim, None, phys_charges, site_charges, schmidt)
+    Parts of different charge on one side of a cut are orthogonal, so bond
+    label j carries the Schmidt value |Pi_j left| |Pi_{total - j} right|.
+    The squared norms are convolutions of the sites' charge weights
+    |v[n]|^2, and a bond keeps the labels whose value is not 0.  Each site
+    k > 0 is divided by its right side's norm, which leaves it a right
+    isometry and the norm in site 0.  A part that is 0 gives the zero
+    train, bond 1 throughout.
+    """
+    phys, m = np.asarray(phys_charges, dtype=np.int64), len(vectors)
+    weights = [np.bincount(phys, np.abs(v) ** 2, total + 1)[: total + 1] for v in vectors]
+    # left[k][j]: squared norm of the charge-j part of the sites left of k;
+    # right[k][j]: of the charge-(total - j) part of site k and those after
+    left, right = [np.eye(1, total + 1)[0]], [np.eye(1, total + 1, total)[0]]
+    for w in weights:
+        left.append(np.convolve(left[-1], w)[: total + 1])
+    for w in reversed(weights):
+        right.insert(0, np.convolve(w[::-1], right[0])[total:])
+    if right[0][0] == 0.0:
+        bonds = [np.zeros(1, dtype=np.int64)] * m + [np.array([total])]
+        zeros = [np.zeros((1, len(phys), 1), dtype=np.complex128) for _ in vectors]
+        schmidt = [np.ones(1)] + [np.zeros(1)] * (m - 1) + [np.ones(1)]
+        return TensorTrain(zeros, local_dim, None, phys, bonds, schmidt)
+    bonds = [np.flatnonzero(l * r) for l, r in zip(left, right)]
+    tensors = []
+    for k, v in enumerate(vectors):
+        a, b = bonds[k], bonds[k + 1]
+        scale = np.sqrt(right[k + 1][b] / (right[k][a] if k else np.ones(1))[:, None])
+        tensors.append(v[None, :, None] * (np.add.outer(a, phys)[:, :, None] == b) * scale[:, None])
+    schmidt = [np.sqrt(l[b] * r[b]) for l, r, b in zip(left, right, bonds)]
+    schmidt[0] = schmidt[-1] = np.ones(1)
+    return TensorTrain(tensors, local_dim, None, phys, bonds, schmidt)
 
 
 def _check_length(num_modes: int, outcome) -> tuple[int, ...]:
@@ -352,7 +369,7 @@ def fock_mps(outcome, local_cutoff: int) -> TensorTrain:
     d = local_cutoff + 1
     outcome = _check_outcome(outcome, local_cutoff)
     basis = np.eye(d, dtype=np.complex128)
-    return _state_train([basis[n] for n in outcome], d, np.arange(d), outcome)
+    return _schmidt_train([basis[n] for n in outcome], d, np.arange(d), sum(outcome))
 
 
 def squeezed_mps(r, num_modes: int, local_cutoff: int) -> TensorTrain:
@@ -361,36 +378,29 @@ def squeezed_mps(r, num_modes: int, local_cutoff: int) -> TensorTrain:
     carries the trivial charge, on which a gate is one block.  The
     Heisenberg routes close on it."""
     vectors = [single_mode_squeezed_vector(rk, local_cutoff) for rk in squeeze_values(r, num_modes)]
-    return _state_train(vectors, local_cutoff + 1)
+    return _schmidt_train(vectors, local_cutoff + 1, np.zeros(local_cutoff + 1), 0)
 
 
 def projected_squeezed_mps(r, num_modes: int, total: int) -> TensorTrain:
     """Pi_N psi: the squeezed input's part with N = ``total`` photons, all
-    that a photon-number-keeping circuit carries to an outcome of N.  Bond
-    labels count the photons to the left (the even counts up to N inside),
-    and legs of dimension max(N, 1) + 1 make it exact.  No Schmidt values:
-    its first update sweeps it canonical.  An odd N leaves its last site 0."""
+    that a photon-number-keeping circuit carries to an outcome of N, in
+    Schmidt form.  Bond labels count the photons to the left (the even
+    counts up to N inside), and legs of dimension max(N, 1) + 1 make it
+    exact.  An odd N, which no squeezed input reaches, gives the zero train."""
     if total < 0:
         raise ValueError(f"photon total must be >= 0, got {total}")
     cutoff = max(total, 1)
     vectors = [single_mode_squeezed_vector(rk, cutoff) for rk in squeeze_values(r, num_modes)]
-    occupation = np.arange(cutoff + 1)
-    inner = [np.arange(0, total + 1, 2)] * (num_modes - 1)
-    bonds = [np.zeros(1, dtype=np.int64), *inner, np.array([total])]
-    tensors = [
-        v[None, :, None] * (np.add.outer(left, occupation)[:, :, None] == right)
-        for v, left, right in zip(vectors, bonds, bonds[1:])
-    ]
-    return TensorTrain(tensors, cutoff + 1, None, occupation, bonds)
+    return _schmidt_train(vectors, cutoff + 1, np.arange(cutoff + 1), total)
 
 
 def fock_projector_mpo(outcome, local_cutoff: int) -> TensorTrain:
-    """|n><n| as a bond-1 operator train, charge m - n on the (out m, in n) leg."""
+    """|n><n| as a bond-1 operator train at centre 0, charge m - n on leg (m, n)."""
     d = local_cutoff + 1
     outcome = _check_outcome(outcome, local_cutoff)
     basis = np.eye(d * d, dtype=np.complex128)  # row n * d + n is vec(|n><n|)
     charges = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
-    return _product_train([basis[n * d + n] for n in outcome], d, 0, charges, [0] * len(outcome))
+    return TensorTrain([basis[n * d + n].reshape(1, -1, 1) for n in outcome], d, 0, charges)
 
 
 def mps_overlap(bra: TensorTrain, ket: TensorTrain) -> complex:
@@ -655,13 +665,13 @@ def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> Tensor
         _move_center(tensors, bonds, phys, train.center, i if rightward else i + 1)
     a, b = tensors[i], tensors[i + 1]
     chi_l, p, chi_r = a.shape[0], a.shape[1], b.shape[2]
-    if chi_l * p * p * chi_r > DENSE_GUARD:
-        raise ResourceLimitError(
-            f"the pair tensor of modes {(i, i + 1)} would hold {chi_l} x {p} x {p} x {chi_r} "
-            f"entries, above the size guard {DENSE_GUARD}"
-        )
     # the pair matrix has the same charge blocks before and after the map
     sectors, order, groups = _pair_layout(bonds[i], bonds[i + 1], bonds[i + 2], phys)
+    # the largest arrays the update allocates: the packed pair and the two new
+    # sites, whose bond holds at most min(rows, columns) per charge block
+    bond = sum(min(len(rows), len(cols)) for _, rows, cols, *_ in sectors)
+    largest = max(len(order), p * bond * max(chi_l, chi_r))
+    check_size(largest, f"an array of the update of modes {(i, i + 1)}")
     left, right = a.reshape(chi_l * p, -1), b.reshape(-1, p * chi_r)
     packed = np.empty(len(order), dtype=np.complex128)
     for _, rows, cols, middle, span in sectors:

@@ -443,3 +443,31 @@ def test_eight_photons_at_scale():
         f"M = {modes}, N = {photons}: bond {stats.max_bond_seen} <= {dmax_fbs(outcome)}, "
         f"relative deviation {deviation:.1e}, {elapsed:.1f}s",
     )
+
+
+def test_schrodinger_route_at_scale():
+    """M = 16, N = 8: the projected input's updates stay under the size guard,
+    its bond at the fixed-photon-number count dmax_bipartite at every cut
+    (dmax_closed_form = 660 in the middle), and the probability matches the
+    hafnian of the Gaussian formula."""
+    modes, photons = 16, 8
+    circuit = build_brickwork(modes, modes, seed=1)
+    outcome = (1,) * photons + (0,) * (modes - photons)
+    start = time.monotonic()
+    psi, stats = evolve_input(circuit, C1_R, photons)
+    p, _ = project_outcome(psi, stats, outcome)
+    elapsed = time.monotonic() - start
+    assert dmax_closed_form(modes, photons) == 660
+    assert stats.max_bond_seen <= 660
+    for k in range(1, modes):
+        assert psi.tensors[k].shape[0] <= dmax_bipartite(k, modes - k, photons)
+    reference = gbs_probability(
+        propagate_circuit(squeezed_vacuum_cov(C1_R, modes), circuit), outcome
+    )
+    deviation = abs(p - reference) / reference
+    assert deviation <= 1e-10
+    _report(
+        5,
+        f"Schrodinger M = {modes}, N = {photons}: bond {stats.max_bond_seen} <= 660, "
+        f"relative deviation {deviation:.1e}, {elapsed:.1f}s",
+    )

@@ -377,11 +377,11 @@ class TestProb:
     def test_size_guard_fails_one_outcome_and_the_batch_goes_on(
         self, tmp_path, capsys, monkeypatch
     ):
-        from gbstn import tnet
+        from gbstn import errors
 
-        # the vacuum's pair tensors hold 1 x 2 x 2 x 1 = 4 entries (n_c = 1), the
-        # two-photon outcome's at least 1 x 3 x 3 x 1 = 9 (n_c = 2)
-        monkeypatch.setattr(tnet, "DENSE_GUARD", 8)
+        # the vacuum's light cone holds no gate, so no update runs; the
+        # two-photon outcome's updates (n_c = 2) make sites of 6 to 36 entries
+        monkeypatch.setattr(errors, "SIZE_LIMIT", 8)
         path = tmp_path / "c.json"
         run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
         code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "0,0,0,0",

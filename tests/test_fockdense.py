@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gbstn.circuit import Circuit, Gate, GateParams, build_brickwork, kraus_set, with_uniform_loss
 from gbstn.errors import ResourceLimitError, UnsupportedConfigurationError
@@ -25,6 +26,18 @@ class TestSqueezedVacuum:
     def test_odd_amplitudes_vanish(self):
         v = single_mode_squeezed_vector(0.5, 11)
         assert np.max(np.abs(v[1::2])) == 0.0
+
+    @pytest.mark.parametrize("r", [-0.7, 0.0, 0.5, 1.2])
+    def test_closed_form_matches_the_exponentiated_generator(self, r):
+        # S(r)|0> from expm of r (a^2 - a*^2) / 2, truncated at 400 photons:
+        # the amplitude there is below 1e-16, so the first entries are free of
+        # the truncation
+        a = np.diag(np.sqrt(np.arange(1.0, 401)), 1)
+        reference = scipy.linalg.expm(0.5 * r * (a @ a - a.T @ a.T))[:, 0]
+        for cutoff in (0, 1, 6, 60):
+            v = single_mode_squeezed_vector(r, cutoff)
+            assert v.shape == (cutoff + 1,) and not v.flags.writeable
+            assert np.max(np.abs(v - reference[: cutoff + 1])) <= 1e-14
 
     def test_vacuum_overlap_closed_form(self):
         # |<0|S(r)|0>|^2 = sech(r), checked at a tail-free cutoff

@@ -17,6 +17,7 @@ from gbstn.circuit import (
     kraus_set,
     with_uniform_loss,
 )
+from gbstn import errors
 from gbstn.errors import NumericalFailureError, ResourceLimitError, UnsupportedConfigurationError
 from gbstn.fockdense import (
     dense_evolve_density,
@@ -95,16 +96,24 @@ class TestStates:
         assert kept < 1.0  # not renormalized
 
     def test_state_trains_carry_schmidt_values_and_no_centre(self):
-        psi = squeezed_mps([0.2, 0.5, 0.3], 3, 6)
-        norm = psi.norm()
-        assert psi.center is None
-        assert [s.tolist() for s in psi.schmidt] == [[1.0], [pytest.approx(norm)], [pytest.approx(norm)], [1.0]]
-        for t in psi.tensors[1:]:
-            assert abs(np.linalg.norm(t) - 1.0) < 1e-14
-        with pytest.raises(ValueError, match="no centre"):
-            tnet.TensorTrain(psi.tensors, psi.local_dim, 0, schmidt=psi.schmidt)
-        with pytest.raises(ValueError, match="Schmidt values do not match"):
-            tnet.TensorTrain(psi.tensors, psi.local_dim, schmidt=psi.schmidt[:-1])
+        # the whole squeezed input, and its parts Pi_N psi with N = 0, 2, 4
+        r = [0.2, 0.5, 0.3]
+        psi = squeezed_mps(r, 3, 6)
+        norm = pytest.approx(psi.norm())
+        assert [s.tolist() for s in psi.schmidt] == [[1.0], [norm], [norm], [1.0]]
+        for psi in [psi] + [projected_squeezed_mps(r, 3, total) for total in (0, 2, 4)]:
+            norm = psi.norm()
+            assert psi.center is None
+            assert psi.schmidt[0].tolist() == psi.schmidt[-1].tolist() == [1.0]
+            for s in psi.schmidt[1:-1]:
+                assert np.sum(s**2) == pytest.approx(norm**2, rel=1e-14)
+            for t in psi.tensors[1:]:
+                rows = t.reshape(t.shape[0], -1)
+                assert np.max(np.abs(rows @ rows.conj().T - np.eye(len(rows)))) <= 1e-14
+            with pytest.raises(ValueError, match="no centre"):
+                tnet.TensorTrain(psi.tensors, psi.local_dim, 0, schmidt=psi.schmidt)
+            with pytest.raises(ValueError, match="Schmidt values do not match"):
+                tnet.TensorTrain(psi.tensors, psi.local_dim, schmidt=psi.schmidt[:-1])
 
     def test_squeezed_mps_matches_dense(self):
         psi = squeezed_mps([0.2, 0.5], 2, 8)
@@ -199,6 +208,18 @@ class TestPictureEquivalence:
         p, _ = heisenberg_probability_lossless(c, (1, 1, 0, 0), 0.4, 8)
         assert abs(p - gbs_probability(g, (1, 1, 0, 0))) < 1e-8
 
+    @pytest.mark.parametrize("r", [1.0, 1.2])
+    def test_lossless_routes_are_exact_at_strong_squeezing(self, r):
+        # n_c = N holds every photon of the outcome, so both routes are exact
+        c = build_brickwork(6, 6, seed=1)
+        g = propagate_circuit(squeezed_vacuum_cov(r, 6), c)
+        for n in [(1, 1, 0, 2, 0, 0), (0, 2, 0, 0, 0, 0), (3, 1, 0, 0, 2, 0)]:
+            reference = gbs_probability(g, n)
+            ph, _ = heisenberg_probability_lossless(c, n, r, sum(n))
+            ps, _ = schrodinger_probability(c, n, r)
+            assert abs(ph - reference) <= 1e-12 * reference
+            assert abs(ps - reference) <= 1e-12 * reference
+
     def test_identity_circuit_factorizes(self):
         c = build_brickwork(3, 2, angles=[(0.0, 0.0, 0.0)] * 2)
         p, _ = schrodinger_probability(c, (2, 0, 2), 0.5)
@@ -226,7 +247,7 @@ class TestProjectedInput:
             pair = np.add.outer(np.arange(d), np.arange(d))
             counts = np.add.outer(pair, pair)
             expected = np.where(counts == total, squeezed_mps(0.5, 4, d - 1).to_dense(), 0.0)
-            assert psi.local_dim == d and psi.schmidt is None and psi.center is None
+            assert psi.local_dim == d and psi.schmidt is not None and psi.center is None
             assert np.allclose(psi.to_dense(), expected, rtol=0.0, atol=1e-15)
             _assert_charges_hold(psi)
 
@@ -325,26 +346,32 @@ class TestCanonicalForm:
         # the first split that dropped weight left Schmidt form for a centre
         assert out.schmidt is None and out.center is not None
 
-    @pytest.mark.parametrize("state", ["outcome", "input"])
+    @pytest.mark.parametrize("state", ["outcome", "input", 0, 2, 4])
     def test_schmidt_values_are_those_of_the_state(self, state):
+        # as built and after an untruncated evolution; an integer state is
+        # the input's part Pi_N psi with that many photons
         c = build_brickwork(6, 6, seed=3)
         if state == "outcome":
             train, reverse = fock_mps((1, 0, 2, 0, 1, 1), 5), True
-        else:
+        elif state == "input":
             train, reverse = squeezed_mps(0.5, 6, 3), False
+        else:
+            train, reverse = projected_squeezed_mps(0.5, 6, state), False
         out = _evolve_mps(train, c, TruncationPolicy(svd_threshold=0.0), EvolutionStats(), reverse)
-        assert out.center is None and out.max_bond() > 4
-        dense = out.to_dense()
-        d = dense.shape[0]
-        for k in range(1, 6):
-            s = np.linalg.svd(dense.reshape(d**k, -1), compute_uv=False)
-            assert len(out.schmidt[k]) == out.tensors[k].shape[0]
-            kept = np.sort(out.schmidt[k])[::-1]
-            assert np.max(np.abs(kept - s[: len(kept)])) <= 1e-12 * s[0]
-            assert np.all(s[len(kept):] <= 1e-12 * s[0])
-        for t in out.tensors[1:]:
-            rows = t.reshape(t.shape[0], -1)
-            assert np.max(np.abs(rows @ rows.conj().T - np.eye(len(rows)))) <= 1e-12
+        # Pi_0 psi is the vacuum's part, a product that every gate keeps one
+        assert out.center is None and out.max_bond() > (0 if state == 0 else 4)
+        for psi in (train, out):
+            dense = psi.to_dense()
+            d = dense.shape[0]
+            for k in range(1, 6):
+                s = np.linalg.svd(dense.reshape(d**k, -1), compute_uv=False)
+                assert len(psi.schmidt[k]) == psi.tensors[k].shape[0]
+                kept = np.sort(psi.schmidt[k])[::-1]
+                assert np.max(np.abs(kept - s[: len(kept)])) <= 1e-12 * s[0]
+                assert np.all(s[len(kept):] <= 1e-12 * s[0])
+            for t in psi.tensors[1:]:
+                rows = t.reshape(t.shape[0], -1)
+                assert np.max(np.abs(rows @ rows.conj().T - np.eye(len(rows)))) <= 1e-12
 
     def test_lossless_route_takes_no_qr(self, monkeypatch):
         m, photons = 36, 4
@@ -367,6 +394,22 @@ class TestCanonicalForm:
         assert qr_calls == []
         (phi,) = trains
         assert phi.schmidt is not None and phi.max_bond() > 1
+
+    def test_schrodinger_route_takes_no_qr(self, monkeypatch):
+        # the projected input is built in Schmidt form, so no split moves a centre
+        m, photons = 16, 6
+        c = build_brickwork(m, m, seed=1)
+        qr_calls = []
+        qr = np.linalg.qr
+
+        def counted_qr(*args, **kwargs):
+            qr_calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        psi, stats = evolve_input(c, 0.4, photons)
+        assert qr_calls == []
+        assert psi.schmidt is not None and stats.max_bond_seen > 1
 
     def test_bond_stays_at_the_outcome_ceiling(self):
         m, photons = 36, 4
@@ -551,10 +594,12 @@ class TestChargeBlocks:
         assert results == pytest.approx(serial * 4, rel=1e-12)
 
     def test_size_guard_raises_before_the_pair_tensor(self, monkeypatch):
-        psi = fock_mps((1, 1), 2)  # the pair tensor holds 1 x 3 x 3 x 1 = 9 entries
-        monkeypatch.setattr(tnet, "DENSE_GUARD", 9)
+        # the packed pair holds three 1 x 1 blocks, so the new bond is at most
+        # 3 and each new site at most 1 x 3 x 3 = 9 entries
+        psi = fock_mps((1, 1), 2)
+        monkeypatch.setattr(errors, "SIZE_LIMIT", 9)
         apply_gate_mps(psi, _gate())
-        monkeypatch.setattr(tnet, "DENSE_GUARD", 8)
+        monkeypatch.setattr(errors, "SIZE_LIMIT", 8)
         with pytest.raises(ResourceLimitError, match="size guard"):
             apply_gate_mps(psi, _gate())
 
@@ -591,6 +636,16 @@ class TestFactorizations:
         _assert_orthonormal_columns(u)
         _assert_orthonormal_columns(vh.conj().T)
         assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
+
+    def test_svd_falls_back_to_gesvd_when_gesdd_fails(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        block = next(b for b in _blocks() if b.shape == (9, 4))
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        u, s, vh = tnet._svd(block)
+        assert np.max(np.abs((u * s) @ vh - block)) <= 1e-14 * np.max(np.abs(block))
+        _assert_orthonormal_columns(u)
 
     def test_a_zero_vector_gives_a_unit_vector_and_zero(self):
         u, s, vh = tnet._svd(np.zeros((4, 1), dtype=np.complex128))
@@ -711,14 +766,15 @@ class TestGateByTotal:
         # charges 0, 2, 1 on occupations 0, 1, 2: the splits (0, 2) and (1, 1)
         # of two photons carry different charges, so no per-total map exists
         basis = np.eye(3, dtype=np.complex128)
-        train = tnet._product_train([basis[1], basis[1]], 3, 0, [0, 2, 1], [2, 2])
+        bonds = [np.array([0]), np.array([2]), np.array([4])]
+        train = tnet.TensorTrain([basis[1].reshape(1, -1, 1)] * 2, 3, 0, [0, 2, 1], bonds)
         with pytest.raises(ValueError, match="does not keep these physical charges"):
             apply_gate_mps(train, _gate())
         # charge m + n on the (out m, in n) leg: pair indices of one charge
         # sum (m1 - n1) + (m2 - n2) carry different charges m + n
         basis = np.eye(9, dtype=np.complex128)
         charges = np.add.outer(np.arange(3), np.arange(3)).ravel()
-        train = tnet._product_train([basis[4], basis[4]], 3, 0, charges, [2, 2])
+        train = tnet.TensorTrain([basis[4].reshape(1, -1, 1)] * 2, 3, 0, charges, bonds)
         with pytest.raises(ValueError, match="does not keep these physical charges"):
             apply_gate_mpo_adjoint(train, _gate())
 
