@@ -146,7 +146,9 @@ def dmax_fbs(outcome) -> int:
 
 
 def dmax_gbs(local_cutoff: int, num_modes: int) -> int:
-    """Bond bound n_c^(M/2) for forward evolution of the squeezed input."""
+    """The paper's estimate n_c^(M/2) of the bond of the squeezed input
+    evolved forward; not a ceiling: the unprojected input's bond measures
+    (n_c + 1)^(M/2)."""
     if num_modes % 2 != 0:
         raise UnsupportedConfigurationError(
             f"the closed-form state-side bound needs an even mode count, got {num_modes}"

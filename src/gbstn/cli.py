@@ -136,10 +136,21 @@ _READS = {
 }
 
 
+def _below_one(args, *names) -> str | None:
+    """An error message if one of the integer flags ``names`` is given below 1,
+    else None; checked before the circuit is read."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            return f"--{name} must be at least 1, got {value}"
+
+
 def _unread_flags(args, lossless: bool) -> str | None:
     """Which flags given explicitly the chosen route never reads, as an error
-    message, or None.  The cutoff rule reads ``--epsilon`` only on a lossy
-    circuit."""
+    message, or None.  On a lossless circuit ``n_c`` is the outcome's photon
+    total, exact because the gates keep photon number, so neither
+    ``--cutoff`` nor the cutoff rule's ``--epsilon`` is read there: a cutoff
+    below the total would truncate photons the circuit can gather in one mode."""
     route, reads = f"--backend {args.backend}", _READS[args.backend]
     if args.backend == "tn" and args.picture == "schrodinger":
         route, reads = f"{route} --picture schrodinger", _READS["schrodinger"]
@@ -149,13 +160,17 @@ def _unread_flags(args, lossless: bool) -> str | None:
     unread = [flag for flag, value in given if value is not None and flag not in reads]
     if unread:
         return f"{route} does not use {', '.join(unread)}"
-    if args.epsilon is not None and lossless:
-        return f"{route} does not use --epsilon on a lossless circuit"
+    unread = [
+        flag for flag, value in given if value is not None and flag in ("--cutoff", "--epsilon")
+    ]
+    if unread and lossless:
+        return f"{route} does not use {', '.join(unread)} on a lossless circuit"
 
 
 def cmd_prob(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+    below = _below_one(args, "workers", "cutoff")
+    if below:
+        print(f"error: {below}", file=sys.stderr)
         return 1
     circ = _load_circuit(args.circuit)
     if circ is None:
@@ -274,12 +289,21 @@ def _parse_totals(text: str) -> list[int]:
 
 
 def cmd_validate(args) -> int:
+    below = _below_one(args, "cutoff")
+    if below:
+        print(f"error: {below}", file=sys.stderr)
+        return 1
     circ = _load_circuit(args.circuit)
     if circ is None:
         return 1
     if args.cutoff is None and not circ.is_lossless:
         msg = "the spillover bound's choice (gbstn cutoff) is usually too large to run"
         print(f"error: a lossy circuit needs --cutoff; {msg}", file=sys.stderr)
+        return 1
+    if args.cutoff is not None and circ.is_lossless:
+        msg = "n_c is the largest photon total, which is exact there"
+        print(f"error: validate does not use --cutoff on a lossless circuit; {msg}",
+              file=sys.stderr)
         return 1
     policy = tnet.TruncationPolicy()
     # the gaussian column is exact for any per-gate loss, so on a lossy file it
@@ -367,7 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="tn backend only (default: heisenberg); schrodinger is exact, with no --cutoff or --epsilon",
     )
     p.add_argument("--backend", choices=("tn", "dense", "gaussian"), default="tn")
-    p.add_argument("--cutoff", type=int, default=None, help="local cutoff n_c (default: auto)")
+    p.add_argument(
+        "--cutoff", type=int, default=None,
+        help="local cutoff n_c, lossy circuits only (default: the spillover bound's choice at "
+        "--epsilon); on a lossless circuit n_c is the outcome's photon total, which is exact",
+    )
     p.add_argument(
         "--epsilon", type=float, default=None, help=f"spillover bound (default: {DEFAULT_EPSILON})"
     )
@@ -399,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--squeezing", type=_parse_squeezing, default=0.4)
     p.add_argument("--totals", default="0,2", help="photon totals to enumerate")
-    p.add_argument("--cutoff", type=int, default=None)
+    p.add_argument("--cutoff", type=int, default=None, help="local cutoff n_c, lossy circuits only")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_validate)
 

@@ -46,13 +46,14 @@ or on the trivial charge the whole gate; the adjoint channel's blocks of
 fixed (m1 - n1) + (m2 - n2), built per call.  A packed entry (alpha, n1,
 n2, beta) lies in a charge block exactly when label(beta) - label(alpha) is
 its key, so the labels alone lay out where each block acts, and a pair's
-layout is grouped once and reused from a bounded cache.  A centre move
-absorbs R one charge block at a time.  Blocks of one row or one column are
-factorized in closed form (a norm and a unit vector), larger ones by
-``numpy.linalg.qr`` and ``numpy.linalg.svd``, which release the GIL, so
-threads evaluating outcomes factorize in parallel (scipy's gesdd wrapper
-would not).  An update touches the two sites and three bonds of its pair
-and nothing else of the train.
+layout is grouped once and reused from a bounded cache.  A step of a
+centre move is the pair's split with QR in place of the SVD, on the same
+charge blocks and through the same writer.  Blocks of one row or one
+column are factorized in closed form (a norm and a unit vector), larger
+ones by ``numpy.linalg.qr`` and ``numpy.linalg.svd``, which release the
+GIL, so threads evaluating outcomes factorize in parallel (scipy's gesdd
+wrapper would not).  An update touches the two sites and three bonds of
+its pair and nothing else of the train.
 
 Probabilities are computed three ways:
 
@@ -437,13 +438,6 @@ def _groups(charges: np.ndarray) -> dict[int, np.ndarray]:
     return dict(zip(ordered[np.r_[0, cuts]].tolist(), np.split(order, cuts)))
 
 
-def _shared(rows: np.ndarray, cols: np.ndarray) -> list:
-    """``(charge, rows, columns)`` for each charge that rows and columns both
-    carry, ascending: the charge blocks of a matrix and their order."""
-    col_groups = _groups(cols)
-    return [(q, r, col_groups[q]) for q, r in _groups(rows).items() if q in col_groups]
-
-
 def _run(index: np.ndarray):
     """A non-empty ascending index, as a slice if it runs without a gap."""
     return slice(index[0], index[-1] + 1) if index[-1] - index[0] + 1 == len(index) else index
@@ -456,33 +450,56 @@ def _grid(rows: np.ndarray, cols: np.ndarray):
     return (rows[:, None], cols) if r is rows and c is cols else (r, c)
 
 
-def _layout_of(left: np.ndarray, mid: np.ndarray, right: np.ndarray, phys: np.ndarray) -> tuple:
+def _sectors(left: np.ndarray, mid: np.ndarray, right: np.ndarray, phys: np.ndarray) -> list:
+    """The charge blocks of the matrix of a pair between bonds labelled
+    ``left``, ``mid`` and ``right`` on physical charges ``phys``, ascending:
+    ``(charge, rows, columns, middle)`` for each charge its rows (alpha, n1),
+    of charge label(alpha) + phys[n1], and its columns (n2, beta), of charge
+    label(beta) - phys[n2], share.  ``middle`` indexes the charge's (rows x
+    mid, mid x columns) blocks of the two sites, None where no mid index has
+    it.  A gate's split and a centre move's step both factorize these."""
+    col_groups, mid_groups = _groups(np.subtract.outer(right, phys).T.ravel()), _groups(mid)
+    sectors = []
+    for q, rows in _groups(np.add.outer(left, phys).ravel()).items():
+        cols, m = col_groups.get(q), mid_groups.get(q)
+        if cols is not None:
+            sectors.append((q, rows, cols, None if m is None else (_grid(rows, m), _grid(m, cols))))
+    return sectors
+
+
+def _check_update(sectors, left, right, phys, what: str) -> None:
+    """Refuse, through the size guard, the update of a pair with these
+    sectors: its largest arrays are the packed pair and the two new sites,
+    whose bond holds at most min(rows, columns) per charge block."""
+    packed = sum(len(rows) * len(cols) for _, rows, cols, *_ in sectors)
+    bond = sum(min(len(rows), len(cols)) for _, rows, cols, *_ in sectors)
+    check_size(max(packed, len(phys) * bond * max(len(left), len(right))), what)
+
+
+def _layout_of(left, mid, right, phys, what: str = "an array of a pair update") -> tuple:
     """The layout of a pair between bonds labelled ``left``, ``mid`` and
     ``right`` on physical charges ``phys``: ``(sectors, order, groups)``.
-    ``sectors`` holds ``(charge, rows, columns, middle, span)`` per charge
-    block of the pair matrix (rows (alpha, n1), columns (n2, beta)),
-    ascending: ``span`` is its slice of the packed matrix (the blocks one
-    after another, row-major), ``middle`` indexes the charge's (rows x mid,
-    mid x columns) blocks of the two sites, None where no mid index has it.
-    For ``(k, start, stop, width)`` in ``groups``, ``order[start:stop]`` is
-    the (width, pairs) matrix of the packed offsets of key k: a row per pair
-    index n1 * p + n2 with phys[n1] + phys[n2] = k, ascending, a column per
-    (alpha, beta) with label(beta) - label(alpha) = k.  These are exactly
-    the packed entries, each once.  Read-only, so threads share it."""
+    ``sectors`` holds those of :func:`_sectors`, each with its ``span``
+    appended, its slice of the packed matrix (the blocks one after another,
+    row-major).  For ``(k, start, stop, width)`` in ``groups``,
+    ``order[start:stop]`` is the (width, pairs) matrix of the packed offsets
+    of key k: a row per pair index n1 * p + n2 with phys[n1] + phys[n2] = k,
+    ascending, a column per (alpha, beta) with label(beta) - label(alpha) =
+    k.  These are exactly the packed entries, each once.  A pair whose
+    update would pass the size guard raises, as ``what``, before ``order``
+    is built.  Read-only, so threads share it."""
     p = len(phys)
-    mid_groups = _groups(mid)
     # packed offset of row (alpha, n1) and place of column (n2, beta) in its block
     row_at = np.zeros(len(left) * p, dtype=np.int64)
     col_at = np.zeros(p * len(right), dtype=np.int64)
     sectors, size = [], 0
-    for q, rows, cols in _shared(_row_charges(left, phys), _col_charges(phys, right)):
+    for q, rows, cols, middle in _sectors(left, mid, right, phys):
         rows.flags.writeable = cols.flags.writeable = False
-        m = mid_groups.get(q)
-        middle = None if m is None else (_grid(rows, m), _grid(m, cols))
         row_at[rows] = size + np.arange(len(rows)) * len(cols)
         col_at[cols] = np.arange(len(cols))
         sectors.append((q, rows, cols, middle, slice(size, size + len(rows) * len(cols))))
         size += len(rows) * len(cols)
+    _check_update(sectors, left, right, phys, what)
     row_at, col_at = row_at.reshape(len(left), p), col_at.reshape(p, len(right))
     left_groups, right_groups = _groups(left), _groups(right)
     pieces, groups, start = [], [], 0
@@ -505,15 +522,17 @@ _layouts: dict = {}  # key -> (layout, bytes charged)
 _layouts_lock = threading.Lock()
 
 
-def _pair_layout(left: np.ndarray, mid: np.ndarray, right: np.ndarray, phys: np.ndarray) -> tuple:
+def _pair_layout(left, mid, right, phys, what: str = "an array of a pair update") -> tuple:
     """The layout of :func:`_layout_of`, from the cache when it is there; a
     new one is stored if its charge fits in ``LAYOUT_BUDGET``, the oldest
-    entries making way."""
+    entries making way.  Either way a pair whose update would pass the size
+    guard raises, and leaves the cache as it was."""
     key = (left.tobytes(), mid.tobytes(), right.tobytes(), phys.tobytes())
     entry = _layouts.get(key)
     if entry is not None:
+        _check_update(entry[0][0], left, right, phys, what)
         return entry[0]
-    layout = _layout_of(left, mid, right, phys)
+    layout = _layout_of(left, mid, right, phys, what)
     cost = 16 * (len(layout[1]) + len(phys) * (len(left) + len(right)) + len(mid)) + 2048 * len(layout[0])
     with _layouts_lock:
         held = sum(charged for _, charged in _layouts.values())
@@ -527,7 +546,8 @@ def _pair_layout(left: np.ndarray, mid: np.ndarray, right: np.ndarray, phys: np.
 def _assemble(shape, pieces):
     """The factors (left, right) of a charge-blocked matrix from its pieces
     ``(charge, rows, columns, left block, right block)``, and the charges of
-    the new bond between them.  With no piece the bond is one zero index."""
+    the new bond between them.  With no piece the bond is one zero index.
+    The one writer of new sites: every split and every centre move's step."""
     width = max(sum(a.shape[1] for _, _, _, a, _ in pieces), 1)
     left = np.zeros((shape[0], width), dtype=np.complex128)
     right = np.zeros((width, shape[1]), dtype=np.complex128)
@@ -542,70 +562,33 @@ def _assemble(shape, pieces):
     return left, right, charges
 
 
-def _row_charges(bond: np.ndarray, phys: np.ndarray) -> np.ndarray:
-    """Charges of the rows (alpha, n) of a site matrix: left label + physical charge."""
-    return np.add.outer(bond, phys).ravel()
-
-
-def _col_charges(phys: np.ndarray, bond: np.ndarray) -> np.ndarray:
-    """Charges of the columns (n, beta) of a site matrix: right label - physical charge."""
-    return np.subtract.outer(bond, phys).T.ravel()
-
-
-def _move_center(
-    tensors: list[np.ndarray],
-    bonds: list[np.ndarray],
-    phys: np.ndarray,
-    center: int | None,
-    target: int,
-) -> None:
-    """QR-sweep ``tensors`` in place, one QR per charge block, to make
-    ``target`` the centre; ``bonds`` takes the new bonds' charges.  From an
-    unknown centre, every site on either side of it is swept.  Reached only
+def _move_center(tensors: list, bonds: list, phys, center: int | None, target: int) -> None:
+    """Make ``target`` the centre of ``tensors`` in place, ``bonds`` taking
+    the new labels.  Each step is the split of a pair (k, k+1) with QR in
+    place of the SVD, on the blocks of :func:`_sectors`, written by
+    :func:`_assemble`: moving right, a block of site k is Q R and R goes into
+    site k+1; moving left, a block of site k+1 is R^T Q^T (the QR of its
+    transpose) and R^T goes into site k.  A bond index whose block on the
+    other site is empty holds zeros only and is dropped, as a split drops it.
+    From an unknown centre both sides of the target are swept.  Reached only
     by trains without Schmidt values: operator trains, and state trains
     after a split that dropped more than machine epsilon of their weight."""
     start, stop = (0, len(tensors) - 1) if center is None else (center, center)
-    for k in range(start, target):
-        chi_l, p, chi_r = tensors[k].shape
-        matrix = tensors[k].reshape(chi_l * p, chi_r)
-        pieces = [
-            (q, rows, cols, *_qr(matrix[_grid(rows, cols)]))
-            for q, rows, cols in _shared(_row_charges(bonds[k], phys), bonds[k + 1])
-        ]
-        # R is block diagonal: block q meets the rows of the next site whose
-        # left label is q, and of those only the columns of charge q
-        following = tensors[k + 1].reshape(chi_r, -1)
-        blocks = {q: _grid(r, c) for q, r, c in _shared(bonds[k + 1], _col_charges(phys, bonds[k + 2]))}
-        q_mat, _, bonds[k + 1] = _assemble(matrix.shape, pieces)
-        tensors[k] = q_mat.reshape(chi_l, p, -1)
-        absorbed = np.zeros((len(bonds[k + 1]), following.shape[1]), dtype=np.complex128)
-        row = 0
-        for q, _, _, _, rest in pieces:
-            if q in blocks:
-                absorbed[row : row + len(rest), blocks[q][1]] = rest @ following[blocks[q]]
-            row += len(rest)
-        tensors[k + 1] = absorbed.reshape(-1, *tensors[k + 1].shape[1:])
-    for k in range(stop, target, -1):
-        chi_l, p, chi_r = tensors[k].shape
-        matrix = tensors[k].reshape(chi_l, p * chi_r)
+    for k in [*range(start, target), *range(stop - 1, target - 1, -1)]:
+        chi_l, p, chi_r = tensors[k].shape[0], len(phys), tensors[k + 1].shape[2]
+        left, right = tensors[k].reshape(chi_l * p, -1), tensors[k + 1].reshape(-1, p * chi_r)
         pieces = []
-        for q, rows, cols in _shared(bonds[k], _col_charges(phys, bonds[k + 1])):
-            # A = R^T Q^T, from the QR of A^T
-            q_mat, rest = _qr(matrix[_grid(rows, cols)].T)
-            pieces.append((q, rows, cols, rest.T, q_mat.T))
-        # as above: block q meets the rows of charge q of the previous site
-        preceding = tensors[k - 1].reshape(-1, chi_l)
-        blocks = {q: (r, _grid(r, c)) for q, r, c in _shared(_row_charges(bonds[k - 1], phys), bonds[k])}
-        _, q_mat, bonds[k] = _assemble(matrix.shape, pieces)
-        tensors[k] = q_mat.reshape(-1, p, chi_r)
-        absorbed = np.zeros((preceding.shape[0], len(bonds[k])), dtype=np.complex128)
-        col = 0
-        for q, _, _, rest, _ in pieces:
-            if q in blocks:
-                rows, grid = blocks[q]
-                absorbed[_run(rows), col : col + rest.shape[1]] = preceding[grid] @ rest
-            col += rest.shape[1]
-        tensors[k - 1] = absorbed.reshape(*tensors[k - 1].shape[:2], -1)
+        for q, rows, cols, middle in _sectors(bonds[k], bonds[k + 1], bonds[k + 2], phys):
+            if middle is None:  # both sites are zero on this block
+                continue
+            if k < target:  # moving right
+                q_mat, rest = _qr(left[middle[0]])
+                pieces.append((q, rows, cols, q_mat, rest @ right[middle[1]]))
+            else:  # moving left, the block is R^T Q^T
+                q_mat, rest = _qr(right[middle[1]].T)
+                pieces.append((q, rows, cols, left[middle[0]] @ rest.T, q_mat.T))
+        u, vh, bonds[k + 1] = _assemble((chi_l * p, p * chi_r), pieces)
+        tensors[k], tensors[k + 1] = u.reshape(chi_l, p, -1), vh.reshape(-1, p, chi_r)
 
 
 def _kept(s_all: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
@@ -666,12 +649,8 @@ def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> Tensor
     a, b = tensors[i], tensors[i + 1]
     chi_l, p, chi_r = a.shape[0], a.shape[1], b.shape[2]
     # the pair matrix has the same charge blocks before and after the map
-    sectors, order, groups = _pair_layout(bonds[i], bonds[i + 1], bonds[i + 2], phys)
-    # the largest arrays the update allocates: the packed pair and the two new
-    # sites, whose bond holds at most min(rows, columns) per charge block
-    bond = sum(min(len(rows), len(cols)) for _, rows, cols, *_ in sectors)
-    largest = max(len(order), p * bond * max(chi_l, chi_r))
-    check_size(largest, f"an array of the update of modes {(i, i + 1)}")
+    what = f"an array of the update of modes {(i, i + 1)}"
+    sectors, order, groups = _pair_layout(bonds[i], bonds[i + 1], bonds[i + 2], phys, what)
     left, right = a.reshape(chi_l * p, -1), b.reshape(-1, p * chi_r)
     packed = np.empty(len(order), dtype=np.complex128)
     for _, rows, cols, middle, span in sectors:
@@ -730,18 +709,6 @@ def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> Tensor
     return train._evolved(tensors, bonds, None, schmidt)
 
 
-def _sweep(layer, train: TensorTrain) -> list:
-    """The gates of a layer ordered to carry the centre across it from the
-    end it is nearest to.  Gates of one layer act on disjoint pairs and
-    commute.  A train with centre None, in Schmidt form (whose updates move
-    no centre) or not known to be canonical, takes them in ascending order."""
-    gates = sorted(layer, key=lambda g: g.modes[0])
-    if gates and train.center is not None:
-        if 2 * train.center > gates[0].modes[0] + gates[-1].modes[1]:
-            gates.reverse()
-    return gates
-
-
 def apply_gate_mps(
     psi: TensorTrain,
     gate: Gate,
@@ -772,19 +739,30 @@ def apply_gate_mps(
     return _apply_two_site(psi, gate.modes[0], blocks, policy, stats)
 
 
-def _evolve_mps(
-    psi: TensorTrain,
-    circuit: Circuit,
-    policy: TruncationPolicy,
-    stats: EvolutionStats,
-    reverse: bool,
-) -> TensorTrain:
-    layers = reversed(circuit.layers) if reverse else circuit.layers
+def _evolve(train: TensorTrain, layers, step, stats: EvolutionStats) -> TensorTrain:
+    """``train`` through ``layers`` in the order given, one ``step(train,
+    gate)`` per gate; the largest bond after each layer goes to ``stats``.
+    The gates of a layer act on disjoint pairs and commute, so each layer is
+    taken from the end nearer the centre, carrying it across; a train with
+    centre None (in Schmidt form, whose updates move no centre, or not known
+    to be canonical) takes them in ascending order."""
     for layer in layers:
-        for gate in _sweep(layer, psi):
-            psi = apply_gate_mps(psi, gate, policy, stats, reverse=reverse)
-        stats.per_layer_bonds.append(psi.max_bond())
-    return psi
+        gates = sorted(layer, key=lambda g: g.modes[0])
+        if gates and train.center is not None:
+            if 2 * train.center > gates[0].modes[0] + gates[-1].modes[1]:
+                gates.reverse()
+        for gate in gates:
+            train = step(train, gate)
+        stats.per_layer_bonds.append(train.max_bond())
+    return train
+
+
+def _evolve_mps(psi: TensorTrain, circuit: Circuit, policy, stats, reverse: bool) -> TensorTrain:
+    """A state through ``circuit``, or through its time reverse."""
+    layers = reversed(circuit.layers) if reverse else circuit.layers
+    # the step looks the gate function up when it runs, so that a wrapper
+    # installed on the module sees every gate
+    return _evolve(psi, layers, lambda t, g: apply_gate_mps(t, g, policy, stats, reverse=reverse), stats)
 
 
 def apply_gate_mpo_adjoint(
@@ -907,9 +885,14 @@ def heisenberg_probability_lossless(
     policy: TruncationPolicy | None = None,
 ) -> tuple[float, EvolutionStats]:
     """|<psi| U^dag |n>|^2 by evolving the outcome state through the reversed
-    circuit, skipping the gates outside the outcome's light cone."""
+    circuit, skipping the gates outside the outcome's light cone.  The
+    circuit can gather all N photons of the outcome in one mode, so a
+    ``local_cutoff`` below N, which would truncate them, raises ValueError."""
     outcome = _check_length(circuit.num_modes, outcome)
     _require_lossless(circuit, "the lossless Heisenberg path (use heisenberg_probability_lossy)")
+    total = sum(outcome)
+    if local_cutoff < total:
+        raise ValueError(f"outcome {outcome} lies outside the cutoff {local_cutoff}: {total} photons in all")
     policy = policy or TruncationPolicy()
     stats = EvolutionStats()
     phi = fock_mps(outcome, local_cutoff)
@@ -933,11 +916,10 @@ def heisenberg_probability_lossy(
     outcome = _check_length(circuit.num_modes, outcome)
     policy = policy or TruncationPolicy()
     stats = EvolutionStats()
-    op = fock_projector_mpo(outcome, local_cutoff)
-    for layer in reversed(circuit.layers):
-        for gate in _sweep(layer, op):
-            op = apply_gate_mpo_adjoint(op, gate, policy, stats)
-        stats.per_layer_bonds.append(op.max_bond())
+    op = _evolve(
+        fock_projector_mpo(outcome, local_cutoff), reversed(circuit.layers),
+        lambda t, g: apply_gate_mpo_adjoint(t, g, policy, stats), stats,
+    )
     psi = squeezed_mps(r, circuit.num_modes, local_cutoff)
     value = mpo_expectation(psi, op, psi)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):

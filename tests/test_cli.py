@@ -70,9 +70,9 @@ class TestProb:
         path = tmp_path / "c.json"
         run(["gen", "--modes", "4", "--depth", "4", "--seed", "3", "--output", str(path)], capsys)
         values = {}
-        for backend, flags in [("tn", ["--picture", "heisenberg", "--cutoff", "6"]),
+        for backend, flags in [("tn", ["--picture", "heisenberg"]),
                                ("tn", ["--picture", "schrodinger"]),
-                               ("dense", ["--cutoff", "6"]), ("gaussian", [])]:
+                               ("dense", []), ("gaussian", [])]:
             code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
                                 "--squeezing", "0.4", "--backend", backend, *flags], capsys)
             assert code == 0
@@ -141,9 +141,37 @@ class TestProb:
         assert out == ""
         assert f"--workers must be at least 1, got {workers}" in err
 
+    @pytest.mark.parametrize("backend", ["tn", "dense"])
+    def test_cutoff_below_one_exits_1_before_any_outcome(self, tmp_path, capsys, backend):
+        path = tmp_path / "lossy.json"
+        save_circuit(with_uniform_loss(build_brickwork(4, 4, seed=1), 0.05), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no tail warning from an outcome either
+            code, out, err = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                                  "--outcome", "2,0,0,0", "--backend", backend,
+                                  "--cutoff", "0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --cutoff must be at least 1, got 0\n"
+
+    # each count fits the cutoff, but the circuit can gather all of them in one
+    # mode: on this circuit a cutoff of 3 and 1 gave 4.8e-4 for 5.4e-4 and 0.0
+    # for 1.8e-3, and one at or above the total gives the automatic value
+    @pytest.mark.parametrize("outcome, cutoff", [("2,2,0,0", "3"), ("1,1,0,0", "1"), ("1,1,0,0", "6")])
+    @pytest.mark.parametrize("backend", ["tn", "dense"])
+    def test_cutoff_on_a_lossless_circuit_exits_1(self, tmp_path, capsys, backend, outcome, cutoff):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "3", "--output", str(path)], capsys)
+        code, out, err = run(["prob", "--circuit", str(path), "--outcome", outcome,
+                              "--backend", backend, "--cutoff", cutoff], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"--backend {backend} does not use --cutoff on a lossless circuit" in err
+
     def test_partial_failure_writes_good_records_and_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "c.json"
-        run(["gen", "--modes", "2", "--depth", "2", "--seed", "4", "--output", str(path)], capsys)
+        run(["gen", "--modes", "2", "--depth", "2", "--seed", "4", "--gamma", "0.05",
+             "--output", str(path)], capsys)
         out_path = tmp_path / "records.jsonl"
         code, _, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1",
                           "--outcome", "9,0", "--squeezing", "0.4", "--cutoff", "3",
@@ -415,7 +443,7 @@ class TestProb:
         path = tmp_path / "c.json"
         run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
         code, out, _ = run(["prob", "--circuit", str(path), "--outcome", outcome,
-                            "--squeezing", "0.4", "--cutoff", "2"], capsys)
+                            "--squeezing", "0.4"], capsys)
         assert code == 1
         assert _records(out)[0]["error"] == "outcome length does not match the mode count"
 
@@ -645,8 +673,11 @@ class TestValidate:
         ],
     )
     def test_bad_totals_exit_1(self, tmp_path, capsys, flags, message):
+        # a cutoff is read on a lossy file only
+        loss = ["--gamma", "0.05"] if "--cutoff" in flags else []
         path = tmp_path / "c.json"
-        run(["gen", "--modes", "3", "--depth", "3", "--seed", "13", "--output", str(path)], capsys)
+        run(["gen", "--modes", "3", "--depth", "3", "--seed", "13", *loss, "--output", str(path)],
+            capsys)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the dense column's tail-mass warning at n_c = 2
             code, out, err = run(["validate", "--circuit", str(path), "--squeezing", "0.4",
@@ -664,3 +695,24 @@ class TestValidate:
         assert code == 1
         assert "--cutoff" in err
         assert out == ""
+
+    def test_lossless_file_takes_no_cutoff(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "1", "--output", str(path)], capsys)
+        code, out, err = run(["validate", "--circuit", str(path), "--squeezing", "0.4",
+                              "--totals", "0,2", "--cutoff", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "validate does not use --cutoff on a lossless circuit" in err
+
+    def test_cutoff_below_one_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "1", "--gamma", "0.05",
+             "--output", str(path)], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["validate", "--circuit", str(path), "--squeezing", "0.4",
+                                  "--totals", "0,2", "--cutoff", "0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --cutoff must be at least 1, got 0\n"

@@ -603,6 +603,13 @@ class TestChargeBlocks:
         with pytest.raises(ResourceLimitError, match="size guard"):
             apply_gate_mps(psi, _gate())
 
+    def test_a_refused_update_stores_no_layout(self, monkeypatch):
+        monkeypatch.setattr(tnet, "_layouts", {})
+        monkeypatch.setattr(errors, "SIZE_LIMIT", 8)
+        with pytest.raises(ResourceLimitError, match=r"update of modes \(0, 1\)"):
+            apply_gate_mps(fock_mps((1, 1), 2), _gate())
+        assert tnet._layouts == {}
+
 
 def _blocks():
     """Complex blocks of every shape the factorizations take apart, and zeros."""
@@ -809,6 +816,50 @@ class TestGateByTotal:
         ]
 
 
+def _center_move_trains():
+    """An operator train with generic entries in every charge block, and a
+    state train whose splits truncated, so that it carries no Schmidt values."""
+    c = with_uniform_loss(build_brickwork(5, 5, seed=2), 0.1)
+    op = fock_projector_mpo((1, 0, 2, 0, 1), 2)
+    for gate in [g for layer in reversed(c.layers) for g in layer]:
+        op = apply_gate_mpo_adjoint(op, gate)
+    psi = _evolve_mps(
+        fock_mps((1, 2, 0, 1, 1), 5), build_brickwork(5, 5, seed=3),
+        TruncationPolicy(max_bond=3), EvolutionStats(), reverse=True,
+    )
+    assert psi.schmidt is None
+    return {"operator": _random_fill(op, 4), "truncated state": psi}
+
+
+class TestCenterMove:
+    @pytest.mark.parametrize("name", ["operator", "truncated state"])
+    def test_moves_keep_the_train_and_leave_isometries_either_side(self, name):
+        train = _center_move_trains()[name]
+        dense = train.to_dense()
+
+        def moved(tensors, bonds, center, target):
+            tensors, bonds = list(tensors), list(bonds)
+            tnet._move_center(tensors, bonds, train.phys_charges, center, target)
+            out = tnet.TensorTrain(tensors, train.local_dim, target, train.phys_charges, bonds)
+            assert np.max(np.abs(out.to_dense() - dense)) <= 1e-13 * np.max(np.abs(dense))
+            _assert_charges_hold(out)
+            for k, t in enumerate(tensors):
+                if k < target:  # a left isometry
+                    a = t.reshape(-1, t.shape[2])
+                    assert np.max(np.abs(a.conj().T @ a - np.eye(a.shape[1]))) <= 1e-12
+                elif k > target:  # a right isometry
+                    b = t.reshape(t.shape[0], -1)
+                    assert np.max(np.abs(b @ b.conj().T - np.eye(b.shape[0]))) <= 1e-12
+            return tensors, bonds
+
+        # from no known centre to every site, then from each of those to every site
+        sites = range(train.num_modes)
+        canonical = [moved(train.tensors, train.bond_charges, None, target) for target in sites]
+        for center in sites:
+            for target in sites:
+                moved(*canonical[center], center, target)
+
+
 class TestTruncation:
     def test_threshold_monotonicity(self):
         c = build_brickwork(4, 4, seed=19)
@@ -979,3 +1030,17 @@ class TestOutcomeLength:
         with pytest.raises(ValueError, match="outside the cutoff 3"):
             route(c, (4, 0, 0, 0), 0.4, 3)
         assert calls == []
+
+    @pytest.mark.parametrize("outcome, cutoff", [((2, 2, 0, 0), 3), ((1, 1, 0, 0), 1)])
+    def test_lossless_cutoff_below_the_photon_total_is_refused(self, monkeypatch, outcome, cutoff):
+        # each count fits the cutoff, but the circuit can gather all of them in
+        # one mode, where the truncated gates would lose them
+        calls = _counted_two_site_updates(monkeypatch)
+        c = build_brickwork(4, 4, seed=1)
+        with pytest.raises(ValueError, match=f"lies outside the cutoff {cutoff}: {sum(outcome)} photons in all"):
+            heisenberg_probability_lossless(c, outcome, 0.4, cutoff)
+        assert calls == []
+        monkeypatch.undo()
+        p, _ = heisenberg_probability_lossless(c, outcome, 0.4, sum(outcome))
+        gaussian = gbs_probability(propagate_circuit(squeezed_vacuum_cov(0.4, 4), c), outcome)
+        assert p == pytest.approx(gaussian, rel=1e-9)
