@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NumericalFailureError, UnsupportedConfigurationError
+from .errors import NumericalFailureError, UnsupportedConfigurationError, check_outcome
 from .fockdense import squeeze_values
 from .gauss import photon_pair_distribution
 
@@ -135,14 +135,7 @@ def recommended_cutoff(
 
 def dmax_fbs(outcome) -> int:
     """Bond bound prod_k (n_k + 1) for evolving the outcome state; <= 2^total."""
-    result = 1
-    for n in outcome:
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"negative photon count {n}")
-        if n > 0:
-            result *= n + 1
-    return result
+    return math.prod(n + 1 for n in check_outcome(outcome))
 
 
 def dmax_gbs(local_cutoff: int, num_modes: int) -> int:

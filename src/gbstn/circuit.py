@@ -136,6 +136,16 @@ class Circuit:
     def is_lossless(self) -> bool:
         return all(g.loss_gamma == 0.0 for g in self.gates())
 
+    def require_lossless(self, what: str) -> None:
+        """Raise UnsupportedConfigurationError, naming ``what`` and the first
+        lossy gate, unless the circuit is lossless."""
+        for index, gate in enumerate(self.gates()):
+            if gate.loss_gamma != 0.0:
+                raise UnsupportedConfigurationError(
+                    f"{what} handles lossless circuits only; gate {index} "
+                    f"(modes {gate.modes}) has loss {gate.loss_gamma}"
+                )
+
     def to_dict(self) -> dict:
         return {
             "num_modes": self.num_modes,
@@ -255,6 +265,9 @@ def _hopping_eigensystems(local_cutoff: int) -> tuple:
 # the matrix and about 21 d^3 for the blocks of fixed total and their adjoints
 @lru_cache(maxsize=2048)
 def _gate_unitary_cached(theta: float, varphi: float, phi: float, local_cutoff: int):
+    # checked here, for every gate function: a raised call is not cached
+    if local_cutoff < 1:
+        raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
     d = local_cutoff + 1
     tensor = np.zeros((d, d, d, d), dtype=np.complex128)
     blocks, adjoints = [], []
@@ -287,15 +300,11 @@ def gate_unitary_fock(params: GateParams, local_cutoff: int) -> np.ndarray:
     Returns a read-only (d*d, d*d) matrix with d = local_cutoff + 1 and basis
     index ``n_i * d + n_{i+1}`` (the lower mode of the pair is the slow index).
     """
-    if local_cutoff < 1:
-        raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
     return _gate_unitary_cached(params.theta, params.varphi, params.phi, local_cutoff)[0]
 
 
 def gate_tensor(params: GateParams, local_cutoff: int) -> np.ndarray:
     """Rank-4 view of :func:`gate_unitary_fock` with axes (out_i, out_{i+1}, in_i, in_{i+1})."""
-    if local_cutoff < 1:
-        raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
     return _gate_unitary_cached(params.theta, params.varphi, params.phi, local_cutoff)[1]
 
 
@@ -305,8 +314,6 @@ def gate_blocks(params: GateParams, local_cutoff: int, adjoint: bool = False) ->
     where m runs up from max(0, T - local_cutoff) and the upper mode holds
     T - m.  With ``adjoint`` the blocks of the conjugate-transposed gate.
     Read-only, from the same cache entry as :func:`gate_tensor`."""
-    if local_cutoff < 1:
-        raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
     return _gate_unitary_cached(params.theta, params.varphi, params.phi, local_cutoff)[2][adjoint]
 
 
@@ -338,12 +345,7 @@ def circuit_to_mode_unitary(circuit: Circuit) -> np.ndarray:
     Entry u[i, k] is the amplitude for one photon injected in mode k to exit
     in mode i.  Raises for lossy circuits, which have no mode unitary.
     """
-    for index, gate in enumerate(circuit.gates()):
-        if gate.loss_gamma != 0.0:
-            raise UnsupportedConfigurationError(
-                f"circuit has loss on gate {index} (modes {gate.modes}); "
-                "a mode unitary exists only for lossless circuits"
-            )
+    circuit.require_lossless("the mode unitary")
     m = circuit.num_modes
     u = np.eye(m, dtype=np.complex128)
     for layer in circuit.layers:
@@ -377,8 +379,6 @@ def kraus_set(gamma: float, local_cutoff: int) -> tuple[np.ndarray, ...]:
     """
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if local_cutoff < 1:
-        raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
     return _kraus_cached(float(gamma), local_cutoff)
 
 

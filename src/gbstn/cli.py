@@ -11,21 +11,32 @@ Subcommands:
 ``prob`` and ``validate`` emit one JSON record per line; ``--output -``
 streams to stdout.  ``prob --workers`` evaluates the outcomes on that many
 threads, which helps when BLAS is pinned to one thread.
+
+:func:`main` is the one place that reports a refusal: whatever the package
+raises for a bad request becomes one ``error:`` line on stderr and exit code
+1.  Only ``prob`` catches more, per outcome, to write an error record and
+go on with the batch.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, circuit as circuit_mod, fockdense, gauss, tnet
-from .errors import ResourceLimitError, UnsupportedConfigurationError
+from .errors import (
+    NumericalFailureError,
+    ResourceLimitError,
+    UnsupportedConfigurationError,
+    check_size,
+)
 
-DEFAULT_EPSILON = 1e-6
 DEFAULT_TOLERANCE = 1e-8
 
 
@@ -44,25 +55,28 @@ def _parse_squeezing(text: str):
 
 def _parse_grid(text: str, cast) -> list:
     """Accept 'start:stop:step' (stop inclusive) or a comma list; raises
-    ValueError on a step <= 0 or an empty range."""
+    ValueError on a step <= 0, an empty or unbounded range, and
+    ResourceLimitError on a range longer than the size guard."""
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
-        if step <= 0.0:
+        if not step > 0.0:
             raise ValueError(f"grid {text!r} needs a positive step")
-        if stop < start:
+        if not start <= stop:
             raise ValueError(f"grid {text!r} is empty")
+        if not math.isfinite(stop - start):
+            raise ValueError(f"grid {text!r} needs finite bounds")
         count = int(round((stop - start) / step)) + 1
+        check_size(count, f"grid {text!r}")
         return [cast(start + k * step) for k in range(count)]
     return [cast(x) for x in text.split(",")]
 
 
 def _load_circuit(path: str):
-    """The circuit in ``path``, or None after printing why it cannot be read."""
+    """The circuit in ``path``; ValueError says why it cannot be read."""
     try:
         return circuit_mod.load_circuit(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot read circuit {path!r}: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot read circuit {path!r}: {exc}") from None
 
 
 def _open_output(path: str):
@@ -73,13 +87,9 @@ def _open_output(path: str):
 
 def cmd_gen(args) -> int:
     circ = circuit_mod.build_brickwork(args.modes, args.depth, seed=args.seed)
-    if args.gamma > 0.0:
+    if args.gamma != 0.0:  # with_uniform_loss refuses one outside [0, 1)
         circ = circuit_mod.with_uniform_loss(circ, args.gamma)
-    try:
-        circuit_mod.save_circuit(circ, args.output, seed=args.seed)
-    except OSError as exc:
-        print(f"error: cannot write {args.output!r}: {exc}", file=sys.stderr)
-        return 1
+    circuit_mod.save_circuit(circ, args.output, seed=args.seed)
     return 0
 
 
@@ -91,13 +101,14 @@ def _dense_output(circ, squeezing, n_c):
     return fockdense.dense_evolve_density(state.to_density(), circ)
 
 
-def _evaluator(circ, squeezing, backend, picture, policy, outcomes, cutoffs):
+def _evaluator(circ, squeezing, backend, picture, policy, totals, cutoffs):
     """``evaluate(outcome, n_c) -> (probability, stats or None)`` on one
     backend.  The work no outcome changes is done here, once per request:
     the Gaussian covariance, the dense output for each n_c in ``cutoffs``,
-    or the Schrodinger picture's evolved input per total of ``outcomes``."""
+    or the Schrodinger picture's evolved input for each photon total in
+    ``totals``."""
     if backend == "tn" and picture == "schrodinger":
-        states = {t: tnet.evolve_input(circ, squeezing, t, policy) for t in {sum(n) for n in outcomes}}
+        states = {t: tnet.evolve_input(circ, squeezing, t, policy) for t in set(totals)}
         return lambda outcome, n_c: tnet.project_outcome(*states[sum(outcome)], outcome)
     if backend == "tn":
         route = tnet.heisenberg_probability_lossless if circ.is_lossless else tnet.heisenberg_probability_lossy
@@ -136,72 +147,60 @@ _READS = {
 }
 
 
-def _below_one(args, *names) -> str | None:
-    """An error message if one of the integer flags ``names`` is given below 1,
-    else None; checked before the circuit is read."""
+def _check_at_least_one(args, *names) -> None:
+    """Raise ValueError if one of the integer flags ``names`` is given below
+    1; checked before the circuit is read."""
     for name in names:
         value = getattr(args, name)
         if value is not None and value < 1:
-            return f"--{name} must be at least 1, got {value}"
+            raise ValueError(f"--{name} must be at least 1, got {value}")
 
 
-def _unread_flags(args, lossless: bool) -> str | None:
-    """Which flags given explicitly the chosen route never reads, as an error
-    message, or None.  On a lossless circuit ``n_c`` is the outcome's photon
-    total, exact because the gates keep photon number, so neither
-    ``--cutoff`` nor the cutoff rule's ``--epsilon`` is read there: a cutoff
-    below the total would truncate photons the circuit can gather in one mode."""
-    route, reads = f"--backend {args.backend}", _READS[args.backend]
-    if args.backend == "tn" and args.picture == "schrodinger":
-        route, reads = f"{route} --picture schrodinger", _READS["schrodinger"]
-    given = (("--cutoff", args.cutoff), ("--max-bond", args.max_bond),
-             ("--svd-threshold", args.svd_threshold), ("--epsilon", args.epsilon),
-             ("--picture", args.picture))
-    unread = [flag for flag, value in given if value is not None and flag not in reads]
+def _check_read(route: str, reads: set, given: dict, lossless: bool) -> None:
+    """Raise ValueError naming the flags in ``given`` (flag: value, None when
+    not given) that ``route`` never reads.  On a lossless circuit ``n_c`` is
+    the outcome's photon total, exact because the gates keep photon number,
+    so neither ``--cutoff`` nor the cutoff rule's ``--epsilon`` is read
+    there: a cutoff below the total would truncate photons the circuit can
+    gather in one mode."""
+    given = [flag for flag, value in given.items() if value is not None]
+    unread = [flag for flag in given if flag not in reads]
     if unread:
-        return f"{route} does not use {', '.join(unread)}"
-    unread = [
-        flag for flag, value in given if value is not None and flag in ("--cutoff", "--epsilon")
-    ]
+        raise ValueError(f"{route} does not use {', '.join(unread)}")
+    unread = [flag for flag in given if flag in ("--cutoff", "--epsilon")]
     if unread and lossless:
-        return f"{route} does not use {', '.join(unread)} on a lossless circuit"
+        raise ValueError(f"{route} does not use {', '.join(unread)} on a lossless circuit")
 
 
 def cmd_prob(args) -> int:
-    below = _below_one(args, "workers", "cutoff")
-    if below:
-        print(f"error: {below}", file=sys.stderr)
-        return 1
+    _check_at_least_one(args, "workers", "cutoff")
     circ = _load_circuit(args.circuit)
-    if circ is None:
-        return 1
-    unread = _unread_flags(args, circ.is_lossless)
-    if unread:
-        print(f"error: {unread}", file=sys.stderr)
-        return 1
-    epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+    route, reads = f"--backend {args.backend}", _READS[args.backend]
+    if args.backend == "tn" and args.picture == "schrodinger":
+        route, reads = f"{route} --picture schrodinger", _READS["schrodinger"]
+    given = {"--cutoff": args.cutoff, "--max-bond": args.max_bond,
+             "--svd-threshold": args.svd_threshold, "--epsilon": args.epsilon,
+             "--picture": args.picture}
+    _check_read(route, reads, given, circ.is_lossless)
+    epsilon = analysis.CutoffPolicy.epsilon if args.epsilon is None else args.epsilon
     picture = (args.picture or "heisenberg") if args.backend == "tn" else None
-    try:
-        # once here, not once per outcome on the routes that read it per outcome
-        fockdense.squeeze_values(args.squeezing, circ.num_modes)
-        truncation = {"max_bond": args.max_bond, "svd_threshold": args.svd_threshold}
-        policy = tnet.TruncationPolicy(**{k: v for k, v in truncation.items() if v is not None})
-        recommended = n_cs = [None] * len(args.outcome)
-        if args.backend != "gaussian" and picture != "schrodinger":  # the exact routes take none
-            recommended = [
-                analysis.recommended_cutoff(circ, args.squeezing, sum(n), epsilon)
-                for n in args.outcome
-            ]
-            n_cs = recommended if args.cutoff is None else [args.cutoff] * len(args.outcome)
-            if None in n_cs:
-                raise UnsupportedConfigurationError(
-                    "automatic cutoff selection needs an even mode count and uniform "
-                    "squeezing for lossy circuits; pass --cutoff explicitly"
-                )
-        evaluate = _evaluator(circ, args.squeezing, args.backend, picture, policy, args.outcome, n_cs)
-    except (ValueError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # once here, not once per outcome on the routes that read it per outcome
+    fockdense.squeeze_values(args.squeezing, circ.num_modes)
+    truncation = {"max_bond": args.max_bond, "svd_threshold": args.svd_threshold}
+    policy = tnet.TruncationPolicy(**{k: v for k, v in truncation.items() if v is not None})
+    recommended = n_cs = [None] * len(args.outcome)
+    if "--cutoff" in reads:
+        recommended = [
+            analysis.recommended_cutoff(circ, args.squeezing, sum(n), epsilon) for n in args.outcome
+        ]
+        n_cs = recommended if args.cutoff is None else [args.cutoff] * len(args.outcome)
+        if None in n_cs:
+            raise UnsupportedConfigurationError(
+                "automatic cutoff selection needs an even mode count and uniform "
+                "squeezing for lossy circuits; pass --cutoff explicitly"
+            )
+    totals = [sum(n) for n in args.outcome]
+    evaluate = _evaluator(circ, args.squeezing, args.backend, picture, policy, totals, n_cs)
 
     def record(outcome, n_c, recommended_n_c) -> dict:
         # one failed outcome becomes an error record; the rest of the batch runs
@@ -229,26 +228,18 @@ def cmd_cutoff(args) -> int:
     if args.sources is not None:
         sources = args.sources
     elif args.circuit:
-        circ = _load_circuit(args.circuit)
-        if circ is None:
-            return 1
-        sources = circ.num_lossy_gates
+        sources = _load_circuit(args.circuit).num_lossy_gates
     else:
-        print("error: pass --sources or --circuit to fix the source count", file=sys.stderr)
-        return 1
-    try:
-        policy = analysis.CutoffPolicy(
-            gamma=args.gamma,
-            num_sources=sources,
-            num_modes=args.modes,
-            r=args.squeezing,
-            n_tilde=args.photons,
-            epsilon=args.epsilon,
-        )
-        n_c, achieved = analysis.choose_cutoff(policy)
-    except UnsupportedConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("pass --sources or --circuit to fix the source count")
+    policy = analysis.CutoffPolicy(
+        gamma=args.gamma,
+        num_sources=sources,
+        num_modes=args.modes,
+        r=args.squeezing,
+        n_tilde=args.photons,
+        epsilon=args.epsilon,
+    )
+    n_c, achieved = analysis.choose_cutoff(policy)
     print(
         json.dumps(
             {"n_c": n_c, "delta": achieved, "epsilon": args.epsilon, "sources": sources}
@@ -258,18 +249,19 @@ def cmd_cutoff(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    try:
-        modes = _parse_grid(args.modes, int)
-        squeezings = [round(v, 12) for v in _parse_grid(args.squeezing, float)]
-        bad = [m for m in modes if m < 4 or m % 2 != 0]
-        if bad:
-            raise ValueError(f"mode counts must be even and at least 4, got {bad}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    modes = _parse_grid(args.modes, int)
+    squeezings = [round(v, 12) for v in _parse_grid(args.squeezing, float)]
+    bad = [m for m in modes if m < 4 or m % 2 != 0]
+    if bad:
+        raise ValueError(f"mode counts must be even and at least 4, got {bad}")
+    check_size(len(modes) * len(squeezings), "the scaling grid")
+    # every row is formatted before the output is opened, so a row that
+    # cannot be (a bound past Python's 4300-digit limit) writes nothing
+    report = io.StringIO()
+    analysis.write_scaling_report(report, modes, squeezings)
     fh, close = _open_output(args.output)
     try:
-        analysis.write_scaling_report(fh, modes, squeezings)
+        fh.write(report.getvalue())
     finally:
         if close:
             fh.close()
@@ -289,50 +281,38 @@ def _parse_totals(text: str) -> list[int]:
 
 
 def cmd_validate(args) -> int:
-    below = _below_one(args, "cutoff")
-    if below:
-        print(f"error: {below}", file=sys.stderr)
-        return 1
+    _check_at_least_one(args, "cutoff")
     circ = _load_circuit(args.circuit)
-    if circ is None:
-        return 1
+    _check_read("validate", {"--cutoff"}, {"--cutoff": args.cutoff}, circ.is_lossless)
     if args.cutoff is None and not circ.is_lossless:
-        msg = "the spillover bound's choice (gbstn cutoff) is usually too large to run"
-        print(f"error: a lossy circuit needs --cutoff; {msg}", file=sys.stderr)
-        return 1
-    if args.cutoff is not None and circ.is_lossless:
-        msg = "n_c is the largest photon total, which is exact there"
-        print(f"error: validate does not use --cutoff on a lossless circuit; {msg}",
-              file=sys.stderr)
-        return 1
-    policy = tnet.TruncationPolicy()
+        raise ValueError(
+            "a lossy circuit needs --cutoff; the spillover bound's choice "
+            "(gbstn cutoff) is usually too large to run"
+        )
+    totals = _parse_totals(args.totals)
+    n_c = args.cutoff or analysis.recommended_cutoff(circ, args.squeezing, max(totals))
     # the gaussian column is exact for any per-gate loss, so on a lossy file it
     # exposes the cutoff bias; the Schrodinger picture has no lossy route
-    routes = [
-        ("tn_heisenberg", "tn", "heisenberg"),
-        ("tn_schrodinger", "tn", "schrodinger"),
-        ("dense", "dense", None),
-        ("gaussian", "gaussian", None),
-    ]
-    try:
-        totals = _parse_totals(args.totals)
-        outcomes = [
-            n for total in totals for n in analysis.outcomes_with_total(circ.num_modes, total)
-        ]
-        n_c = args.cutoff
-        if n_c is None:
-            n_c = analysis.recommended_cutoff(circ, args.squeezing, max(totals))
-        evaluators = {
-            name: _evaluator(circ, args.squeezing, backend, picture, policy, outcomes, [n_c])
-            for name, backend, picture in routes
-            if circ.is_lossless or picture != "schrodinger"
-        }
-        columns = {
-            name: [evaluate(n, n_c)[0] for n in outcomes] for name, evaluate in evaluators.items()
-        }
-    except (ValueError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    routes = {
+        "tn_heisenberg": ("tn", "heisenberg"),
+        "tn_schrodinger": ("tn", "schrodinger"),
+        "dense": ("dense", None),
+        "gaussian": ("gaussian", None),
+    }
+    if not circ.is_lossless:
+        del routes["tn_schrodinger"]
+    # the cheapest refusals first: the outcomes are counted before they are
+    # listed, and the dense output, whose size guard refuses what it cannot
+    # hold, is built before the Schrodinger input is evolved
+    m = circ.num_modes
+    count = sum(math.comb(total + m - 1, m - 1) for total in totals)
+    check_size(count, f"the outcomes of --totals {args.totals!r}")
+    evaluators = {
+        name: _evaluator(circ, args.squeezing, *routes[name], tnet.TruncationPolicy(), totals, [n_c])
+        for name in sorted(routes, key="dense".__ne__)
+    }
+    outcomes = [n for total in totals for n in analysis.outcomes_with_total(m, total)]
+    columns = {name: [evaluators[name](n, n_c)[0] for n in outcomes] for name in routes}
 
     names = list(columns)
     worst = 0.0
@@ -397,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilon); on a lossless circuit n_c is the outcome's photon total, which is exact",
     )
     p.add_argument(
-        "--epsilon", type=float, default=None, help=f"spillover bound (default: {DEFAULT_EPSILON})"
+        "--epsilon", type=float, default=None,
+        help=f"spillover bound (default: {analysis.CutoffPolicy.epsilon})",
     )
     p.add_argument("--max-bond", type=int, default=None)
     p.add_argument("--svd-threshold", type=float, default=None, help="default: 1e-12")
@@ -414,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--photons", type=int, required=True, help="target photon total")
     p.add_argument("--sources", type=int, default=None)
     p.add_argument("--circuit", default=None, help="count lossy gates from this file")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=float, default=analysis.CutoffPolicy.epsilon)
     p.set_defaults(func=cmd_cutoff)
 
     p = sub.add_parser("scaling", help="bond-bound comparison grid as CSV")
@@ -435,8 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  A refusal the package raises (ValueError, which
+    includes UnsupportedConfigurationError, ResourceLimitError,
+    NumericalFailureError or OSError) becomes one ``error:`` line on stderr
+    and exit code 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ResourceLimitError, NumericalFailureError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the one size guard."""
+"""Exception types shared across the package, and the rules every engine
+applies alike: the size guard, the outcome check and the probability check.
+
+The tensor-network routes, the dense oracle and the Gaussian engine must
+agree on every outcome, so they refuse the same outcomes and finish a
+probability the same way, here.  The command-line front end reports every
+refusal these raise as one ``error:`` line.
+"""
 
 # the largest array, in entries, that a dense conversion or a two-site update
 # may allocate; past it they raise ResourceLimitError instead
@@ -24,3 +31,36 @@ def check_size(entries: int, what: str) -> None:
     """Raise :class:`ResourceLimitError` if ``what`` holds more than ``SIZE_LIMIT`` entries."""
     if entries > SIZE_LIMIT:
         raise ResourceLimitError(f"{what} would hold {entries} entries, above the size guard {SIZE_LIMIT}")
+
+
+def check_outcome(
+    outcome, num_modes: int | None = None, cutoff: int | None = None, total: bool = False
+) -> tuple[int, ...]:
+    """The outcome as a tuple of ints, or ValueError: it needs one count per
+    mode (where ``num_modes`` is given), none negative and, under a
+    ``cutoff``, none above it.  With ``total`` the cutoff bounds the
+    outcome's photon total instead, for a route whose circuit can gather
+    every photon in one mode."""
+    outcome = tuple(int(n) for n in outcome)
+    if num_modes is not None and len(outcome) != num_modes:
+        raise ValueError("outcome length does not match the mode count")
+    if min(outcome, default=0) < 0:
+        raise ValueError(f"negative photon count in outcome {outcome}")
+    held = sum(outcome) if total else max(outcome, default=0)
+    if cutoff is not None and held > cutoff:
+        whole = f": {held} photons in all" if total else ""
+        raise ValueError(f"outcome {outcome} lies outside the cutoff {cutoff}{whole}")
+    return outcome
+
+
+def check_probability(value) -> float:
+    """A computed probability as a float in [0, 1].  A value whose imaginary
+    part exceeds 1e-8 max(1, |real part|), or whose real part lies below
+    -1e-9, the roundoff window, raises :class:`NumericalFailureError`; any
+    other real part is clamped."""
+    value = complex(value)
+    if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
+        raise NumericalFailureError(f"non-real probability {value!r}")
+    if value.real < -1e-9:
+        raise NumericalFailureError(f"probability {value.real} below the roundoff window")
+    return min(max(value.real, 0.0), 1.0)

@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .circuit import Circuit, gate_tensor, kraus_set
-from .errors import UnsupportedConfigurationError, check_size
+from .errors import check_outcome, check_size
 
 __all__ = [
     "DenseState",
@@ -32,13 +32,8 @@ __all__ = [
 
 def flat_index(outcome, local_cutoff: int) -> int:
     """Little-endian flat basis index of a photon-count configuration."""
-    d = local_cutoff + 1
-    idx = 0
-    for k, n in enumerate(outcome):
-        if not (0 <= n <= local_cutoff):
-            raise ValueError(f"occupation {n} on mode {k} outside [0, {local_cutoff}]")
-        idx += int(n) * d**k
-    return idx
+    outcome = check_outcome(outcome, cutoff=local_cutoff)
+    return sum(n * (local_cutoff + 1) ** k for k, n in enumerate(outcome))
 
 
 @dataclass
@@ -173,12 +168,9 @@ def dense_evolve_state(psi: DenseState, circuit: Circuit) -> DenseState:
     """Apply a lossless circuit gate by gate to a pure state."""
     if circuit.num_modes != psi.num_modes:
         raise ValueError("mode count mismatch between state and circuit")
+    circuit.require_lossless("dense_evolve_state (use dense_evolve_density)")
     amps = psi.amplitudes
-    for index, gate in enumerate(circuit.gates()):
-        if gate.loss_gamma != 0.0:
-            raise UnsupportedConfigurationError(
-                f"gate {index} is lossy; use dense_evolve_density for lossy circuits"
-            )
+    for gate in circuit.gates():
         tensor = gate_tensor(gate.params, psi.local_cutoff)
         amps = _apply_gate_state(amps, tensor, gate.modes[0])
     return DenseState(amplitudes=amps, num_modes=psi.num_modes, local_cutoff=psi.local_cutoff)
@@ -218,11 +210,7 @@ def dense_evolve_density(rho: DenseDensity, circuit: Circuit) -> DenseDensity:
 
 def dense_probability(state, outcome) -> float:
     """Probability of a photon-count outcome from a DenseState or DenseDensity."""
-    outcome = tuple(int(n) for n in outcome)
-    if len(outcome) != state.num_modes:
-        raise ValueError("outcome length does not match the mode count")
-    if any(n < 0 or n > state.local_cutoff for n in outcome):
-        raise ValueError(f"outcome {outcome} lies outside the cutoff {state.local_cutoff}")
+    outcome = check_outcome(outcome, state.num_modes, state.local_cutoff)
     if isinstance(state, DenseState):
         return float(np.abs(state.amplitudes[outcome]) ** 2)
     if isinstance(state, DenseDensity):

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalFailureError, UnsupportedConfigurationError
+from .errors import NumericalFailureError, UnsupportedConfigurationError, check_outcome, check_probability
 from .fockdense import squeeze_values
 
 __all__ = [
@@ -237,13 +237,8 @@ def gbs_probability(state: GaussianState, outcome) -> float:
     which :func:`hafnian` takes as repetition counts.  A and the normalization
     depend on the state only: :class:`GaussianState` computes them once.
     """
-    outcome = tuple(int(n) for n in outcome)
     m = state.num_modes
-    if len(outcome) != m:
-        raise ValueError("outcome length does not match the mode count")
-    if any(n < 0 for n in outcome):
-        raise ValueError(f"negative photon count in outcome {outcome}")
-
+    outcome = check_outcome(outcome, m)
     norm = state.normalization
     if sum(outcome) == 0:
         return norm
@@ -251,15 +246,7 @@ def gbs_probability(state: GaussianState, outcome) -> float:
     idx = modes + [m + k for k in modes]
     haf = hafnian(state.kernel[np.ix_(idx, idx)], [outcome[k] for k in modes])
 
-    value = haf * norm / math.prod(math.factorial(n) for n in outcome)
-    if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
-        raise NumericalFailureError(f"non-real probability {value!r}")
-    p = float(value.real)
-    if p < 0.0:
-        if p < -1e-9:
-            raise NumericalFailureError(f"probability {p} below the roundoff window")
-        p = 0.0
-    return p
+    return check_probability(haf * norm / math.prod(math.factorial(n) for n in outcome))
 
 
 def photon_pair_distribution(num_modes: int, r: float, pairs: int) -> float:

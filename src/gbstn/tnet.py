@@ -34,26 +34,26 @@ rows whose count exceeds the train's total drop out.  The charges:
 * the outcome projector (``fock_projector_mpo``): charge m - n on the
   (out m, in n) leg, total 0, kept by G^dag O G and by the Kraus sum, since
   each K_mu lowers out and in counts alike;
-* the whole squeezed input (``squeezed_mps``), which the Heisenberg routes
-  close on, is no photon-number eigenstate: it carries the trivial charge.
+* the whole squeezed input (``squeezed_mps``) is no photon-number
+  eigenstate: it carries the trivial charge, and is only the state the
+  Heisenberg routes close on, which no gate acts on.
 
 Site arrays stay dense, with zeros outside the sectors.  The pair matrix
 of an update is stored packed, its charge blocks one after another, and is
 never built whole.  Every local map reaches the one kernel as its block for
 each key k on the pair indices (n1, n2) whose physical charges sum to k: a
-state gate's blocks of fixed photon-number total (``circuit.gate_blocks``),
-or on the trivial charge the whole gate; the adjoint channel's blocks of
-fixed (m1 - n1) + (m2 - n2), built per call.  A packed entry (alpha, n1,
-n2, beta) lies in a charge block exactly when label(beta) - label(alpha) is
-its key, so the labels alone lay out where each block acts, and a pair's
-layout is grouped once and reused from a bounded cache.  A step of a
-centre move is the pair's split with QR in place of the SVD, on the same
-charge blocks and through the same writer.  Blocks of one row or one
-column are factorized in closed form (a norm and a unit vector), larger
-ones by ``numpy.linalg.qr`` and ``numpy.linalg.svd``, which release the
-GIL, so threads evaluating outcomes factorize in parallel (scipy's gesdd
-wrapper would not).  An update touches the two sites and three bonds of
-its pair and nothing else of the train.
+state gate's blocks of fixed photon-number total (``circuit.gate_blocks``);
+the adjoint channel's blocks of fixed (m1 - n1) + (m2 - n2), built per
+call.  A packed entry (alpha, n1, n2, beta) lies in a charge block exactly
+when label(beta) - label(alpha) is its key, so the labels alone lay out
+where each block acts, and a pair's layout is grouped once and reused from
+a bounded cache.  A step of a centre move is the pair's split with QR in
+place of the SVD, on the same charge blocks and through the same writer.
+Blocks of one row or one column are factorized in closed form (a norm and
+a unit vector), larger ones by ``numpy.linalg.qr`` and ``numpy.linalg.svd``,
+which release the GIL, so threads evaluating outcomes factorize in
+parallel (scipy's gesdd wrapper would not).  An update touches the two
+sites and three bonds of its pair and nothing else of the train.
 
 Probabilities are computed three ways:
 
@@ -84,7 +84,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import Circuit, Gate, gate_blocks, gate_tensor, kraus_set
-from .errors import NumericalFailureError, UnsupportedConfigurationError, check_size
+from .errors import UnsupportedConfigurationError, check_outcome, check_probability, check_size
 from .fockdense import squeeze_values, single_mode_squeezed_vector
 
 __all__ = [
@@ -152,15 +152,6 @@ class EvolutionStats:
     def observe_bond(self, chi: int) -> None:
         if chi > self.max_bond_seen:
             self.max_bond_seen = chi
-
-    def to_dict(self) -> dict:
-        return {
-            "max_bond_seen": self.max_bond_seen,
-            "per_layer_bonds": list(self.per_layer_bonds),
-            "truncation_weight": self.truncation_weight,
-            "flop_estimate": self.flop_estimate,
-            "raw_probability": self.raw_probability,
-        }
 
 
 _ONE = np.ones((1, 1), dtype=np.complex128)
@@ -349,26 +340,11 @@ def _schmidt_train(vectors, local_dim: int, phys_charges, total: int) -> TensorT
     return TensorTrain(tensors, local_dim, None, phys, bonds, schmidt)
 
 
-def _check_length(num_modes: int, outcome) -> tuple[int, ...]:
-    """The outcome as ints, checked against the mode count before any evolution."""
-    outcome = tuple(int(n) for n in outcome)
-    if len(outcome) != num_modes:
-        raise ValueError("outcome length does not match the mode count")
-    return outcome
-
-
-def _check_outcome(outcome, local_cutoff: int) -> tuple[int, ...]:
-    outcome = tuple(int(n) for n in outcome)
-    if any(n < 0 or n > local_cutoff for n in outcome):
-        raise ValueError(f"outcome {outcome} lies outside the cutoff {local_cutoff}")
-    return outcome
-
-
 def fock_mps(outcome, local_cutoff: int) -> TensorTrain:
     """Product state |n_1, ..., n_M> (all bonds 1, unit sites, Schmidt
     values 1), charge n on the leg of occupation n."""
     d = local_cutoff + 1
-    outcome = _check_outcome(outcome, local_cutoff)
+    outcome = check_outcome(outcome, cutoff=local_cutoff)
     basis = np.eye(d, dtype=np.complex128)
     return _schmidt_train([basis[n] for n in outcome], d, np.arange(d), sum(outcome))
 
@@ -376,8 +352,8 @@ def fock_mps(outcome, local_cutoff: int) -> TensorTrain:
 def squeezed_mps(r, num_modes: int, local_cutoff: int) -> TensorTrain:
     """Product state of truncated squeezed vacua; norm < 1 is kept, not fixed,
     in site 0 and the Schmidt values.  Not a photon-number eigenstate, so it
-    carries the trivial charge, on which a gate is one block.  The
-    Heisenberg routes close on it."""
+    carries the trivial charge, which :func:`apply_gate_mps` refuses: it is
+    only the state the Heisenberg routes close on."""
     vectors = [single_mode_squeezed_vector(rk, local_cutoff) for rk in squeeze_values(r, num_modes)]
     return _schmidt_train(vectors, local_cutoff + 1, np.zeros(local_cutoff + 1), 0)
 
@@ -398,7 +374,7 @@ def projected_squeezed_mps(r, num_modes: int, total: int) -> TensorTrain:
 def fock_projector_mpo(outcome, local_cutoff: int) -> TensorTrain:
     """|n><n| as a bond-1 operator train at centre 0, charge m - n on leg (m, n)."""
     d = local_cutoff + 1
-    outcome = _check_outcome(outcome, local_cutoff)
+    outcome = check_outcome(outcome, cutoff=local_cutoff)
     basis = np.eye(d * d, dtype=np.complex128)  # row n * d + n is vec(|n><n|)
     charges = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
     return TensorTrain([basis[n * d + n].reshape(1, -1, 1) for n in outcome], d, 0, charges)
@@ -727,15 +703,11 @@ def apply_gate_mps(
             "lossy gates cannot be applied to a state; use the operator path"
         )
     # G keeps the pair's photon number T = n1 + n2, so on occupation charges
-    # it acts as one small block per T; on the trivial charge it is one block
+    # it acts as one small block per T
     d = psi.local_dim
-    if np.array_equal(psi.phys_charges, np.arange(d)):
-        blocks = gate_blocks(gate.params, d - 1, adjoint=reverse)
-    elif not psi.phys_charges.any():
-        g = gate_tensor(gate.params, d - 1).reshape(d * d, d * d)
-        blocks = {0: g.conj().T if reverse else g}
-    else:
+    if not np.array_equal(psi.phys_charges, np.arange(d)):
         raise ValueError("a two-site map does not keep these physical charges")
+    blocks = gate_blocks(gate.params, d - 1, adjoint=reverse)
     return _apply_two_site(psi, gate.modes[0], blocks, policy, stats)
 
 
@@ -806,21 +778,6 @@ def apply_gate_mpo_adjoint(
     return _apply_two_site(operator, gate.modes[0], blocks, policy, stats)
 
 
-def _clamp_probability(raw: float) -> float:
-    if raw < -1e-9:
-        raise NumericalFailureError(f"probability {raw} below the roundoff window")
-    return min(max(raw, 0.0), 1.0)
-
-
-def _require_lossless(circuit: Circuit, path: str) -> None:
-    for index, gate in enumerate(circuit.gates()):
-        if gate.loss_gamma != 0.0:
-            raise UnsupportedConfigurationError(
-                f"{path} handles lossless circuits only; gate {index} "
-                f"(modes {gate.modes}) has loss {gate.loss_gamma}"
-            )
-
-
 def evolve_input(
     circuit: Circuit,
     r,
@@ -830,7 +787,7 @@ def evolve_input(
     """The squeezed input's part with ``total`` photons evolved forward
     through a lossless circuit: the part of the Schrodinger route that no
     outcome of that total changes."""
-    _require_lossless(circuit, "the Schrodinger state path")
+    circuit.require_lossless("the Schrodinger state path")
     stats = EvolutionStats()
     psi = projected_squeezed_mps(r, circuit.num_modes, total)
     return _evolve_mps(psi, circuit, policy or TruncationPolicy(), stats, reverse=False), stats
@@ -840,13 +797,13 @@ def project_outcome(psi: TensorTrain, stats: EvolutionStats, outcome) -> tuple[f
     """|<n|psi>|^2 for the evolved input of :func:`evolve_input`, whose photon
     total the outcome must hold; the stats come back as a copy that carries
     this outcome's raw probability."""
-    outcome = _check_length(psi.num_modes, outcome)
+    outcome = check_outcome(outcome, psi.num_modes)
     total = int(psi.bond_charges[-1][0])
     if sum(outcome) != total:
         raise ValueError(f"outcome {outcome} does not hold the evolved input's {total} photons")
     amp = mps_overlap(fock_mps(outcome, psi.local_dim - 1), psi)
     stats = replace(stats, per_layer_bonds=list(stats.per_layer_bonds), raw_probability=abs(amp) ** 2)
-    return _clamp_probability(stats.raw_probability), stats
+    return check_probability(stats.raw_probability), stats
 
 
 def schrodinger_probability(
@@ -858,7 +815,7 @@ def schrodinger_probability(
     """|<n| U |psi>|^2 = |<n| U Pi_N |psi>|^2 by forward evolution of the
     squeezed input's part with the outcome's photon total N; exact, with no
     cutoff."""
-    outcome = _check_length(circuit.num_modes, outcome)
+    outcome = check_outcome(outcome, circuit.num_modes)
     psi, stats = evolve_input(circuit, r, sum(outcome), policy)
     return project_outcome(psi, stats, outcome)
 
@@ -888,18 +845,15 @@ def heisenberg_probability_lossless(
     circuit, skipping the gates outside the outcome's light cone.  The
     circuit can gather all N photons of the outcome in one mode, so a
     ``local_cutoff`` below N, which would truncate them, raises ValueError."""
-    outcome = _check_length(circuit.num_modes, outcome)
-    _require_lossless(circuit, "the lossless Heisenberg path (use heisenberg_probability_lossy)")
-    total = sum(outcome)
-    if local_cutoff < total:
-        raise ValueError(f"outcome {outcome} lies outside the cutoff {local_cutoff}: {total} photons in all")
+    outcome = check_outcome(outcome, circuit.num_modes, local_cutoff, total=True)
+    circuit.require_lossless("the lossless Heisenberg path (use heisenberg_probability_lossy)")
     policy = policy or TruncationPolicy()
     stats = EvolutionStats()
     phi = fock_mps(outcome, local_cutoff)
     phi = _evolve_mps(phi, _light_cone(circuit, outcome), policy, stats, reverse=True)
     amp = mps_overlap(squeezed_mps(r, circuit.num_modes, local_cutoff), phi)
     stats.raw_probability = abs(amp) ** 2
-    return _clamp_probability(stats.raw_probability), stats
+    return check_probability(stats.raw_probability), stats
 
 
 def heisenberg_probability_lossy(
@@ -913,7 +867,7 @@ def heisenberg_probability_lossy(
 
     Works for lossless circuits too (the channel degenerates to conjugation).
     """
-    outcome = _check_length(circuit.num_modes, outcome)
+    outcome = check_outcome(outcome, circuit.num_modes, local_cutoff)
     policy = policy or TruncationPolicy()
     stats = EvolutionStats()
     op = _evolve(
@@ -922,8 +876,7 @@ def heisenberg_probability_lossy(
     )
     psi = squeezed_mps(r, circuit.num_modes, local_cutoff)
     value = mpo_expectation(psi, op, psi)
-    if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
-        raise NumericalFailureError(f"non-real probability {value!r}")
+    probability = check_probability(value)
     stats.raw_probability = value.real
-    return _clamp_probability(value.real), stats
+    return probability, stats
 

@@ -716,3 +716,60 @@ class TestValidate:
         assert code == 1
         assert out == ""
         assert err == "error: --cutoff must be at least 1, got 0\n"
+
+
+class TestRefusals:
+    """Every refusal is one ``error:`` line on stderr and exit code 1, and a
+    refused request writes nothing and lists no outcome."""
+
+    CASES = {
+        "gen-one-mode": ["gen", "--modes", "1", "--depth", "2", "--seed", "1", "--output", "{out}"],
+        "gen-no-depth": ["gen", "--modes", "4", "--depth", "0", "--seed", "1", "--output", "{out}"],
+        "gen-negative-seed": ["gen", "--modes", "4", "--depth", "2", "--seed", "-1", "--output", "{out}"],
+        "gen-gamma-above-one": ["gen", "--modes", "4", "--depth", "2", "--seed", "1",
+                                "--gamma", "1.5", "--output", "{out}"],
+        "gen-negative-gamma": ["gen", "--modes", "4", "--depth", "2", "--seed", "1",
+                               "--gamma", "-0.5", "--output", "{out}"],
+        "cutoff-gamma-above-one": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "1.5",
+                                   "--photons", "4", "--sources", "6"],
+        "cutoff-zero-epsilon": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "0.05",
+                                "--photons", "4", "--sources", "6", "--epsilon", "0"],
+        "cutoff-negative-photons": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "0.05",
+                                    "--photons", "-2", "--sources", "6"],
+        # D_schrodinger = 26^1500 here, past Python's 4300-digit limit for str()
+        "scaling-bound-past-the-digit-limit": ["scaling", "--modes", "3000", "--squeezing", "0.7",
+                                               "--output", "{out}"],
+        "scaling-grid-above-the-size-guard": ["scaling", "--modes", "4:2e9:2", "--output", "{out}"],
+        "scaling-unbounded-grid": ["scaling", "--modes", "4:inf:2", "--output", "{out}"],
+        # 352,716 outcomes, refused by the dense guard at n_c = 10
+        "validate-dense-guard": ["validate", "--circuit", "{wide}", "--totals", "10"],
+        # 84,672,315 outcomes
+        "validate-many-outcomes": ["validate", "--circuit", "{wide}", "--totals", "20"],
+        # 167,668,501 outcomes at a dense output of 3^4 entries
+        "validate-many-lossy-outcomes": ["validate", "--circuit", "{lossy}", "--cutoff", "2",
+                                         "--totals", "1000"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch, case):
+        from gbstn import analysis
+
+        files = {"wide": tmp_path / "wide.json", "lossy": tmp_path / "lossy.json"}
+        run(["gen", "--modes", "12", "--depth", "12", "--seed", "1", "--output", str(files["wide"])],
+            capsys)
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "1", "--gamma", "0.05",
+             "--output", str(files["lossy"])], capsys)
+
+        def listed(*args):
+            raise AssertionError("outcomes were listed before the request was refused")
+            yield
+
+        monkeypatch.setattr(analysis, "outcomes_with_total", listed)
+        out_path = tmp_path / "out"
+        argv = [a.format(out=out_path, **files) for a in self.CASES[case]]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert not out_path.exists()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err

@@ -1,0 +1,32 @@
+"""The outcome check that every engine shares."""
+
+import pytest
+
+from gbstn import fockdense, gauss, tnet
+from gbstn.circuit import build_brickwork, with_uniform_loss
+
+_CIRCUIT = build_brickwork(4, 4, seed=1)
+
+_ENGINES = {
+    "tnet.schrodinger": lambda n: tnet.schrodinger_probability(_CIRCUIT, n, 0.4),
+    "tnet.heisenberg_lossless": lambda n: tnet.heisenberg_probability_lossless(_CIRCUIT, n, 0.4, 3),
+    "tnet.heisenberg_lossy": lambda n: tnet.heisenberg_probability_lossy(
+        with_uniform_loss(_CIRCUIT, 0.05), n, 0.4, 3
+    ),
+    "fockdense": lambda n: fockdense.dense_probability(fockdense.dense_squeezed_vacuum(0.4, 4, 3), n),
+    "gauss": lambda n: gauss.gbs_probability(gauss.squeezed_vacuum_cov(0.4, 4), n),
+}
+
+
+@pytest.mark.parametrize(
+    "outcome, message",
+    [
+        ((1, 1, 0), "outcome length does not match the mode count"),
+        ((2, -1, 1, 0), "negative photon count in outcome (2, -1, 1, 0)"),
+    ],
+)
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
+def test_every_engine_refuses_a_bad_outcome_alike(engine, outcome, message):
+    with pytest.raises(ValueError) as info:
+        _ENGINES[engine](outcome)
+    assert str(info.value) == message

@@ -123,7 +123,7 @@ class TestStates:
 
 class TestApplyGateMps:
     def test_identity_gate_preserves_state(self):
-        psi = squeezed_mps(0.4, 2, 5)
+        psi = projected_squeezed_mps(0.4, 2, 4)
         out = apply_gate_mps(psi, _gate(0.0, 0.0, 0.0))
         assert abs(mps_overlap(psi, out) / mps_overlap(psi, psi) - 1.0) < 1e-12
 
@@ -134,11 +134,11 @@ class TestApplyGateMps:
 
     def test_bond_growth_capped_by_svd_rank(self):
         policy = TruncationPolicy(max_bond=3)
-        psi = squeezed_mps(0.5, 2, 6)
+        psi = projected_squeezed_mps(0.5, 2, 6)
         stats = EvolutionStats()
         out = apply_gate_mps(psi, _gate(), policy, stats)
         assert out.max_bond() <= 3
-        out2 = apply_gate_mps(squeezed_mps(0.5, 2, 6), _gate())
+        out2 = apply_gate_mps(projected_squeezed_mps(0.5, 2, 6), _gate())
         assert out2.max_bond() <= 7  # old_bond * (n_c + 1)
 
     def test_norm_preserved_without_truncation(self):
@@ -185,12 +185,18 @@ class TestApplyGateMps:
             assert all(np.array_equal(a, b) for a, b in zip(train.schmidt, schmidt))
 
     def test_matches_dense_evolution(self):
+        # the gates keep photon number, so the evolved input's part with N
+        # photons is the count-N part of the dense evolution at a cutoff >= N
         c = build_brickwork(3, 3, seed=21)
-        psi = squeezed_mps(0.4, 3, 5)
-        stats = EvolutionStats()
-        evolved = _evolve_mps(psi, c, TruncationPolicy(), stats, reverse=False)
-        dense = dense_evolve_state(dense_squeezed_vacuum(0.4, 3, 5), c)
-        assert np.allclose(evolved.to_dense(), dense.amplitudes, atol=1e-12)
+        dense = dense_evolve_state(dense_squeezed_vacuum(0.4, 3, 5), c).amplitudes
+        for total in range(6):
+            psi = projected_squeezed_mps(0.4, 3, total)
+            evolved = _evolve_mps(psi, c, TruncationPolicy(), EvolutionStats(), reverse=False)
+            d = psi.local_dim
+            pair = np.add.outer(np.arange(d), np.arange(d))
+            counts = np.add.outer(pair, np.arange(d))
+            expected = np.where(counts == total, dense[:d, :d, :d], 0.0)
+            assert np.allclose(evolved.to_dense(), expected, atol=1e-12)
 
 
 class TestPictureEquivalence:
@@ -336,9 +342,10 @@ class TestCanonicalForm:
         assert abs((1.0 - phi.norm() ** 2) - stats.truncation_weight) < 1e-12
 
     def test_truncation_weight_is_the_lost_norm_of_the_squeezed_input(self):
-        # the input's norm is below 1 and sits in site 0 and the Schmidt values
+        # the input's part with 4 photons: its norm is below 1 and sits in
+        # site 0 and the Schmidt values
         c = build_brickwork(6, 6, seed=2)
-        psi = squeezed_mps(0.5, 6, 3)
+        psi = projected_squeezed_mps(0.5, 6, 4)
         stats = EvolutionStats()
         out = _evolve_mps(psi, c, TruncationPolicy(max_bond=4), stats, reverse=False)
         assert stats.truncation_weight > 0.01
@@ -349,12 +356,13 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("state", ["outcome", "input", 0, 2, 4])
     def test_schmidt_values_are_those_of_the_state(self, state):
         # as built and after an untruncated evolution; an integer state is
-        # the input's part Pi_N psi with that many photons
+        # the input's part Pi_N psi with that many photons, and "input" the
+        # part with 6 photons of an input squeezed unequally
         c = build_brickwork(6, 6, seed=3)
         if state == "outcome":
             train, reverse = fock_mps((1, 0, 2, 0, 1, 1), 5), True
         elif state == "input":
-            train, reverse = squeezed_mps(0.5, 6, 3), False
+            train, reverse = projected_squeezed_mps([0.5, 0.2, 0.6, 0.3, 0.4, 0.5], 6, 6), False
         else:
             train, reverse = projected_squeezed_mps(0.5, 6, state), False
         out = _evolve_mps(train, c, TruncationPolicy(svd_threshold=0.0), EvolutionStats(), reverse)
@@ -727,18 +735,18 @@ class TestGateByTotal:
     @pytest.mark.parametrize("charged", [True, False])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_equals_the_dense_gate_on_the_pair(self, monkeypatch, d, charged, reverse):
-        c = build_brickwork(4, 2, seed=d)
-        if charged:  # the outcome state, bonds labelled by the photons to their left
-            train = _evolve_mps(
-                fock_mps((1, 2, 0, 1), d - 1), c, TruncationPolicy(), EvolutionStats(), reverse=True
-            )
-        else:  # the squeezed input: every pair holds every total
-            train = _evolve_mps(
-                squeezed_mps(0.5, 4, d - 1), c, TruncationPolicy(), EvolutionStats(), reverse=False
-            )
-        assert len(set(train.bond_charges[2].tolist())) == (3 if charged else 1)
-        train = _random_fill(train, d)
         gate = _gate(0.7, 0.3, 1.9, modes=(1, 2))
+        if not charged:  # the whole squeezed input carries the trivial charge, which no gate keeps
+            with pytest.raises(ValueError, match="does not keep these physical charges"):
+                apply_gate_mps(squeezed_mps(0.5, 4, d - 1), gate, reverse=reverse)
+            return
+        # the outcome state, bonds labelled by the photons to their left
+        c = build_brickwork(4, 2, seed=d)
+        train = _evolve_mps(
+            fock_mps((1, 2, 0, 1), d - 1), c, TruncationPolicy(), EvolutionStats(), reverse=True
+        )
+        assert len(set(train.bond_charges[2].tolist())) == 3
+        train = _random_fill(train, d)
         out, local_map = _captured_map(monkeypatch, apply_gate_mps, train, gate, reverse=reverse)
         g = gate_tensor(gate.params, d - 1)
         if reverse:
@@ -971,25 +979,16 @@ class TestHeisenbergLossy:
         assert abs(stats.raw_probability - p) < 1e-9
 
 
-class TestBatch:
-    def test_stats_serializable(self):
-        import json
-
-        c = build_brickwork(2, 2, seed=2)
-        _, stats = heisenberg_probability_lossless(c, (1, 1), 0.4, 4)
-        payload = json.loads(json.dumps(stats.to_dict()))
-        assert payload["max_bond_seen"] == stats.max_bond_seen
-        assert len(payload["per_layer_bonds"]) == 2
-
-
 class TestClamping:
     def test_deeply_negative_value_raises(self):
-        from gbstn.tnet import _clamp_probability
-
-        with pytest.raises(NumericalFailureError):
-            _clamp_probability(-1e-6)
-        assert _clamp_probability(-1e-10) == 0.0
-        assert _clamp_probability(1.0 + 1e-12) == 1.0
+        # the one probability check of every route, the Gaussian engine's too
+        with pytest.raises(NumericalFailureError, match="below the roundoff window"):
+            errors.check_probability(-1e-6)
+        with pytest.raises(NumericalFailureError, match="non-real probability"):
+            errors.check_probability(0.5 + 1e-7j)
+        assert errors.check_probability(-1e-10) == 0.0
+        assert errors.check_probability(1.0 + 1e-12) == 1.0
+        assert errors.check_probability(0.25 + 1e-9j) == 0.25
 
 
 _ROUTES = [
