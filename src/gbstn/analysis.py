@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -215,12 +216,21 @@ def scaling_rows(mode_counts, squeezings) -> list[dict]:
 
     For each (M, r): n = mode of the pair distribution, D_H = 2^n (all photons
     in distinct ports), D_S = n^(M/2).  Rows with the modal total outside the
-    validity window 1 < n < M are flagged instead of omitted.
+    validity window 1 < n < M are flagged instead of omitted.  Raises
+    ValueError, before computing it, on a bound with more digits than
+    ``sys.get_int_max_str_digits()`` lets Python print.
     """
+    limit = sys.get_int_max_str_digits()
     rows = []
     for m in mode_counts:
         for r in squeezings:
             n = mode_of_distribution(m, r)
+            digits = math.floor(max(n * math.log10(2), m // 2 * math.log10(max(n, 1)))) + 1
+            if limit and digits > limit:
+                raise ValueError(
+                    f"the bond bounds at M = {m}, r = {r} have about {digits} digits, "
+                    f"above the {limit}-digit limit for printing an integer"
+                )
             rows.append(
                 {
                     "M": int(m),

@@ -53,14 +53,18 @@ def check_outcome(
     return outcome
 
 
+# the roundoff window of a computed probability
+ROUNDOFF = 1e-9
+
+
 def check_probability(value) -> float:
     """A computed probability as a float in [0, 1].  A value whose imaginary
     part exceeds 1e-8 max(1, |real part|), or whose real part lies below
-    -1e-9, the roundoff window, raises :class:`NumericalFailureError`; any
-    other real part is clamped."""
+    -ROUNDOFF, raises :class:`NumericalFailureError`; any other real part is
+    clamped."""
     value = complex(value)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise NumericalFailureError(f"non-real probability {value!r}")
-    if value.real < -1e-9:
+    if value.real < -ROUNDOFF:
         raise NumericalFailureError(f"probability {value.real} below the roundoff window")
     return min(max(value.real, 0.0), 1.0)

@@ -19,12 +19,20 @@ repetition counts, O(N^3 prod(n_k + 1)) for N detected photons.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalFailureError, UnsupportedConfigurationError, check_outcome, check_probability
+from .errors import (
+    ROUNDOFF,
+    NumericalFailureError,
+    UnsupportedConfigurationError,
+    check_outcome,
+    check_probability,
+    check_size,
+)
 from .fockdense import squeeze_values
 
 __all__ = [
@@ -159,9 +167,12 @@ def uniform_loss(state: GaussianState, eta: float) -> GaussianState:
 # count vectors per batch of power traces: bounds the (batch, 2s, 2s) arrays
 # that a large hafnian would otherwise build all at once
 _HAFNIAN_BATCH = 4096
+# estimated relative rounding error of the hafnian's signed sum above which
+# the sum is taken again in np.clongdouble
+_HAFNIAN_RTOL = 1e-9
 
 
-def hafnian(matrix: np.ndarray, repeats=None) -> complex:
+def hafnian(matrix: np.ndarray, repeats=None, tolerance: float = math.inf) -> complex:
     """Hafnian by the power-trace formula, with repeated pairs of rows.
 
     ``matrix`` is 2K x 2K and ``repeats`` holds K counts n_k (default all 1):
@@ -178,6 +189,12 @@ def hafnian(matrix: np.ndarray, repeats=None) -> complex:
     matrix products, batched over count vectors with the same number of
     nonzero entries s, which share the 2s x 2s shape.  The cost is
     O(N s^3 prod(n_k + 1)): 2^K terms for single photons.
+
+    The signed sum can cancel far below its terms, so its rounding error is
+    estimated as eps times the sum of their sizes.  Where that passes 1e-9
+    of the sum, the sum is taken again in ``np.clongdouble`` (80-bit on
+    x86-64; where that is double precision, the second pass gains nothing).
+    Where it still passes ``tolerance``, NumericalFailureError is raised.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     n = a.shape[0]
@@ -198,12 +215,32 @@ def hafnian(matrix: np.ndarray, repeats=None) -> complex:
     ax = 0.5 * (a + a.T)
     ax = np.concatenate([ax[:, k:], ax[:, :k]], axis=1)  # A X
 
+    check_size(math.prod(int(r) + 1 for r in reps) * k, "the hafnian's count-vector table")
     counts = np.indices(reps + 1).reshape(k, -1).T  # every m <= n
     coeffs = np.where((total - counts.sum(axis=1)) % 2, -1.0, 1.0)
     for j, r in enumerate(reps):
         coeffs *= np.array([math.comb(int(r), q) for q in range(r + 1)], dtype=float)[counts[:, j]]
+    result, magnitude = _signed_sum(ax, counts, coeffs, total, np.complex128)
+    eps = np.finfo(float).eps
+    # one pass in double precision was 1e-8 off on six photons at M = 48
+    if eps * magnitude > _HAFNIAN_RTOL * abs(result):
+        result, magnitude = _signed_sum(ax, counts, coeffs, total, np.clongdouble)
+        eps = np.finfo(np.longdouble).eps
+    if eps * magnitude > tolerance:
+        raise NumericalFailureError(
+            f"the hafnian's signed sum cancels: rounding error up to {float(eps * magnitude):.1e}, "
+            f"above {tolerance:.1e}"
+        )
+    return complex(result)
+
+
+def _signed_sum(ax, counts, coeffs, total: int, dtype):
+    """sum_m coeffs_m f_N(A X D_m) over the count vectors ``counts``, in
+    ``dtype``, and sum_m |coeffs_m f_N(A X D_m)|."""
+    k = counts.shape[1]
+    ax = ax.astype(dtype)
     sizes = np.count_nonzero(counts, axis=1)
-    result = 0.0 + 0.0j
+    result, magnitude = 0.0 + 0.0j, 0.0
     for s in range(1, k + 1):  # s = 0 gives B = 0, whose f_N vanishes
         rows = np.flatnonzero(sizes == s)
         for start in range(0, rows.size, _HAFNIAN_BATCH):
@@ -213,19 +250,21 @@ def hafnian(matrix: np.ndarray, repeats=None) -> complex:
             scale = np.tile(chunk[which, col].reshape(-1, s), 2)
             sel = np.concatenate([support, support + k], axis=1)
             b = ax[sel[:, :, None], sel[:, None, :]] * scale[:, None, :]
-            traces = np.empty((len(chunk), total), dtype=np.complex128)
+            traces = np.empty((len(chunk), total), dtype=dtype)
             power = b
             traces[:, 0] = np.trace(b, axis1=1, axis2=2)
             for p in range(1, total):
                 power = power @ b
                 traces[:, p] = np.trace(power, axis1=1, axis2=2)
             # f_j = sum_{p=1}^{j} tr(B^p) f_{j-p} / 2j, from f' = f (log f)'
-            f = np.zeros((len(chunk), total + 1), dtype=np.complex128)
+            f = np.zeros((len(chunk), total + 1), dtype=dtype)
             f[:, 0] = 1.0
             for j in range(1, total + 1):
                 f[:, j] = np.einsum("bp,bp->b", traces[:, :j], f[:, j - 1 :: -1]) / (2 * j)
-            result += coeffs[rows[start : start + _HAFNIAN_BATCH]] @ f[:, total]
-    return complex(result)
+            c = coeffs[rows[start : start + _HAFNIAN_BATCH]]
+            result += c @ f[:, total]
+            magnitude += float(np.abs(c) @ np.abs(f[:, total]))
+    return result, magnitude
 
 
 def gbs_probability(state: GaussianState, outcome) -> float:
@@ -242,11 +281,18 @@ def gbs_probability(state: GaussianState, outcome) -> float:
     norm = state.normalization
     if sum(outcome) == 0:
         return norm
+    factorials = math.prod(math.factorial(n) for n in outcome)
+    if factorials > sys.float_info.max:
+        raise NumericalFailureError(
+            f"outcome {outcome}: the product of its counts' factorials exceeds the float range"
+        )
     modes = [k for k, n in enumerate(outcome) if n > 0]
     idx = modes + [m + k for k in modes]
-    haf = hafnian(state.kernel[np.ix_(idx, idx)], [outcome[k] for k in modes])
+    # an error in the hafnian above this is one past the probability's roundoff window
+    tolerance = ROUNDOFF * factorials / norm
+    haf = hafnian(state.kernel[np.ix_(idx, idx)], [outcome[k] for k in modes], tolerance)
 
-    return check_probability(haf * norm / math.prod(math.factorial(n) for n in outcome))
+    return check_probability(haf * norm / factorials)
 
 
 def photon_pair_distribution(num_modes: int, r: float, pairs: int) -> float:

@@ -50,10 +50,12 @@ where each block acts, and a pair's layout is grouped once and reused from
 a bounded cache.  A step of a centre move is the pair's split with QR in
 place of the SVD, on the same charge blocks and through the same writer.
 Blocks of one row or one column are factorized in closed form (a norm and
-a unit vector), larger ones by ``numpy.linalg.qr`` and ``numpy.linalg.svd``,
-which release the GIL, so threads evaluating outcomes factorize in
-parallel (scipy's gesdd wrapper would not).  An update touches the two
-sites and three bonds of its pair and nothing else of the train.
+a unit vector), larger ones by ``numpy.linalg.qr`` and ``numpy.linalg.svd``
+(see ``_qr`` for why not scipy).  Both release the GIL, yet two threads
+evaluating bond-16 outcomes ran 1.7x slower than one: these small calls
+hand the GIL back and forth, so the CLI runs outcomes on one thread.  An
+update touches the two sites and three bonds of its pair and nothing else
+of the train.
 
 Probabilities are computed three ways:
 

@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -130,6 +132,33 @@ class TestProb:
             r.pop("wall_time")
         assert [r["outcome"] for r in a] == [[0, 0, 0, 0], [1, 1, 0, 0], [2, 0, 0, 0]]
         assert a == b
+
+    def test_workers_run_on_the_calling_thread(self, tmp_path, capsys, monkeypatch):
+        from gbstn import tnet
+
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        route, threads = tnet.heisenberg_probability_lossless, []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(tnet, "heisenberg_probability_lossless", recording)
+        with pytest.warns(FutureWarning, match="--workers"):
+            code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "0,0,0,0",
+                                "--outcome", "1,1,0,0", "--outcome", "2,0,0,0",
+                                "--outcome", "0,1,1,0", "--workers", "4"], capsys)
+        assert code == 0 and len(_records(out)) == 4
+        assert threads == [threading.get_ident()] * 4
+
+    def test_no_warning_without_workers(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0"], capsys)
+        assert code == 0
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_1(self, tmp_path, capsys, workers):
@@ -611,6 +640,15 @@ class TestScaling:
         assert err.startswith("error: ") and reason in err
         assert not path.exists()
 
+    def test_bound_past_the_digit_limit_is_refused_before_it_is_computed(self, capsys):
+        # 20^9999999 took 11.4 s to compute exactly, and only then failed to print
+        start = time.perf_counter()
+        code, out, err = run(["scaling", "--modes", "19999998", "--squeezing", "0.001"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "digit" in err
+
 
 class TestValidate:
     def test_lossless_instance_passes(self, tmp_path, capsys):
@@ -736,7 +774,7 @@ class TestRefusals:
                                 "--photons", "4", "--sources", "6", "--epsilon", "0"],
         "cutoff-negative-photons": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "0.05",
                                     "--photons", "-2", "--sources", "6"],
-        # D_schrodinger = 26^1500 here, past Python's 4300-digit limit for str()
+        # D_schrodinger = 1720^1500 here, 4853 digits, past Python's 4300-digit limit for str()
         "scaling-bound-past-the-digit-limit": ["scaling", "--modes", "3000", "--squeezing", "0.7",
                                                "--output", "{out}"],
         "scaling-grid-above-the-size-guard": ["scaling", "--modes", "4:2e9:2", "--output", "{out}"],

@@ -14,7 +14,8 @@ from gbstn.circuit import (
     single_photon_block,
     with_uniform_loss,
 )
-from gbstn.errors import NumericalFailureError, UnsupportedConfigurationError
+from gbstn import errors
+from gbstn.errors import NumericalFailureError, ResourceLimitError, UnsupportedConfigurationError
 from gbstn.fockdense import (
     dense_evolve_density,
     dense_evolve_state,
@@ -324,6 +325,40 @@ class TestGbsProbability:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericalFailureError):
                 gbs_probability(g, (0,))
+
+    @pytest.mark.parametrize(
+        "seed, modes",
+        [(356655155, (5, 11, 17, 21, 29, 43)), (326825268, (2, 24, 34, 36, 39, 47))],
+    )
+    def test_cancelling_signed_sum_is_taken_again(self, seed, modes):
+        # p ~ 1e-12: the 2^6 signed terms of the power-trace formula cancel,
+        # and one pass in double precision was 1.1e-8 and 1.3e-8 off
+        state = propagate_circuit(squeezed_vacuum_cov(0.4, 48), build_brickwork(48, 48, seed=seed))
+        outcome = tuple(int(k in modes) for k in range(48))
+        idx = list(modes) + [48 + k for k in modes]
+        expected = _matching_sum(state.kernel[np.ix_(idx, idx)]) * state.normalization
+        assert abs(gbs_probability(state, outcome) - expected.real) <= 1e-10 * abs(expected)
+
+    @pytest.mark.parametrize("photons", [100, 150])
+    def test_sum_cancelling_past_the_roundoff_window_is_refused(self, photons):
+        # terms of C(N, m) ~ 1e29 and more; even in extended precision the
+        # sum gave 8.3e-9 for N = 100 and 0.88 for N = 150, against 5e-44 and 4e-65
+        with pytest.raises(NumericalFailureError, match="signed sum cancels"):
+            gbs_probability(squeezed_vacuum_cov(0.4, 4), (photons, 0, 0, 0))
+
+    @pytest.mark.parametrize("photons", [171, 1000])
+    def test_factorials_past_the_float_range_are_refused(self, photons):
+        # 171! > 1.8e308; the parent raised OverflowError after the hafnian
+        with pytest.raises(NumericalFailureError, match="factorials"):
+            gbs_probability(squeezed_vacuum_cov(0.4, 4), (photons, 0, 0, 0))
+
+    def test_count_vector_table_passes_the_size_guard(self, monkeypatch):
+        # six single photons: 2^6 count vectors of 6 entries each
+        monkeypatch.setattr(errors, "SIZE_LIMIT", 6 * 2**6 - 1)
+        with pytest.raises(ResourceLimitError, match="count-vector table"):
+            gbs_probability(squeezed_vacuum_cov(0.4, 6), (1,) * 6)
+        monkeypatch.setattr(errors, "SIZE_LIMIT", 6 * 2**6)
+        assert gbs_probability(squeezed_vacuum_cov(0.4, 6), (1,) * 6) >= 0.0
 
     def test_normalization_at_desk_scale(self):
         # M = 2, r = 0.4: the tail beyond 8 photons is ~6e-5 < 1e-4
