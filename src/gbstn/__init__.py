@@ -21,6 +21,7 @@ from .circuit import (
     kraus_set,
     load_circuit,
     save_circuit,
+    transfer_matrix,
     with_uniform_loss,
 )
 from .errors import NumericalFailureError, ResourceLimitError, UnsupportedConfigurationError

@@ -36,6 +36,7 @@ __all__ = [
     "gate_blocks",
     "single_photon_block",
     "single_photon_blocks",
+    "transfer_matrix",
     "circuit_to_mode_unitary",
     "kraus_set",
     "save_circuit",
@@ -58,10 +59,12 @@ class GateParams:
 
     def __post_init__(self):
         for name in ("theta", "varphi", "phi"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            if type(value) is not float:  # np.float64, a float subclass, too
+                value = float(value)
+                object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,9 @@ class Gate:
         i, j = self.modes
         if j != i + 1 or i < 0:
             raise ValueError(f"gate modes must be adjacent (i, i+1), got {self.modes}")
-        object.__setattr__(self, "modes", (int(i), int(j)))
+        # bool and np.int64 are coerced too: the first is an int subclass
+        if type(self.modes) is not tuple or type(i) is not int or type(j) is not int:
+            object.__setattr__(self, "modes", (int(i), int(j)))
         if not (0.0 <= self.loss_gamma < 1.0):
             raise ValueError(f"loss_gamma must lie in [0, 1), got {self.loss_gamma}")
         if self.lossy_mode not in (0, 1):
@@ -339,22 +344,28 @@ def single_photon_block(params: GateParams) -> np.ndarray:
     return single_photon_blocks([params])[0]
 
 
-def circuit_to_mode_unitary(circuit: Circuit) -> np.ndarray:
-    """Compile a lossless circuit to its M x M single-photon transfer matrix.
-
-    Entry u[i, k] is the amplitude for one photon injected in mode k to exit
-    in mode i.  Raises for lossy circuits, which have no mode unitary.
-    """
-    circuit.require_lossless("the mode unitary")
-    m = circuit.num_modes
-    u = np.eye(m, dtype=np.complex128)
-    for layer in circuit.layers:
-        layer_u = np.eye(m, dtype=np.complex128)
-        for gate in layer:
-            i = gate.modes[0]
-            layer_u[i : i + 2, i : i + 2] = single_photon_block(gate.params)
-        u = layer_u @ u
+def transfer_matrix(circuit: Circuit) -> np.ndarray:
+    """Compile a circuit to its M x M single-photon transfer matrix u: u[i, k]
+    is the amplitude for a photon injected in mode k to exit in mode i.  A
+    lossy gate's block has its loss site's row scaled by sqrt(1 - gamma), so
+    u is unitary on a lossless circuit and a contraction on a lossy one."""
+    gates = list(circuit.gates())
+    blocks = single_photon_blocks([g.params for g in gates])
+    survival = np.sqrt(1.0 - np.array([g.loss_gamma for g in gates]))
+    blocks[np.arange(len(gates)), [g.lossy_mode for g in gates]] *= survival[:, None]
+    pairs = np.array([g.modes for g in gates], dtype=int).reshape(-1, 2)
+    ends = np.cumsum([len(layer) for layer in circuit.layers])[:-1]
+    u = np.eye(circuit.num_modes, dtype=np.complex128)
+    for layer_blocks, rows in zip(np.split(blocks, ends), np.split(pairs, ends)):
+        u[rows] = layer_blocks @ u[rows]  # a layer's pairs are disjoint
     return u
+
+
+def circuit_to_mode_unitary(circuit: Circuit) -> np.ndarray:
+    """The :func:`transfer_matrix` of a lossless circuit, a unitary.  Raises
+    for lossy circuits, which have no mode unitary."""
+    circuit.require_lossless("the mode unitary")
+    return transfer_matrix(circuit)
 
 
 @lru_cache(maxsize=128)

@@ -7,6 +7,8 @@ probability the same way, here.  The command-line front end reports every
 refusal these raise as one ``error:`` line.
 """
 
+import cmath
+
 # the largest array, in entries, that a dense conversion or a two-site update
 # may allocate; past it they raise ResourceLimitError instead
 SIZE_LIMIT = 10**7
@@ -58,11 +60,13 @@ ROUNDOFF = 1e-9
 
 
 def check_probability(value) -> float:
-    """A computed probability as a float in [0, 1].  A value whose imaginary
-    part exceeds 1e-8 max(1, |real part|), or whose real part lies below
-    -ROUNDOFF, raises :class:`NumericalFailureError`; any other real part is
-    clamped."""
+    """A computed probability as a float in [0, 1].  A value with a
+    non-finite part, an imaginary part above 1e-8 max(1, |real part|) or a
+    real part below -ROUNDOFF raises :class:`NumericalFailureError`; any
+    other real part is clamped."""
     value = complex(value)
+    if not cmath.isfinite(value):
+        raise NumericalFailureError(f"non-finite probability {value!r}")
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise NumericalFailureError(f"non-real probability {value!r}")
     if value.real < -ROUNDOFF:

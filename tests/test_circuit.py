@@ -16,6 +16,7 @@ from gbstn.circuit import (
     load_circuit,
     save_circuit,
     single_photon_block,
+    transfer_matrix,
     with_uniform_loss,
 )
 from gbstn.errors import UnsupportedConfigurationError
@@ -45,6 +46,17 @@ class TestTypes:
     def test_min_modes(self):
         with pytest.raises(ValueError):
             Circuit(num_modes=1, layers=())
+
+    def test_numpy_scalars_and_bools_are_coerced(self):
+        params = GateParams(np.float64(0.1), np.int64(2), True)
+        assert [type(x) for x in (params.theta, params.varphi, params.phi)] == [float] * 3
+        assert (params.varphi, params.phi) == (2.0, 1.0)
+        for modes in ((np.int64(3), np.int64(4)), [3, 4], (np.int32(3), 4)):
+            gate = Gate(modes=modes, params=params)
+            assert gate.modes == (3, 4)
+            assert type(gate.modes) is tuple and [type(i) for i in gate.modes] == [int, int]
+        gate = Gate(modes=(False, True), params=params)
+        assert gate.modes == (0, 1) and [type(i) for i in gate.modes] == [int, int]
 
 
 class TestBrickwork:
@@ -226,6 +238,63 @@ class TestModeUnitary:
         c = with_uniform_loss(build_brickwork(4, 4, seed=7), 0.1)
         with pytest.raises(UnsupportedConfigurationError):
             circuit_to_mode_unitary(c)
+
+
+def _dense_layer_product(circuit: Circuit) -> np.ndarray:
+    """The transfer matrix as a product of dense M x M layer matrices, each
+    gate's block placed on its pair and its loss site's row scaled by
+    sqrt(1 - gamma)."""
+    m = circuit.num_modes
+    u = np.eye(m, dtype=np.complex128)
+    for layer in circuit.layers:
+        layer_u = np.eye(m, dtype=np.complex128)
+        for g in layer:
+            i = g.modes[0]
+            layer_u[i : i + 2, i : i + 2] = single_photon_block(g.params)
+            layer_u[g.loss_site] *= np.sqrt(1.0 - g.loss_gamma)
+        u = layer_u @ u
+    return u
+
+
+def _with_seeded_loss(circuit: Circuit, seed: int) -> Circuit:
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        tuple(
+            Gate(g.modes, g.params, float(rng.uniform(0.0, 0.3)), int(rng.integers(2)))
+            for g in layer
+        )
+        for layer in circuit.layers
+    )
+    return Circuit(num_modes=circuit.num_modes, layers=layers)
+
+
+class TestTransferMatrix:
+    @pytest.mark.parametrize("m, seed", [(2, 1), (5, 2), (8, 3), (17, 4), (48, 5)])
+    def test_lossless_brickwork_is_unitary_and_the_dense_product(self, m, seed):
+        c = build_brickwork(m, m, seed=seed)
+        u = transfer_matrix(c)
+        assert np.abs(u.conj().T @ u - np.eye(m)).max() < 1e-13
+        assert np.abs(u - _dense_layer_product(c)).max() < 1e-13
+        assert np.array_equal(circuit_to_mode_unitary(c), u)
+
+    @pytest.mark.parametrize("m, seed", [(7, 7), (16, 8)])
+    def test_lossy_circuit_is_a_contraction_and_the_dense_product(self, m, seed):
+        c = _with_seeded_loss(build_brickwork(m, m, seed=seed), seed)
+        assert {g.lossy_mode for g in c.gates()} == {0, 1}
+        u = transfer_matrix(c)
+        singular = np.linalg.svd(u, compute_uv=False)
+        assert singular.max() <= 1.0 + 1e-13
+        assert singular.min() < 1.0 - 1e-3
+        assert np.abs(u - _dense_layer_product(c)).max() < 1e-13
+        with pytest.raises(UnsupportedConfigurationError):
+            circuit_to_mode_unitary(c)
+
+    def test_layer_order_and_empty_layers(self):
+        c = _with_seeded_loss(build_brickwork(6, 6, seed=9), 9)
+        shuffled = Circuit(6, ((),) + tuple(l[::-1] for l in c.layers) + ((),))
+        assert np.abs(transfer_matrix(shuffled) - transfer_matrix(c)).max() < 1e-15
+        for layers in ((), ((),)):
+            assert np.array_equal(transfer_matrix(Circuit(3, layers)), np.eye(3))
 
 
 class TestKraus:

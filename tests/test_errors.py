@@ -1,9 +1,10 @@
-"""The outcome check that every engine shares."""
+"""The outcome and probability checks that every engine shares."""
 
 import pytest
 
 from gbstn import fockdense, gauss, tnet
 from gbstn.circuit import build_brickwork, with_uniform_loss
+from gbstn.errors import NumericalFailureError, check_probability
 
 _CIRCUIT = build_brickwork(4, 4, seed=1)
 
@@ -30,3 +31,15 @@ def test_every_engine_refuses_a_bad_outcome_alike(engine, outcome, message):
     with pytest.raises(ValueError) as info:
         _ENGINES[engine](outcome)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), complex(float("nan"), 0.0)])
+def test_probability_check_refuses_a_non_finite_value(value):
+    # min(max(nan, 0), 1) is nan, so a clamp alone would let it through
+    with pytest.raises(NumericalFailureError, match="non-finite probability"):
+        check_probability(value)
+
+
+def test_probability_check_clamps_roundoff():
+    assert check_probability(-1e-12) == 0.0
+    assert check_probability(complex(1.0 + 1e-12, 1e-12)) == 1.0

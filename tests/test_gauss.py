@@ -148,6 +148,22 @@ class TestPropagate:
         out = propagate(g, circuit_to_mode_unitary(c))
         assert abs(out.total_mean_photons() - g.total_mean_photons()) < 1e-10
 
+    def test_contractions_compose_to_their_product(self):
+        # the lossy channels compose: Phi_A(Phi_B(sigma)) = Phi_AB(sigma)
+        rng = np.random.default_rng(4)
+        g = squeezed_vacuum_cov([0.3, 0.6, 0.1])
+        pair = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+        a, b = (x / np.linalg.norm(x, 2) for x in pair)  # largest singular value 1
+        out = propagate(propagate(g, b), a)
+        assert np.abs(out.cov - propagate(g, a @ b).cov).max() < 1e-14
+        assert np.abs(out.cov - out.cov.conj().T).max() < 1e-14
+
+    def test_scaled_identity_is_uniform_loss(self):
+        g = squeezed_vacuum_cov([0.2, 0.9])
+        eta = 0.3
+        expected = eta * g.cov + (1.0 - eta) / 2.0 * np.eye(4)
+        assert np.abs(propagate(g, np.sqrt(eta) * np.eye(2)).cov - expected).max() < 1e-15
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             propagate(squeezed_vacuum_cov(0.1, 2), np.eye(3))
