@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -67,6 +68,17 @@ class GateParams:
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int: an integer (numpy's and bool too) as it is, an
+    integral float converted; ValueError for anything else, such as 1.7."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Gate:
     """A two-mode gate on adjacent modes, optionally followed by loss.
@@ -81,14 +93,27 @@ class Gate:
     lossy_mode: int = 1
 
     def __post_init__(self):
-        i, j = self.modes
+        modes = self.modes
+        # values that are not exactly a tuple of two ints are checked and
+        # coerced: np.int64, bool and integral floats become int
+        if (
+            type(modes) is not tuple or len(modes) != 2
+            or type(modes[0]) is not int or type(modes[1]) is not int
+        ):
+            modes = tuple(modes)
+            if len(modes) != 2:
+                raise ValueError(f"a gate acts on two modes, got {self.modes!r}")
+            modes = (_integral(modes[0], "a mode"), _integral(modes[1], "a mode"))
+            object.__setattr__(self, "modes", modes)
+        i, j = modes
         if j != i + 1 or i < 0:
-            raise ValueError(f"gate modes must be adjacent (i, i+1), got {self.modes}")
-        # bool and np.int64 are coerced too: the first is an int subclass
-        if type(self.modes) is not tuple or type(i) is not int or type(j) is not int:
-            object.__setattr__(self, "modes", (int(i), int(j)))
+            raise ValueError(f"gate modes must be adjacent (i, i+1), got {modes}")
+        if type(self.loss_gamma) is not float:
+            object.__setattr__(self, "loss_gamma", float(self.loss_gamma))
         if not (0.0 <= self.loss_gamma < 1.0):
             raise ValueError(f"loss_gamma must lie in [0, 1), got {self.loss_gamma}")
+        if type(self.lossy_mode) is not int:
+            object.__setattr__(self, "lossy_mode", _integral(self.lossy_mode, "lossy_mode"))
         if self.lossy_mode not in (0, 1):
             raise ValueError(f"lossy_mode must be 0 or 1, got {self.lossy_mode}")
 
@@ -106,19 +131,23 @@ class Circuit:
     layers: tuple[tuple[Gate, ...], ...]
 
     def __post_init__(self):
+        if type(self.num_modes) is not int:
+            object.__setattr__(self, "num_modes", _integral(self.num_modes, "num_modes"))
         if self.num_modes < 2:
             raise ValueError(f"need at least 2 modes, got {self.num_modes}")
         layers = tuple(tuple(layer) for layer in self.layers)
-        for layer in layers:
+        for index, layer in enumerate(layers):
             seen: set[int] = set()
-            for gate in layer:
-                if gate.modes[1] >= self.num_modes:
+            for k, gate in enumerate(layer):
+                i, j = gate.modes
+                if j >= self.num_modes:
                     raise ValueError(
-                        f"gate on modes {gate.modes} exceeds num_modes={self.num_modes}"
+                        f"layer {index}, gate {k}: modes {gate.modes} exceed num_modes={self.num_modes}"
                     )
-                if seen & set(gate.modes):
-                    raise ValueError(f"overlapping gates in one layer: mode {gate.modes}")
-                seen.update(gate.modes)
+                if i in seen or j in seen:
+                    raise ValueError(f"layer {index}, gate {k}: modes {gate.modes} overlap another gate")
+                seen.add(i)
+                seen.add(j)
         object.__setattr__(self, "layers", layers)
 
     def gates(self) -> Iterator[Gate]:
@@ -172,19 +201,22 @@ class Circuit:
 
     @staticmethod
     def from_dict(data: dict) -> "Circuit":
-        layers = tuple(
-            tuple(
-                Gate(
-                    modes=(int(g["modes"][0]), int(g["modes"][1])),
-                    params=GateParams(g["theta"], g["varphi"], g["phi"]),
-                    loss_gamma=float(g.get("loss_gamma", 0.0)),
-                    lossy_mode=int(g.get("lossy_mode", 1)),
-                )
-                for g in layer
-            )
-            for layer in data["layers"]
-        )
-        return Circuit(num_modes=int(data["num_modes"]), layers=layers)
+        """The circuit of a :meth:`to_dict` mapping, as read from JSON.  Values
+        go to :class:`Gate` and :class:`GateParams` as they are, which refuse
+        a malformed one; ValueError names its layer and gate."""
+        layers = []
+        for index, records in enumerate(data["layers"]):
+            layer = []
+            for k, g in enumerate(records):
+                try:
+                    params = GateParams(g["theta"], g["varphi"], g["phi"])
+                    layer.append(Gate(tuple(g["modes"]), params, g.get("loss_gamma", 0.0), g.get("lossy_mode", 1)))
+                except KeyError as exc:
+                    raise ValueError(f"layer {index}, gate {k}: no {exc} entry") from None
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"layer {index}, gate {k}: {exc}") from None
+            layers.append(tuple(layer))
+        return Circuit(num_modes=data["num_modes"], layers=tuple(layers))
 
 
 def _layer_pairs(num_modes: int, offset: int) -> list[tuple[int, int]]:
@@ -204,6 +236,10 @@ def build_brickwork(
     ``angles`` (one (theta, varphi, phi) triple per gate, in layer order) or
     drawn from a seeded stream: theta uniform on [0, pi/2), varphi and phi
     uniform on [0, 2*pi).  All gates come out lossless.
+
+    The stream is drawn in one (gates, 3) call, which gives the same angles
+    as three scalar ``uniform`` calls per gate and leaves a passed
+    Generator in the same state.
     """
     if num_modes < 2:
         raise ValueError(f"need at least 2 modes, got {num_modes}")
@@ -221,14 +257,7 @@ def build_brickwork(
         triples = [tuple(float(x) for x in t) for t in angles]
     else:
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        triples = [
-            (
-                rng.uniform(0.0, np.pi / 2),
-                rng.uniform(0.0, 2 * np.pi),
-                rng.uniform(0.0, 2 * np.pi),
-            )
-            for _ in range(total)
-        ]
+        triples = rng.uniform((0.0, 0.0, 0.0), (np.pi / 2, 2 * np.pi, 2 * np.pi), size=(total, 3)).tolist()
 
     it = iter(triples)
     layers = tuple(
@@ -322,13 +351,8 @@ def gate_blocks(params: GateParams, local_cutoff: int, adjoint: bool = False) ->
     return _gate_unitary_cached(params.theta, params.varphi, params.phi, local_cutoff)[2][adjoint]
 
 
-def single_photon_blocks(params: Sequence[GateParams]) -> np.ndarray:
-    """(L, 2, 2) stack of the gates' actions on a single photon in their pair
-    (lower, upper): the splitter [[c, i s e^{i varphi}], [i s e^{-i varphi}, c]]
-    times diag(e^{i phi}, 1)."""
-    theta, varphi, phi = np.array(
-        [(p.theta, p.varphi, p.phi) for p in params], dtype=float
-    ).reshape(-1, 3).T
+def _blocks(theta, varphi, phi) -> np.ndarray:
+    """(L, 2, 2) single-photon blocks of L gates from their angle arrays."""
     c, s = np.cos(theta), np.sin(theta)
     e, f = np.exp(1j * varphi), np.exp(1j * phi)
     blocks = np.empty((len(theta), 2, 2), dtype=np.complex128)
@@ -337,6 +361,14 @@ def single_photon_blocks(params: Sequence[GateParams]) -> np.ndarray:
     blocks[:, 1, 0] = 1j * s * e.conj() * f
     blocks[:, 1, 1] = c
     return blocks
+
+
+def single_photon_blocks(params: Sequence[GateParams]) -> np.ndarray:
+    """(L, 2, 2) stack of the gates' actions on a single photon in their pair
+    (lower, upper): the splitter [[c, i s e^{i varphi}], [i s e^{-i varphi}, c]]
+    times diag(e^{i phi}, 1)."""
+    angles = np.array([(p.theta, p.varphi, p.phi) for p in params], dtype=float)
+    return _blocks(*angles.reshape(-1, 3).T)
 
 
 def single_photon_block(params: GateParams) -> np.ndarray:
@@ -348,12 +380,22 @@ def transfer_matrix(circuit: Circuit) -> np.ndarray:
     """Compile a circuit to its M x M single-photon transfer matrix u: u[i, k]
     is the amplitude for a photon injected in mode k to exit in mode i.  A
     lossy gate's block has its loss site's row scaled by sqrt(1 - gamma), so
-    u is unitary on a lossless circuit and a contraction on a lossy one."""
-    gates = list(circuit.gates())
-    blocks = single_photon_blocks([g.params for g in gates])
-    survival = np.sqrt(1.0 - np.array([g.loss_gamma for g in gates]))
-    blocks[np.arange(len(gates)), [g.lossy_mode for g in gates]] *= survival[:, None]
-    pairs = np.array([g.modes for g in gates], dtype=int).reshape(-1, 2)
+    u is unitary on a lossless circuit and a contraction on a lossy one.
+
+    One pass over the gates reads each one's angles, loss, lossy mode and
+    lower mode into a table; then all blocks are built at once and each
+    layer is one batched 2x2 update of its rows."""
+    table = np.array(
+        [
+            (g.params.theta, g.params.varphi, g.params.phi, g.loss_gamma, g.lossy_mode, g.modes[0])
+            for g in circuit.gates()
+        ],
+        dtype=float,
+    ).reshape(-1, 6)
+    blocks = _blocks(*table[:, :3].T)
+    survival = np.sqrt(1.0 - table[:, 3])
+    blocks[np.arange(len(table)), table[:, 4].astype(int)] *= survival[:, None]
+    pairs = table[:, 5].astype(int)[:, None] + np.arange(2)
     ends = np.cumsum([len(layer) for layer in circuit.layers])[:-1]
     u = np.eye(circuit.num_modes, dtype=np.complex128)
     for layer_blocks, rows in zip(np.split(blocks, ends), np.split(pairs, ends)):
@@ -394,14 +436,18 @@ def kraus_set(gamma: float, local_cutoff: int) -> tuple[np.ndarray, ...]:
 
 
 def save_circuit(circuit: Circuit, path, seed: int | None = None) -> None:
-    """Write the JSON circuit format; ``seed`` is recorded in the header if given."""
+    """Write the JSON circuit format; ``seed`` is recorded in the header if given.
+
+    The file is one line of JSON and a newline, written at once by the C
+    encoder (``json.dump`` never uses it): the keys and float reprs of the
+    earlier indented files, which :func:`load_circuit` still reads."""
     payload: dict = {}
     if seed is not None:
         payload["seed"] = int(seed)
     payload.update(circuit.to_dict())
+    text = json.dumps(payload) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_circuit(path) -> Circuit:

@@ -130,9 +130,9 @@ def propagate_circuit(state: GaussianState, circuit) -> GaussianState:
     """Propagate through a circuit with any per-gate loss, exactly, by one
     :func:`propagate` with its :func:`~gbstn.circuit.transfer_matrix`.  At
     M = 48 (depth-48 brickwork, BLAS on one thread, 2-CPU host) this took
-    2.8-3.7 ms, most of it to compile u, against 8.2-9.0 ms for two row
-    passes over the covariance per layer; the covariance moved by at most
-    9e-16, also with per-gate loss."""
+    2.4-2.9 ms, 1.8-2.3 ms of it to compile u, against 8.2-9.0 ms for two
+    row passes over the covariance per layer; the covariance moved by at
+    most 9e-16, also with per-gate loss."""
     return propagate(state, transfer_matrix(circuit))
 
 

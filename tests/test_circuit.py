@@ -22,6 +22,18 @@ from gbstn.circuit import (
 from gbstn.errors import UnsupportedConfigurationError
 
 
+def _record(**changes) -> dict:
+    record = {"modes": [0, 1], "theta": 0.1, "varphi": 0.2, "phi": 0.3, "loss_gamma": 0.05, "lossy_mode": 1}
+    record.update(changes)
+    return record
+
+
+def _second_gate_data(**changes) -> dict:
+    """A 5-mode circuit of two layers; the second gate of the second layer
+    is on modes (3, 4) unless ``changes`` say otherwise."""
+    return {"num_modes": 5, "layers": [[_record()], [_record(modes=[1, 2]), _record(**{"modes": [3, 4], **changes})]]}
+
+
 class TestTypes:
     def test_gate_modes_must_be_adjacent(self):
         with pytest.raises(ValueError):
@@ -42,6 +54,17 @@ class TestTypes:
         g2 = Gate(modes=(1, 2), params=GateParams(0.1, 0.0, 0.0))
         with pytest.raises(ValueError):
             Circuit(num_modes=3, layers=((g1, g2),))
+        with pytest.raises(ValueError, match=r"layer 1, gate 1: modes \(1, 2\) overlap"):
+            Circuit(num_modes=3, layers=((g1,), (g1, g2)))
+        with pytest.raises(ValueError, match=r"layer 1, gate 1: modes \(2, 3\) overlap"):
+            Circuit.from_dict(_second_gate_data(modes=[2, 3]))
+
+    def test_gate_past_num_modes_rejected(self):
+        gate = Gate(modes=(3, 4), params=GateParams(0.1, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"layer 0, gate 0: modes \(3, 4\) exceed num_modes=4"):
+            Circuit(num_modes=4, layers=((gate,),))
+        with pytest.raises(ValueError, match=r"layer 1, gate 1: modes \(5, 6\) exceed num_modes=5"):
+            Circuit.from_dict(_second_gate_data(modes=[5, 6]))
 
     def test_min_modes(self):
         with pytest.raises(ValueError):
@@ -57,6 +80,38 @@ class TestTypes:
             assert type(gate.modes) is tuple and [type(i) for i in gate.modes] == [int, int]
         gate = Gate(modes=(False, True), params=params)
         assert gate.modes == (0, 1) and [type(i) for i in gate.modes] == [int, int]
+
+
+class TestMalformedRecords:
+    """A gate record of a circuit file is refused, not cut or truncated, and
+    the refusal names its layer and gate."""
+
+    def test_three_modes_are_refused(self):
+        with pytest.raises(ValueError, match=r"layer 1, gate 1: a gate acts on two modes"):
+            Circuit.from_dict(_second_gate_data(modes=[2, 3, 4]))
+
+    def test_fractional_lossy_mode_is_refused(self):
+        with pytest.raises(ValueError, match=r"layer 1, gate 1: lossy_mode must be an integer, got 1.7"):
+            Circuit.from_dict(_second_gate_data(lossy_mode=1.7))
+
+    def test_non_integral_mode_is_refused(self):
+        with pytest.raises(ValueError, match=r"layer 1, gate 1: a mode must be an integer, got 2.5"):
+            Circuit.from_dict(_second_gate_data(modes=[2.5, 3.5]))
+
+    def test_missing_angle_is_refused(self):
+        data = _second_gate_data()
+        del data["layers"][1][1]["varphi"]
+        with pytest.raises(ValueError, match=r"layer 1, gate 1: no 'varphi' entry"):
+            Circuit.from_dict(data)
+
+    def test_integral_floats_become_ints(self):
+        c = Circuit.from_dict({"num_modes": 4.0, "layers": [[_record(modes=[1.0, 2.0], lossy_mode=0.0, loss_gamma=0)]]})
+        assert type(c.num_modes) is int
+        gate = c.layers[0][0]
+        assert gate.modes == (1, 2) and [type(i) for i in gate.modes] == [int, int]
+        assert type(gate.lossy_mode) is int and gate.lossy_mode == 0
+        assert type(gate.loss_gamma) is float and gate.loss_gamma == 0.0
+        assert c == Circuit.from_dict({"num_modes": 4, "layers": [[_record(modes=[1, 2], lossy_mode=0, loss_gamma=0.0)]]})
 
 
 class TestBrickwork:
@@ -102,6 +157,35 @@ class TestBrickwork:
     def test_too_few_modes(self):
         with pytest.raises(ValueError):
             build_brickwork(1, 1, seed=0)
+
+    @pytest.mark.parametrize("m, depth", [(2, 1), (5, 5), (48, 48)])
+    def test_draw_stream_is_three_scalar_draws_per_gate(self, m, depth):
+        # inputs that keep drawing from a passed Generator after the circuit
+        # (per-gate loss, outcomes) rely on this exact stream and end state
+        for seed in (1, 12345):
+            recipe = np.random.default_rng(seed)
+            total = sum(len(range(layer % 2, m - 1, 2)) for layer in range(depth))
+            expected = [
+                (recipe.uniform(0.0, np.pi / 2), recipe.uniform(0.0, 2 * np.pi), recipe.uniform(0.0, 2 * np.pi))
+                for _ in range(total)
+            ]
+            passed = np.random.default_rng(seed)
+            for source in (seed, passed):
+                c = build_brickwork(m, depth, seed=source)
+                assert [(g.params.theta, g.params.varphi, g.params.phi) for g in c.gates()] == expected
+            assert passed.random() == recipe.random()
+
+    def test_one_draw_per_brickwork(self):
+        class Counting(np.random.Generator):
+            calls = 0
+
+            def uniform(self, *args, **kwargs):
+                Counting.calls += 1
+                return super().uniform(*args, **kwargs)
+
+        c = build_brickwork(48, 48, seed=Counting(np.random.PCG64(1)))
+        assert Counting.calls == 1
+        assert c == build_brickwork(48, 48, seed=1)
 
 
 class TestUniformLoss:
@@ -341,6 +425,24 @@ class TestSerialization:
         data = json.loads(path.read_text())
         assert data["seed"] == 5
         assert "num_modes" in data and "layers" in data
+
+    def test_file_is_one_line_with_the_same_keys(self, tmp_path):
+        c = with_uniform_loss(build_brickwork(6, 3, seed=2), 0.05)
+        path = tmp_path / "c.json"
+        save_circuit(c, path, seed=2)
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == {"seed": 2, **c.to_dict()}
+
+    def test_indented_file_of_the_earlier_layout_loads_the_same(self, tmp_path):
+        c = with_uniform_loss(build_brickwork(5, 5, seed=31), 0.07)
+        one_line, indented = tmp_path / "one_line.json", tmp_path / "indented.json"
+        save_circuit(c, one_line, seed=31)
+        with open(indented, "w") as fh:
+            json.dump({"seed": 31, **c.to_dict()}, fh, indent=2)
+            fh.write("\n")
+        assert indented.read_text().count("\n") > 1
+        assert load_circuit(indented) == load_circuit(one_line) == c
 
     def test_angles_survive_byte_exactly(self, tmp_path):
         c = build_brickwork(4, 4, seed=1)

@@ -786,17 +786,24 @@ class TestRefusals:
         # 167,668,501 outcomes at a dense output of 3^4 entries
         "validate-many-lossy-outcomes": ["validate", "--circuit", "{lossy}", "--cutoff", "2",
                                          "--totals", "1000"],
+        # a gate record on three modes
+        "prob-malformed-gate-record": ["prob", "--circuit", "{malformed}", "--outcome", "1,1,0,0",
+                                       "--squeezing", "0.4", "--output", "{out}"],
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch, case):
         from gbstn import analysis
 
-        files = {"wide": tmp_path / "wide.json", "lossy": tmp_path / "lossy.json"}
+        files = {"wide": tmp_path / "wide.json", "lossy": tmp_path / "lossy.json",
+                 "malformed": tmp_path / "malformed.json"}
         run(["gen", "--modes", "12", "--depth", "12", "--seed", "1", "--output", str(files["wide"])],
             capsys)
         run(["gen", "--modes", "4", "--depth", "4", "--seed", "1", "--gamma", "0.05",
              "--output", str(files["lossy"])], capsys)
+        data = json.loads(files["lossy"].read_text())
+        data["layers"][1][0]["modes"].append(3)
+        files["malformed"].write_text(json.dumps(data))
 
         def listed(*args):
             raise AssertionError("outcomes were listed before the request was refused")
