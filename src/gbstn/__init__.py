@@ -17,7 +17,6 @@ from .circuit import (
     GateParams,
     build_brickwork,
     circuit_to_mode_unitary,
-    gate_unitary_fock,
     kraus_set,
     load_circuit,
     save_circuit,

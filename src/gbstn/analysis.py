@@ -49,8 +49,10 @@ class CutoffPolicy:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.num_sources < 0:

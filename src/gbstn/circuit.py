@@ -32,11 +32,9 @@ __all__ = [
     "Circuit",
     "build_brickwork",
     "with_uniform_loss",
-    "gate_unitary_fock",
     "gate_tensor",
     "gate_blocks",
     "single_photon_block",
-    "single_photon_blocks",
     "transfer_matrix",
     "circuit_to_mode_unitary",
     "kraus_set",
@@ -295,15 +293,13 @@ def _hopping_eigensystems(local_cutoff: int) -> tuple:
 
 
 # holds every gate of a depth-64 brickwork (2016 gates), so that repeated
-# evaluations of one circuit reuse its gates; an entry is 16 d^4 bytes for
-# the matrix and about 21 d^3 for the blocks of fixed total and their adjoints
+# evaluations of one circuit reuse its gates; an entry is about 21 d^3 bytes,
+# the blocks of fixed total and their adjoints, none larger than d x d
 @lru_cache(maxsize=2048)
 def _gate_unitary_cached(theta: float, varphi: float, phi: float, local_cutoff: int):
     # checked here, for every gate function: a raised call is not cached
     if local_cutoff < 1:
         raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
-    d = local_cutoff + 1
-    tensor = np.zeros((d, d, d, d), dtype=np.complex128)
     blocks, adjoints = [], []
     for total, occ, evals, evecs in _hopping_eigensystems(local_cutoff):
         # the block Hamiltonian is D H0 D^dag with D = diag(e^{i varphi m}),
@@ -311,44 +307,41 @@ def _gate_unitary_cached(theta: float, varphi: float, phi: float, local_cutoff: 
         # shift acts first and multiplies the column of input occupation m
         block = (evecs * np.exp(1j * theta * evals)) @ evecs.T
         block *= np.multiply.outer(np.exp(1j * varphi * occ), np.exp(1j * (phi - varphi) * occ))
-        out, into = occ[:, None], occ[None, :]
-        tensor[out, total - out, into, total - into] = block
         adjoint = np.ascontiguousarray(block.conj().T)
         block.flags.writeable = adjoint.flags.writeable = False
         blocks.append(block)
         adjoints.append(adjoint)
-    matrix = tensor.reshape(d * d, d * d)
-    matrix.flags.writeable = False
-    tensor.flags.writeable = False
-    return matrix, tensor, (tuple(blocks), tuple(adjoints))
-
-
-def gate_unitary_fock(params: GateParams, local_cutoff: int) -> np.ndarray:
-    """Matrix of the composite gate on the truncated two-mode Fock space.
-
-    The generator conserves total photon number, so each fixed-total block is
-    exponentiated exactly (by Hermitian eigendecomposition); blocks whose
-    total exceeds ``local_cutoff`` are exponentiated on their surviving basis
-    states, which keeps the full matrix unitary on the truncated space.
-
-    Returns a read-only (d*d, d*d) matrix with d = local_cutoff + 1 and basis
-    index ``n_i * d + n_{i+1}`` (the lower mode of the pair is the slow index).
-    """
-    return _gate_unitary_cached(params.theta, params.varphi, params.phi, local_cutoff)[0]
-
-
-def gate_tensor(params: GateParams, local_cutoff: int) -> np.ndarray:
-    """Rank-4 view of :func:`gate_unitary_fock` with axes (out_i, out_{i+1}, in_i, in_{i+1})."""
-    return _gate_unitary_cached(params.theta, params.varphi, params.phi, local_cutoff)[1]
+    return tuple(blocks), tuple(adjoints)
 
 
 def gate_blocks(params: GateParams, local_cutoff: int, adjoint: bool = False) -> tuple:
-    """The gate's blocks of fixed photon-number total, indexed by the total T:
-    entry [j, k] of block T maps lower-mode occupation ``m_k`` to ``m_j``,
-    where m runs up from max(0, T - local_cutoff) and the upper mode holds
-    T - m.  With ``adjoint`` the blocks of the conjugate-transposed gate.
-    Read-only, from the same cache entry as :func:`gate_tensor`."""
-    return _gate_unitary_cached(params.theta, params.varphi, params.phi, local_cutoff)[2][adjoint]
+    """The composite gate on the truncated two-mode Fock space, as its blocks
+    of fixed photon-number total, indexed by the total T: entry [j, k] of
+    block T maps lower-mode occupation ``m_k`` to ``m_j``, where m runs up
+    from max(0, T - local_cutoff) and the upper mode holds T - m.  With
+    ``adjoint`` the blocks of the conjugate-transposed gate.
+
+    The generator conserves total photon number, so each block is
+    exponentiated exactly (by Hermitian eigendecomposition); blocks whose
+    total exceeds ``local_cutoff`` are exponentiated on their surviving basis
+    states, which keeps the gate unitary on the truncated space.  Read-only
+    and cached: the one stored form of a gate."""
+    return _gate_unitary_cached(params.theta, params.varphi, params.phi, local_cutoff)[adjoint]
+
+
+def gate_tensor(params: GateParams, local_cutoff: int) -> np.ndarray:
+    """The dense gate, with axes (out_i, out_{i+1}, in_i, in_{i+1}) of
+    dimension d = local_cutoff + 1, laid out from :func:`gate_blocks` anew
+    on each call; ``reshape(d * d, d * d)`` gives its matrix on the basis
+    index ``n_i * d + n_{i+1}`` (the lower mode of the pair is the slow
+    index)."""
+    d = local_cutoff + 1
+    blocks = gate_blocks(params, local_cutoff)
+    tensor = np.zeros((d, d, d, d), dtype=np.complex128)
+    for (total, occ, _, _), block in zip(_hopping_eigensystems(local_cutoff), blocks):
+        out, into = occ[:, None], occ[None, :]
+        tensor[out, total - out, into, total - into] = block
+    return tensor
 
 
 def _blocks(theta, varphi, phi) -> np.ndarray:
@@ -363,17 +356,11 @@ def _blocks(theta, varphi, phi) -> np.ndarray:
     return blocks
 
 
-def single_photon_blocks(params: Sequence[GateParams]) -> np.ndarray:
-    """(L, 2, 2) stack of the gates' actions on a single photon in their pair
-    (lower, upper): the splitter [[c, i s e^{i varphi}], [i s e^{-i varphi}, c]]
-    times diag(e^{i phi}, 1)."""
-    angles = np.array([(p.theta, p.varphi, p.phi) for p in params], dtype=float)
-    return _blocks(*angles.reshape(-1, 3).T)
-
-
 def single_photon_block(params: GateParams) -> np.ndarray:
-    """2x2 action of the gate on a single photon in the pair (lower, upper)."""
-    return single_photon_blocks([params])[0]
+    """2x2 action of the gate on a single photon in the pair (lower, upper):
+    the splitter [[c, i s e^{i varphi}], [i s e^{-i varphi}, c]] times
+    diag(e^{i phi}, 1)."""
+    return _blocks(*np.array([[params.theta], [params.varphi], [params.phi]]))[0]
 
 
 def transfer_matrix(circuit: Circuit) -> np.ndarray:
@@ -410,29 +397,21 @@ def circuit_to_mode_unitary(circuit: Circuit) -> np.ndarray:
     return transfer_matrix(circuit)
 
 
-@lru_cache(maxsize=128)
-def _kraus_cached(gamma: float, local_cutoff: int):
-    alpha = math.asin(math.sqrt(gamma))
-    tensor = gate_tensor(GateParams(alpha, 0.0, 0.0), local_cutoff)
-    ops = []
-    for mu in range(local_cutoff + 1):
-        k = np.ascontiguousarray(tensor[:, mu, :, 0])
-        k.flags.writeable = False
-        ops.append(k)
-    return tuple(ops)
-
-
 def kraus_set(gamma: float, local_cutoff: int) -> tuple[np.ndarray, ...]:
-    """Kraus operators of the single-mode loss channel of strength ``gamma``.
-
-    K_mu is read off the two-mode beamsplitter at angle alpha = arcsin(sqrt(gamma))
-    coupling the mode to a vacuum ancilla: K_mu = <., mu| W |., 0>.  Each K_mu
-    lowers the photon number by exactly mu, and sum_mu K_mu^dag K_mu = 1 on the
-    truncated space.
-    """
+    """Kraus operators of the single-mode loss channel of strength ``gamma``,
+    in closed form: K_mu |n> = sqrt(C(n, mu) gamma^mu (1 - gamma)^(n - mu))
+    |n - mu>, mu = 0..local_cutoff, so each K_mu lowers the photon number by
+    exactly mu and sum_mu K_mu^dag K_mu = 1 on the truncated space.  Real
+    square arrays of side local_cutoff + 1, built on each call."""
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    return _kraus_cached(float(gamma), local_cutoff)
+    if local_cutoff < 1:
+        raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
+    d = local_cutoff + 1
+    return tuple(
+        np.diag([math.sqrt(math.comb(n, mu) * gamma**mu * (1.0 - gamma) ** (n - mu)) for n in range(mu, d)], mu)
+        for mu in range(d)
+    )
 
 
 def save_circuit(circuit: Circuit, path, seed: int | None = None) -> None:

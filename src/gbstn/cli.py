@@ -282,6 +282,8 @@ def _parse_totals(text: str) -> list[int]:
 
 def cmd_validate(args) -> int:
     _check_at_least_one(args, "cutoff")
+    if not 0.0 <= args.tolerance < math.inf:
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     circ = _load_circuit(args.circuit)
     _check_read("validate", {"--cutoff"}, {"--cutoff": args.cutoff}, circ.is_lossless)
     if args.cutoff is None and not circ.is_lossless:

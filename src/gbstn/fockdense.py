@@ -164,6 +164,10 @@ def _apply_gate_state(amps: np.ndarray, tensor: np.ndarray, site: int) -> np.nda
     return np.moveaxis(moved, [0, 1], [site, site + 1])
 
 
+def _apply_site(amps: np.ndarray, op: np.ndarray, site: int) -> np.ndarray:
+    return np.moveaxis(np.tensordot(op, amps, axes=([1], [site])), 0, site)
+
+
 def dense_evolve_state(psi: DenseState, circuit: Circuit) -> DenseState:
     """Apply a lossless circuit gate by gate to a pure state."""
     if circuit.num_modes != psi.num_modes:
@@ -190,21 +194,10 @@ def dense_evolve_density(rho: DenseDensity, circuit: Circuit) -> DenseDensity:
         site = gate.modes[0]
         g = gate_tensor(gate.params, cutoff)
         # rows: rho -> U rho, columns: -> (U rho) U^dag
-        tensor = np.moveaxis(
-            np.tensordot(g, tensor, axes=([2, 3], [site, site + 1])), [0, 1], [site, site + 1]
-        )
-        col = m + site
-        tensor = np.moveaxis(
-            np.tensordot(g.conj(), tensor, axes=([2, 3], [col, col + 1])), [0, 1], [col, col + 1]
-        )
+        tensor = _apply_gate_state(_apply_gate_state(tensor, g, site), g.conj(), m + site)
         if gate.loss_gamma > 0.0:
-            s = gate.loss_site
-            out = None
-            for k in kraus_set(gate.loss_gamma, cutoff):
-                term = np.moveaxis(np.tensordot(k, tensor, axes=([1], [s])), 0, s)
-                term = np.moveaxis(np.tensordot(k.conj(), term, axes=([1], [m + s])), 0, m + s)
-                out = term if out is None else out + term
-            tensor = out
+            s, ks = gate.loss_site, kraus_set(gate.loss_gamma, cutoff)
+            tensor = sum(_apply_site(_apply_site(tensor, k, s), k.conj(), m + s) for k in ks)
     return DenseDensity._from_tensor(tensor, m, cutoff)
 
 

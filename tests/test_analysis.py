@@ -256,3 +256,34 @@ class TestScalingGrid:
         lines = buffer.getvalue().strip().splitlines()
         assert lines[0] == "M,r,n_mode,D_heisenberg,D_schrodinger,out_of_regime"
         assert len(lines) == len(rows) + 1
+
+
+_POLICY = {"gamma": 0.05, "num_sources": 6, "num_modes": 4, "r": 0.5, "n_tilde": 2}
+
+
+class TestRefusals:
+    """Each bad input raises the named error, with a message naming what is wrong."""
+
+    CASES = {
+        "policy-negative-sources": (lambda: CutoffPolicy(**{**_POLICY, "num_sources": -1}),
+                                    ValueError, "num_sources"),
+        "policy-infinite-squeezing": (lambda: CutoffPolicy(**{**_POLICY, "r": math.inf}), ValueError, "r must"),
+        "policy-nan-squeezing": (lambda: CutoffPolicy(**{**_POLICY, "r": math.nan}), ValueError, "r must"),
+        "policy-infinite-epsilon": (lambda: CutoffPolicy(**{**_POLICY, "epsilon": math.inf}),
+                                    ValueError, "epsilon"),
+        "policy-nan-epsilon": (lambda: CutoffPolicy(**{**_POLICY, "epsilon": math.nan}), ValueError, "epsilon"),
+        "delta-negative-target": (lambda: delta_gamma(CutoffPolicy(**_POLICY), n_tilde=-1),
+                                  ValueError, "n_tilde"),
+        "gbs-cutoff-below-one": (lambda: dmax_gbs(0, 4), ValueError, "local_cutoff"),
+        "bipartite-empty-left": (lambda: dmax_bipartite(0, 3, 2), ValueError, "partitions"),
+        "bipartite-empty-right": (lambda: dmax_bipartite(3, 0, 2), ValueError, "partitions"),
+        "bipartite-negative-photons": (lambda: dmax_bipartite(3, 3, -1), ValueError, "total_photons"),
+        "closed-form-no-modes": (lambda: dmax_closed_form(0, 2), UnsupportedConfigurationError, "even mode"),
+        "closed-form-negative-photons": (lambda: dmax_closed_form(4, -1), ValueError, "total_photons"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises(self, case):
+        call, error, message = self.CASES[case]
+        with pytest.raises(error, match=message):
+            call()

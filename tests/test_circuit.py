@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from gbstn.circuit import (
     Circuit,
@@ -11,7 +12,6 @@ from gbstn.circuit import (
     build_brickwork,
     circuit_to_mode_unitary,
     gate_tensor,
-    gate_unitary_fock,
     kraus_set,
     load_circuit,
     save_circuit,
@@ -65,6 +65,11 @@ class TestTypes:
             Circuit(num_modes=4, layers=((gate,),))
         with pytest.raises(ValueError, match=r"layer 1, gate 1: modes \(5, 6\) exceed num_modes=5"):
             Circuit.from_dict(_second_gate_data(modes=[5, 6]))
+
+    @pytest.mark.parametrize("lossy_mode", [2, -1])
+    def test_lossy_mode_outside_the_pair_rejected(self, lossy_mode):
+        with pytest.raises(ValueError, match=f"lossy_mode must be 0 or 1, got {lossy_mode}"):
+            Gate(modes=(0, 1), params=GateParams(0.1, 0.2, 0.3), loss_gamma=0.1, lossy_mode=lossy_mode)
 
     def test_min_modes(self):
         with pytest.raises(ValueError):
@@ -210,7 +215,7 @@ class TestUniformLoss:
 
 class TestGateUnitary:
     def test_identity_at_zero_angles(self):
-        g = gate_unitary_fock(GateParams(0.0, 0.0, 0.0), 3)
+        g = gate_tensor(GateParams(0.0, 0.0, 0.0), 3).reshape(16, 16)
         assert np.allclose(g, np.eye(16), atol=1e-14)
 
     def test_full_swap_of_single_photon(self):
@@ -254,7 +259,7 @@ class TestGateUnitary:
 
     def test_cutoff_validated(self):
         with pytest.raises(ValueError):
-            gate_unitary_fock(GateParams(0.1, 0.1, 0.1), 0)
+            gate_tensor(GateParams(0.1, 0.1, 0.1), 0)
 
     @pytest.mark.parametrize("cutoff", [1, 3, 6])
     def test_blocks_match_the_matrix_exponential(self, cutoff):
@@ -265,7 +270,7 @@ class TestGateUnitary:
         for _ in range(10):
             theta, varphi, phi = rng.uniform(0.0, 2 * np.pi, size=3)
             t = gate_tensor(GateParams(theta, varphi, phi), cutoff)
-            matrix = gate_unitary_fock(GateParams(theta, varphi, phi), cutoff)
+            matrix = t.reshape(d * d, d * d)
             assert np.linalg.norm(matrix.conj().T @ matrix - np.eye(d * d)) < 1e-13
             for total in range(2 * cutoff + 1):
                 occ = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
@@ -410,6 +415,18 @@ class TestKraus:
     def test_gamma_range(self):
         with pytest.raises(ValueError):
             kraus_set(1.0, 3)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.7])
+    def test_binomial_amplitudes(self, gamma):
+        # K_mu |n> = sqrt(C(n, mu) gamma^mu (1 - gamma)^(n - mu)) |n - mu>, and zero elsewhere
+        cutoff = 6
+        ks = kraus_set(gamma, cutoff)
+        assert len(ks) == cutoff + 1
+        for mu, k in enumerate(ks):
+            expected = np.zeros((cutoff + 1, cutoff + 1))
+            for n in range(mu, cutoff + 1):
+                expected[n - mu, n] = np.sqrt(scipy.special.binom(n, mu) * gamma**mu * (1 - gamma) ** (n - mu))
+            assert np.max(np.abs(k - expected)) < 1e-15
 
 
 class TestSerialization:

@@ -774,6 +774,14 @@ class TestRefusals:
                                 "--photons", "4", "--sources", "6", "--epsilon", "0"],
         "cutoff-negative-photons": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "0.05",
                                     "--photons", "-2", "--sources", "6"],
+        "cutoff-infinite-squeezing": ["cutoff", "--modes", "4", "--squeezing", "inf", "--gamma", "0.05",
+                                      "--photons", "4", "--sources", "6"],
+        "cutoff-nan-squeezing": ["cutoff", "--modes", "4", "--squeezing", "nan", "--gamma", "0.05",
+                                 "--photons", "4", "--sources", "6"],
+        "cutoff-infinite-epsilon": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "0.05",
+                                    "--photons", "4", "--sources", "6", "--epsilon", "inf"],
+        "cutoff-no-source-count": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "0.05",
+                                   "--photons", "4"],
         # D_schrodinger = 1720^1500 here, 4853 digits, past Python's 4300-digit limit for str()
         "scaling-bound-past-the-digit-limit": ["scaling", "--modes", "3000", "--squeezing", "0.7",
                                                "--output", "{out}"],
@@ -786,10 +794,26 @@ class TestRefusals:
         # 167,668,501 outcomes at a dense output of 3^4 entries
         "validate-many-lossy-outcomes": ["validate", "--circuit", "{lossy}", "--cutoff", "2",
                                          "--totals", "1000"],
+        "validate-nan-tolerance": ["validate", "--circuit", "{lossy}", "--cutoff", "2", "--tolerance", "nan"],
+        "validate-infinite-tolerance": ["validate", "--circuit", "{lossy}", "--cutoff", "2",
+                                        "--tolerance", "inf"],
+        "validate-negative-tolerance": ["validate", "--circuit", "{lossy}", "--cutoff", "2",
+                                        "--tolerance", "-0.5"],
         # a gate record on three modes
         "prob-malformed-gate-record": ["prob", "--circuit", "{malformed}", "--outcome", "1,1,0,0",
                                        "--squeezing", "0.4", "--output", "{out}"],
     }
+
+    @pytest.mark.parametrize("outcome", ["1,x,0,0", "1,,0,0", "1.5,1,0,0"])
+    def test_malformed_outcome_is_refused_by_the_parser(self, tmp_path, capsys, outcome):
+        path = tmp_path / "c.json"
+        run(["gen", "--modes", "4", "--depth", "2", "--seed", "1", "--output", str(path)], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["prob", "--circuit", str(path), "--outcome", outcome])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert f"bad outcome {outcome!r}" in err
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch, case):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +15,7 @@ from gbstn.fockdense import (
     dense_squeezed_vacuum,
     flat_index,
     single_mode_squeezed_vector,
+    squeeze_values,
 )
 
 
@@ -182,3 +185,30 @@ class TestInvariants:
         rho = dense_squeezed_vacuum(0.3, 2, 3).to_density()
         again = DenseDensity._from_tensor(rho._tensor(), 2, 3)
         assert np.array_equal(again.matrix, rho.matrix)
+
+
+class TestRefusals:
+    """Each bad input raises the named error, with a message naming what is wrong."""
+
+    CASES = {
+        "squeezing-2d": (lambda: squeeze_values([[0.1, 0.2], [0.3, 0.4]]), ValueError, "1-d sequence"),
+        "vacuum-no-modes": (lambda: dense_squeezed_vacuum(0.4, 0, 3), ValueError, "at least one mode"),
+        "vacuum-empty-squeezing": (lambda: dense_squeezed_vacuum([], None, 3), ValueError, "at least one mode"),
+        "state-mode-mismatch": (lambda: dense_evolve_state(dense_fock_state((1, 0, 0), 2), build_brickwork(2, 1, seed=1)),
+                                ValueError, "mode count mismatch"),
+        "density-mode-mismatch": (
+            lambda: dense_evolve_density(dense_fock_state((1, 0, 0), 2).to_density(), build_brickwork(2, 1, seed=1)),
+            ValueError, "mode count mismatch",
+        ),
+        "probability-of-another-type": (
+            lambda: dense_probability(SimpleNamespace(num_modes=2, local_cutoff=2), (1, 0)),
+            TypeError, "expected DenseState or DenseDensity",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises(self, case):
+        call, error, message = self.CASES[case]
+        with pytest.raises(error, match=message):
+            call()
+

@@ -294,6 +294,11 @@ class TestHafnian:
         with pytest.raises(ValueError):
             hafnian(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(2, 4), (4,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="hafnian needs a square matrix"):
+            hafnian(np.ones(shape))
+
     def test_multilinearity_in_rows(self):
         rng = np.random.default_rng(42)
         for _ in range(100):

@@ -978,6 +978,24 @@ class TestHeisenbergLossy:
         assert 0.0 <= p <= 1.0
         assert abs(stats.raw_probability - p) < 1e-9
 
+    def test_gate_cache_holds_one_entry_of_blocks_per_gate(self):
+        # each gate's own loss adds no entry: the Kraus set is built in closed
+        # form, and the dense gate tensor is laid out from the cached blocks
+        rng = np.random.default_rng(6)
+        c = build_brickwork(4, 4, seed=6)
+        c = Circuit(4, tuple(
+            tuple(Gate(g.modes, g.params, float(rng.uniform(0.02, 0.2)), int(rng.integers(2))) for g in layer)
+            for layer in c.layers
+        ))
+        assert c.num_gates == c.num_lossy_gates == 6
+        _gate_unitary_cached.cache_clear()
+        heisenberg_probability_lossy(c, (1, 0, 1, 0), 0.4, 3)
+        assert _gate_unitary_cached.cache_info().currsize == 6
+        for gate in c.gates():
+            entry = _gate_unitary_cached(gate.params.theta, gate.params.varphi, gate.params.phi, 3)
+            assert max(a.size for arrays in entry for a in arrays) <= 4**2
+        assert _gate_unitary_cached.cache_info().currsize == 6
+
 
 class TestClamping:
     def test_deeply_negative_value_raises(self):
@@ -1043,3 +1061,38 @@ class TestOutcomeLength:
         p, _ = heisenberg_probability_lossless(c, outcome, 0.4, sum(outcome))
         gaussian = gbs_probability(propagate_circuit(squeezed_vacuum_cov(0.4, 4), c), outcome)
         assert p == pytest.approx(gaussian, rel=1e-9)
+
+
+class TestRefusals:
+    """Each bad input raises ValueError, with a message naming what is wrong."""
+
+    CASES = {
+        "train-no-sites": (lambda: tnet.TensorTrain([], 2), "at least one site"),
+        "train-open-boundary": (lambda: tnet.TensorTrain([np.zeros((2, 2, 1))], 2), "boundary bonds"),
+        "train-bond-mismatch": (lambda: tnet.TensorTrain([np.zeros((1, 2, 2)), np.zeros((3, 2, 1))], 2),
+                                "bond mismatch between sites 0 and 1"),
+        "train-physical-charges": (lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, phys_charges=[0, 1, 2]),
+                                   "physical charges"),
+        "train-bond-charges": (lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, bond_charges=[[0, 0], [0]]),
+                               "bond charges"),
+        "train-schmidt-and-centre": (
+            lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, center=0, schmidt=[[1.0], [1.0]]), "no centre",
+        ),
+        "train-schmidt-values": (lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, schmidt=[[1.0], [1.0, 0.0]]),
+                                 "Schmidt values"),
+        "projected-negative-total": (lambda: projected_squeezed_mps(0.4, 3, -2), "photon total must be >= 0"),
+        "overlap-mode-mismatch": (lambda: mps_overlap(fock_mps((1, 0), 2), fock_mps((1, 0, 0), 2)),
+                                  "mode count mismatch"),
+        "expectation-mode-mismatch": (
+            lambda: tnet.mpo_expectation(fock_mps((1, 0), 2), fock_projector_mpo((1, 0, 0), 2), fock_mps((1, 0), 2)),
+            "mode count mismatch",
+        ),
+        "gate-past-the-last-mode": (lambda: apply_gate_mps(fock_mps((1, 0), 2), _gate(modes=(1, 2))),
+                                    r"gate on modes \(1, 2\) does not fit in 2 modes"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises(self, case):
+        call, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            call()
