@@ -55,6 +55,8 @@ class CutoffPolicy:
             raise ValueError(f"r must be finite, got {self.r}")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+        if self.num_modes < 1:
+            raise ValueError(f"num_modes must be >= 1, got {self.num_modes}")
         if self.num_sources < 0:
             raise ValueError(f"num_sources must be >= 0, got {self.num_sources}")
         if self.n_tilde < 0:

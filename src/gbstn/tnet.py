@@ -46,8 +46,9 @@ state gate's blocks of fixed photon-number total (``circuit.gate_blocks``);
 the adjoint channel's blocks of fixed (m1 - n1) + (m2 - n2), built per
 call.  A packed entry (alpha, n1, n2, beta) lies in a charge block exactly
 when label(beta) - label(alpha) is its key, so the labels alone lay out
-where each block acts, and a pair's layout is grouped once and reused from
-a bounded cache.  A step of a centre move is the pair's split with QR in
+where each block acts, by one stable sort; a pair's layout, with its
+update's size-guard figure and SVD cost, is built once and reused from a
+bounded cache.  A step of a centre move is the pair's split with QR in
 place of the SVD, on the same charge blocks and through the same writer.
 Blocks of one row or one column are factorized in closed form (a norm and
 a unit vector), larger ones by ``numpy.linalg.qr`` and ``numpy.linalg.svd``
@@ -445,73 +446,62 @@ def _sectors(left: np.ndarray, mid: np.ndarray, right: np.ndarray, phys: np.ndar
     return sectors
 
 
-def _check_update(sectors, left, right, phys, what: str) -> None:
-    """Refuse, through the size guard, the update of a pair with these
-    sectors: its largest arrays are the packed pair and the two new sites,
-    whose bond holds at most min(rows, columns) per charge block."""
-    packed = sum(len(rows) * len(cols) for _, rows, cols, *_ in sectors)
-    bond = sum(min(len(rows), len(cols)) for _, rows, cols, *_ in sectors)
-    check_size(max(packed, len(phys) * bond * max(len(left), len(right))), what)
-
-
-def _layout_of(left, mid, right, phys, what: str = "an array of a pair update") -> tuple:
-    """The layout of a pair between bonds labelled ``left``, ``mid`` and
-    ``right`` on physical charges ``phys``: ``(sectors, order, groups)``.
-    ``sectors`` holds those of :func:`_sectors`, each with its ``span``
-    appended, its slice of the packed matrix (the blocks one after another,
-    row-major).  For ``(k, start, stop, width)`` in ``groups``,
-    ``order[start:stop]`` is the (width, pairs) matrix of the packed offsets
-    of key k: a row per pair index n1 * p + n2 with phys[n1] + phys[n2] = k,
-    ascending, a column per (alpha, beta) with label(beta) - label(alpha) =
-    k.  These are exactly the packed entries, each once.  A pair whose
-    update would pass the size guard raises, as ``what``, before ``order``
-    is built.  Read-only, so threads share it."""
-    p = len(phys)
-    # packed offset of row (alpha, n1) and place of column (n2, beta) in its block
-    row_at = np.zeros(len(left) * p, dtype=np.int64)
-    col_at = np.zeros(p * len(right), dtype=np.int64)
-    sectors, size = [], 0
-    for q, rows, cols, middle in _sectors(left, mid, right, phys):
-        rows.flags.writeable = cols.flags.writeable = False
-        row_at[rows] = size + np.arange(len(rows)) * len(cols)
-        col_at[cols] = np.arange(len(cols))
-        sectors.append((q, rows, cols, middle, slice(size, size + len(rows) * len(cols))))
-        size += len(rows) * len(cols)
-    _check_update(sectors, left, right, phys, what)
-    row_at, col_at = row_at.reshape(len(left), p), col_at.reshape(p, len(right))
-    left_groups, right_groups = _groups(left), _groups(right)
-    pieces, groups, start = [], [], 0
-    for k, index in _groups(np.add.outer(phys, phys).ravel()).items():
-        n1, n2 = np.divmod(index, p)
-        columns = [
-            (row_at[alphas][:, n1].T[:, :, None] + col_at[n2][:, right_groups[a + k]][:, None, :])
-            for a, alphas in left_groups.items() if a + k in right_groups
-        ]
-        if columns:
-            pieces.append(np.concatenate([c.reshape(len(index), -1) for c in columns], axis=1).ravel())
-            groups.append((k, start, start + len(pieces[-1]), len(index)))
-            start += len(pieces[-1])
-    order = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
-    order.flags.writeable = False
-    return tuple(sectors), order, tuple(groups)
-
-
 _layouts: dict = {}  # key -> (layout, bytes charged)
 _layouts_lock = threading.Lock()
 
 
 def _pair_layout(left, mid, right, phys, what: str = "an array of a pair update") -> tuple:
-    """The layout of :func:`_layout_of`, from the cache when it is there; a
-    new one is stored if its charge fits in ``LAYOUT_BUDGET``, the oldest
-    entries making way.  Either way a pair whose update would pass the size
-    guard raises, and leaves the cache as it was."""
+    """The layout of a pair between bonds labelled ``left``, ``mid`` and
+    ``right`` on physical charges ``phys``: ``(sectors, order, groups, flops,
+    guarded)``.  ``sectors`` holds those of :func:`_sectors`, each with its
+    ``span`` appended, its slice of the packed matrix (the blocks one after
+    another, row-major).  For ``(k, start, stop, width)`` in ``groups``,
+    ``order[start:stop]`` is the (width, pairs) matrix of the packed offsets
+    of key k: a row per pair index n1 * p + n2 with phys[n1] + phys[n2] = k,
+    ascending, a column per (alpha, beta) with label(beta) - label(alpha) =
+    k.  A pair index of key k meets each such (alpha, beta) in one packed
+    entry, listed by (label(alpha), alpha, beta) whatever the pair index, so
+    one stable sort of the packed offsets by the rank of their pair index
+    in key order builds ``order``.  ``flops`` is the split's SVD cost (see
+    :class:`EvolutionStats`), ``guarded`` the entry count of the update's
+    largest array: the packed pair or a new site, whose bond holds at most
+    min(rows, columns) per charge block.
+
+    From the cache when it is there; a new layout is stored if its charge
+    fits in ``LAYOUT_BUDGET``, the oldest entries making way.  A pair whose
+    update would pass the size guard raises, as ``what``, before ``order``
+    is built, and leaves the cache as it was.  Read-only, so threads share
+    it."""
     key = (left.tobytes(), mid.tobytes(), right.tobytes(), phys.tobytes())
     entry = _layouts.get(key)
     if entry is not None:
-        _check_update(entry[0][0], left, right, phys, what)
+        check_size(entry[0][4], what)
         return entry[0]
-    layout = _layout_of(left, mid, right, phys, what)
-    cost = 16 * (len(layout[1]) + len(phys) * (len(left) + len(right)) + len(mid)) + 2048 * len(layout[0])
+    p = len(phys)
+    sectors, size = [], 0
+    for q, rows, cols, middle in _sectors(left, mid, right, phys):
+        rows.flags.writeable = cols.flags.writeable = False
+        sectors.append((q, rows, cols, middle, slice(size, size + len(rows) * len(cols))))
+        size += len(rows) * len(cols)
+    bond = sum(min(len(rows), len(cols)) for _, rows, cols, *_ in sectors)
+    guarded = max(size, p * bond * max(len(left), len(right)))
+    check_size(guarded, what)
+    flops = sum(float(len(rows)) * len(cols) * min(len(rows), len(cols)) for _, rows, cols, *_ in sectors)
+    sums = np.add.outer(phys, phys).ravel()
+    # the rank of pair index n1 * p + n2 in key order; small, so the sort is a radix sort
+    rank = np.empty(p * p, dtype=np.min_scalar_type(p * p - 1))
+    rank[np.argsort(sums, kind="stable")] = np.arange(p * p)
+    ranks = np.empty(size, dtype=rank.dtype)  # of each packed entry's pair index
+    for _, rows, cols, _, span in sectors:
+        ranks[span] = rank[(rows[:, None] % p) * p + cols // len(right)].ravel()
+    order = np.argsort(ranks, kind="stable")
+    order.flags.writeable = False
+    keys, widths = np.unique(sums, return_counts=True)
+    stops = np.cumsum(np.bincount(ranks, minlength=p * p))[np.cumsum(widths) - 1].tolist()
+    # (key, start, stop, width); a key no (alpha, beta) meets has no entry
+    groups = tuple(g for g in zip(keys.tolist(), [0, *stops[:-1]], stops, widths.tolist()) if g[2] > g[1])
+    layout = tuple(sectors), order, groups, flops, guarded
+    cost = 16 * (size + p * (len(left) + len(right)) + len(mid)) + 2048 * len(sectors)
     with _layouts_lock:
         held = sum(charged for _, charged in _layouts.values())
         while _layouts and held + cost > LAYOUT_BUDGET >= cost:
@@ -594,10 +584,11 @@ def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> Tensor
     (alpha, n1) and columns (n2, beta), is built only where its charge
     blocks lie, packed; the map is one gather of the packed entries key by
     key, one matmul per key and one scatter, all laid out by
-    :func:`_pair_layout` from the labels alone.  This is the only code
-    that reads or writes a packed pair matrix.  The split takes one SVD per
-    charge block; the truncation rule acts on all blocks' singular values
-    together, as on the whole matrix.
+    :func:`_pair_layout` from the labels alone; the layout also carries the
+    figure the size guard reads and the split's SVD cost.  This is the only
+    code that reads or writes a packed pair matrix.  The split takes one SVD
+    per charge block; the truncation rule acts on all blocks' singular
+    values together, as on the whole matrix.
 
     A train that carries Schmidt values (a state) is split without a centre
     (Vidal, arXiv:quant-ph/0310089; Hastings, arXiv:0903.3253): its sites
@@ -628,7 +619,7 @@ def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> Tensor
     chi_l, p, chi_r = a.shape[0], a.shape[1], b.shape[2]
     # the pair matrix has the same charge blocks before and after the map
     what = f"an array of the update of modes {(i, i + 1)}"
-    sectors, order, groups = _pair_layout(bonds[i], bonds[i + 1], bonds[i + 2], phys, what)
+    sectors, order, groups, flops, _ = _pair_layout(bonds[i], bonds[i + 1], bonds[i + 2], phys, what)
     left, right = a.reshape(chi_l * p, -1), b.reshape(-1, p * chi_r)
     packed = np.empty(len(order), dtype=np.complex128)
     for _, rows, cols, middle, span in sectors:
@@ -656,9 +647,7 @@ def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> Tensor
     kept = _kept(s_all, policy)
     dropped = float(np.sum(s_all[~kept] ** 2))
     stats.truncation_weight += dropped
-    stats.flop_estimate += sum(
-        float(len(rows)) * len(cols) * min(len(rows), len(cols)) for _, rows, cols, *_ in sectors
-    )
+    stats.flop_estimate += flops
 
     pieces, values, start = [], [], 0
     for (q, rows, cols, *_), block, (u, s, vh) in zip(sectors, theta, factors):
@@ -803,8 +792,11 @@ def project_outcome(psi: TensorTrain, stats: EvolutionStats, outcome) -> tuple[f
     total = int(psi.bond_charges[-1][0])
     if sum(outcome) != total:
         raise ValueError(f"outcome {outcome} does not hold the evolved input's {total} photons")
-    amp = mps_overlap(fock_mps(outcome, psi.local_dim - 1), psi)
-    stats = replace(stats, per_layer_bonds=list(stats.per_layer_bonds), raw_probability=abs(amp) ** 2)
+    amp = _ONE
+    for site, n in zip(psi.tensors, outcome):  # <n|psi>: the product of the outcome's slices
+        amp = amp @ site[:, n, :]
+    probability = abs(complex(amp[0, 0])) ** 2
+    stats = replace(stats, per_layer_bonds=list(stats.per_layer_bonds), raw_probability=probability)
     return check_probability(stats.raw_probability), stats
 
 

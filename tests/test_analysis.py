@@ -267,6 +267,7 @@ class TestRefusals:
     CASES = {
         "policy-negative-sources": (lambda: CutoffPolicy(**{**_POLICY, "num_sources": -1}),
                                     ValueError, "num_sources"),
+        "policy-no-modes": (lambda: CutoffPolicy(**{**_POLICY, "num_modes": 0}), ValueError, "num_modes"),
         "policy-infinite-squeezing": (lambda: CutoffPolicy(**{**_POLICY, "r": math.inf}), ValueError, "r must"),
         "policy-nan-squeezing": (lambda: CutoffPolicy(**{**_POLICY, "r": math.nan}), ValueError, "r must"),
         "policy-infinite-epsilon": (lambda: CutoffPolicy(**{**_POLICY, "epsilon": math.inf}),

@@ -126,7 +126,8 @@ class TestProb:
         argv = ["prob", "--circuit", str(path), "--outcome", "0,0,0,0",
                 "--outcome", "1,1,0,0", "--outcome", "2,0,0,0", "--squeezing", "0.4"]
         _, serial, _ = run(argv, capsys)
-        _, threaded, _ = run(argv + ["--workers", "4"], capsys)
+        with pytest.warns(FutureWarning, match="--workers"):
+            _, threaded, _ = run(argv + ["--workers", "4"], capsys)
         a, b = _records(serial), _records(threaded)
         for r in a + b:
             r.pop("wall_time")
@@ -780,6 +781,8 @@ class TestRefusals:
                                  "--photons", "4", "--sources", "6"],
         "cutoff-infinite-epsilon": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "0.05",
                                     "--photons", "4", "--sources", "6", "--epsilon", "inf"],
+        "cutoff-no-modes": ["cutoff", "--modes", "0", "--squeezing", "0.5", "--gamma", "0.05",
+                            "--photons", "4", "--sources", "6"],
         "cutoff-no-source-count": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "0.05",
                                    "--photons", "4"],
         # D_schrodinger = 1720^1500 here, 4853 digits, past Python's 4300-digit limit for str()
@@ -803,6 +806,8 @@ class TestRefusals:
         "prob-malformed-gate-record": ["prob", "--circuit", "{malformed}", "--outcome", "1,1,0,0",
                                        "--squeezing", "0.4", "--output", "{out}"],
     }
+    # what the error line names, where a case's message is checked
+    NAMED = {"cutoff-no-modes": "num_modes must be >= 1, got 0"}
 
     @pytest.mark.parametrize("outcome", ["1,x,0,0", "1,,0,0", "1.5,1,0,0"])
     def test_malformed_outcome_is_refused_by_the_parser(self, tmp_path, capsys, outcome):
@@ -842,3 +847,4 @@ class TestRefusals:
         assert not out_path.exists()
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+        assert self.NAMED.get(case, "") in err

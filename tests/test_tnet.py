@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,7 @@ from gbstn.circuit import (
     circuit_to_mode_unitary,
     gate_tensor,
     kraus_set,
+    transfer_matrix,
     with_uniform_loss,
 )
 from gbstn import errors
@@ -292,6 +294,38 @@ class TestProjectedInput:
         assert p == schrodinger_probability(c, (1, 1, 0, 0), 0.4)[0]
 
 
+def _closed_form_overlap(circuit, outcome, train) -> complex:
+    """<phi|train> for phi = U^dag|n> in closed form.  U^dag a_k^dag U =
+    sum_j conj(u[k, j]) a_j^dag for the transfer matrix u, so phi is a train
+    whose bond left of site j is labelled by the photons m <= n of each
+    occupied mode k already placed on the sites before j: site j takes m to
+    m + t on physical index |t|, with weight sqrt(|t|!) prod_k conj(u[k,
+    j])^t_k / t_k!, and the whole carries prod_k sqrt(n_k!)."""
+    u = transfer_matrix(circuit)
+    occupied = [k for k, n in enumerate(outcome) if n]
+    counts = [outcome[k] for k in occupied]
+    labels = list(itertools.product(*(range(n + 1) for n in counts)))
+    index = {m: i for i, m in enumerate(labels)}
+    pairs = [
+        (m, t) for m in labels for t in itertools.product(*(range(n - x + 1) for n, x in zip(counts, m)))
+    ]
+    t = np.array([t for _, t in pairs])
+    rows = [index[m] for m, _ in pairs]
+    cols = [index[tuple(np.add(m, step).tolist())] for m, step in pairs]
+    phys = t.sum(axis=1)
+    scale = np.sqrt([math.factorial(x) for x in phys]) / np.prod(
+        [[math.factorial(x) for x in step] for step in t], axis=1
+    )
+    weights = scale[:, None] * np.prod(u[occupied].conj()[None] ** t[:, :, None], axis=1)
+    env = np.zeros((len(labels), 1), dtype=np.complex128)  # (label of phi, bond of train)
+    env[0, 0] = 1.0
+    for j, site in enumerate(train.tensors):
+        a = np.zeros((len(labels), site.shape[1], len(labels)), dtype=np.complex128)
+        a[rows, phys, cols] = weights[:, j]
+        env = np.tensordot(np.tensordot(env, a.conj(), axes=([0], [0])), site, axes=([0, 1], [0, 1]))
+    return complex(env[index[tuple(counts)], 0]) * math.prod(math.sqrt(math.factorial(n)) for n in counts)
+
+
 class TestBondBounds:
     def test_single_photon_w_state_bound(self):
         c = build_brickwork(6, 6, seed=3)
@@ -321,6 +355,15 @@ class TestBondBounds:
             _, stats = heisenberg_probability_lossless(c, outcome, 0.4, 4)
             bound = int(np.prod([n + 1 for n in outcome if n]))
             assert stats.max_bond_seen <= bound
+
+    @pytest.mark.parametrize("modes", [32, 48])
+    def test_evolved_outcome_matches_the_closed_form(self, modes):
+        # six single photons: 2^6 = 64 labels, the dmax_fbs ceiling, on
+        # every bond of the closed form
+        c = build_brickwork(modes, modes, seed=1)
+        outcome = (1,) * 6 + (0,) * (modes - 6)
+        phi = _evolve_mps(fock_mps(outcome, 6), c, TruncationPolicy(), EvolutionStats(), reverse=True)
+        assert abs(1.0 - _closed_form_overlap(c, outcome, phi)) <= 1e-12
 
     def test_schrodinger_bound(self):
         c = build_brickwork(4, 4, seed=16)
@@ -730,6 +773,19 @@ def _embedded(tensor, first, num_modes):
     return np.kron(np.kron(np.eye(d ** (num_modes - first - k)), little), np.eye(d**first))
 
 
+def _layout_trains() -> dict:
+    """A state train, an operator train and an evolved Schrodinger input,
+    each with more than one label on its bond 2."""
+    c = build_brickwork(4, 2, seed=3)
+    state = _evolve_mps(
+        fock_mps((1, 2, 0, 1), 3), c, TruncationPolicy(), EvolutionStats(), reverse=True
+    )
+    operator = fock_projector_mpo((1, 2, 0, 1), 3)
+    for gate in [g for layer in reversed(c.layers) for g in layer]:
+        operator = apply_gate_mpo_adjoint(operator, gate)
+    return {"state": state, "operator": operator, "schrodinger": evolve_input(c, 0.4, 4)[0]}
+
+
 class TestGateByTotal:
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize("charged", [True, False])
@@ -758,24 +814,41 @@ class TestGateByTotal:
         assert np.max(np.abs(out.to_dense() - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_layout_lists_each_packed_entry_once(self):
-        c = build_brickwork(4, 2, seed=3)
-        state = _evolve_mps(
-            fock_mps((1, 2, 0, 1), 3), c, TruncationPolicy(), EvolutionStats(), reverse=True
-        )
-        operator = fock_projector_mpo((1, 2, 0, 1), 3)
-        for gate in [g for layer in reversed(c.layers) for g in layer]:
-            operator = apply_gate_mpo_adjoint(operator, gate)
         # a state gate keeps the occupation totals n1 + n2, the adjoint
         # channel the charge sums (m1 - n1) + (m2 - n2)
-        for train, charges in ((state, np.arange(4)), (operator, operator.phys_charges)):
-            keys = np.add.outer(charges, charges).ravel()
+        trains = _layout_trains()
+        for train in (trains["state"], trains["operator"]):
             bonds, phys = train.bond_charges, train.phys_charges
+            keys = np.add.outer(phys, phys).ravel()
             assert len(set(bonds[2].tolist())) > 1
-            sectors, order, groups = tnet._pair_layout(bonds[1], bonds[2], bonds[3], phys)
+            sectors, order, groups, _, _ = tnet._pair_layout(bonds[1], bonds[2], bonds[3], phys)
             assert sorted(order.tolist()) == list(range(sectors[-1][4].stop))
             assert [k for k, *_ in groups] == sorted({k for k, *_ in groups})
             assert {k for k, *_ in groups} <= set(keys.tolist())
             assert all((stop - start) % width == 0 for _, start, stop, width in groups)
+
+    @pytest.mark.parametrize("kind", ["state", "operator", "schrodinger"])
+    def test_layout_gathers_each_key_as_a_matrix(self, kind):
+        # the per-key matmul needs row r of key k's group to be the r-th pair
+        # index of key k, ascending, and each column one (alpha, beta) with
+        # label(beta) - label(alpha) = k, the same in every row
+        train = _layout_trains()[kind]
+        left, mid, right = train.bond_charges[1:4]
+        phys, p = train.phys_charges, len(train.phys_charges)
+        assert len(set(mid.tolist())) > 1
+        sectors, order, groups, *_ = tnet._pair_layout(left, mid, right, phys)
+        entries = np.zeros((sectors[-1][4].stop, 4), dtype=np.int64)  # (alpha, n1, n2, beta)
+        for _, rows, cols, _, span in sectors:
+            r, c = np.divmod(np.arange(span.stop - span.start), len(cols))
+            entries[span] = np.column_stack([*np.divmod(rows[r], p), *np.divmod(cols[c], len(right))])
+        keys = np.add.outer(phys, phys).ravel()
+        assert groups
+        for k, start, stop, width in groups:
+            alpha, n1, n2, beta = np.moveaxis(entries[order[start:stop]].reshape(width, -1, 4), 2, 0)
+            assert np.array_equal(n1[:, 0] * p + n2[:, 0], np.flatnonzero(keys == k))
+            assert (n1 == n1[:, :1]).all() and (n2 == n2[:, :1]).all()
+            assert (alpha == alpha[0]).all() and (beta == beta[0]).all()
+            assert (right[beta] - left[alpha] == k).all()
 
     def test_physical_charges_a_gate_does_not_keep_are_rejected(self):
         # charges 0, 2, 1 on occupations 0, 1, 2: the splits (0, 2) and (1, 1)
@@ -799,7 +872,8 @@ class TestGateByTotal:
         # beta) with n1 + n2 = label(beta) - label(alpha): 2 + 3 + 1 + 2, in
         # the charge blocks 0, 1 and 2 of 1 x 2, 2 x 2 and 2 x 1 entries
         left, mid, right, phys = np.array([0, 1]), np.array([1]), np.array([1, 2]), np.arange(3)
-        sectors, order, _ = tnet._layout_of(left, mid, right, phys)
+        monkeypatch.setattr(tnet, "_layouts", {})
+        sectors, order, *_ = tnet._pair_layout(left, mid, right, phys)
         assert len(order) == 8 and len(sectors) == 3
         cost = 16 * (8 + 6 + 6 + 1) + 2048 * 3
         for limit, stored in ((cost - 1, False), (cost, True)):
