@@ -243,6 +243,8 @@ def build_brickwork(
         raise ValueError(f"need at least 2 modes, got {num_modes}")
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
+    if angles is not None and seed is not None:
+        raise ValueError("pass angles or seed, not both: a seed draws the angles")
 
     pair_lists = [_layer_pairs(num_modes, layer % 2) for layer in range(depth)]
     total = sum(len(p) for p in pair_lists)

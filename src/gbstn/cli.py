@@ -103,19 +103,30 @@ def _dense_output(circ, squeezing, n_c):
     return fockdense.dense_evolve_density(state.to_density(), circ)
 
 
-def _evaluator(circ, squeezing, backend, picture, policy, totals, cutoffs):
-    """``evaluate(outcome, n_c) -> (probability, stats or None)`` on one
-    backend.  The work no outcome changes is done here, once per request:
-    the Gaussian covariance, the dense output for each n_c in ``cutoffs``,
-    or the Schrodinger picture's evolved input for each photon total in
-    ``totals``."""
-    if backend == "tn" and picture == "schrodinger":
+# each route of prob and validate: (backend, picture, the flags it reads).
+# The dense backend truncates nothing and has no picture; the exact Gaussian
+# backend and the Schrodinger picture take no cutoff
+_ROUTES = {
+    "tn_heisenberg": ("tn", "heisenberg", {"--cutoff", "--max-bond", "--svd-threshold", "--epsilon", "--picture"}),
+    "tn_schrodinger": ("tn", "schrodinger", {"--max-bond", "--svd-threshold", "--picture"}),
+    "dense": ("dense", None, {"--cutoff", "--epsilon"}),
+    "gaussian": ("gaussian", None, set()),
+}
+
+
+def _evaluator(circ, squeezing, route, policy, totals, cutoffs):
+    """``evaluate(outcome, n_c) -> (probability, stats or None)`` on the
+    ``_ROUTES`` entry ``route``.  The work no outcome changes is done here,
+    once per request: the Gaussian covariance, the dense output for each n_c
+    in ``cutoffs``, or the Schrodinger picture's evolved input for each
+    photon total in ``totals``."""
+    if route == "tn_schrodinger":
         states = {t: tnet.evolve_input(circ, squeezing, t, policy) for t in set(totals)}
         return lambda outcome, n_c: tnet.project_outcome(*states[sum(outcome)], outcome)
-    if backend == "tn":
-        route = tnet.heisenberg_probability_lossless if circ.is_lossless else tnet.heisenberg_probability_lossy
-        return lambda outcome, n_c: route(circ, outcome, squeezing, n_c, policy)
-    if backend == "dense":
+    if route == "tn_heisenberg":
+        step = tnet.heisenberg_probability_lossless if circ.is_lossless else tnet.heisenberg_probability_lossy
+        return lambda outcome, n_c: step(circ, outcome, squeezing, n_c, policy)
+    if route == "dense":
         outputs = {n_c: _dense_output(circ, squeezing, n_c) for n_c in set(cutoffs)}
         return lambda outcome, n_c: (fockdense.dense_probability(outputs[n_c], outcome), None)
     state = gauss.propagate_circuit(gauss.squeezed_vacuum_cov(squeezing, circ.num_modes), circ)
@@ -137,16 +148,6 @@ def _prob_record(evaluate, outcome, backend, picture, n_c, recommended) -> dict:
         "probability": p,
         "wall_time": time.perf_counter() - start,
     }
-
-
-# the flags each route reads: the dense backend truncates nothing and has no
-# picture, the exact Gaussian backend and Schrodinger picture take no cutoff
-_READS = {
-    "tn": {"--cutoff", "--max-bond", "--svd-threshold", "--epsilon", "--picture"},
-    "schrodinger": {"--max-bond", "--svd-threshold", "--picture"},
-    "dense": {"--cutoff", "--epsilon"},
-    "gaussian": set(),
-}
 
 
 def _check_at_least_one(args, *names) -> None:
@@ -179,15 +180,14 @@ def cmd_prob(args) -> int:
     if args.workers is not None:
         warnings.warn("--workers is ignored: outcomes run on one thread", FutureWarning)
     circ = _load_circuit(args.circuit)
-    route, reads = f"--backend {args.backend}", _READS[args.backend]
-    if args.backend == "tn" and args.picture == "schrodinger":
-        route, reads = f"{route} --picture schrodinger", _READS["schrodinger"]
+    route = f"tn_{args.picture or 'heisenberg'}" if args.backend == "tn" else args.backend
+    backend, picture, reads = _ROUTES[route]
+    named = f"--backend {backend}" + (" --picture schrodinger" if picture == "schrodinger" else "")
     given = {"--cutoff": args.cutoff, "--max-bond": args.max_bond,
              "--svd-threshold": args.svd_threshold, "--epsilon": args.epsilon,
              "--picture": args.picture}
-    _check_read(route, reads, given, circ.is_lossless)
+    _check_read(named, reads, given, circ.is_lossless)
     epsilon = analysis.CutoffPolicy.epsilon if args.epsilon is None else args.epsilon
-    picture = (args.picture or "heisenberg") if args.backend == "tn" else None
     # once here, not once per outcome on the routes that read it per outcome
     fockdense.squeeze_values(args.squeezing, circ.num_modes)
     truncation = {"max_bond": args.max_bond, "svd_threshold": args.svd_threshold}
@@ -204,12 +204,12 @@ def cmd_prob(args) -> int:
                 "squeezing for lossy circuits; pass --cutoff explicitly"
             )
     totals = [sum(n) for n in args.outcome]
-    evaluate = _evaluator(circ, args.squeezing, args.backend, picture, policy, totals, n_cs)
+    evaluate = _evaluator(circ, args.squeezing, route, policy, totals, n_cs)
 
     def record(outcome, n_c, recommended_n_c) -> dict:
         # one failed outcome becomes an error record; the rest of the batch runs
         try:
-            return _prob_record(evaluate, outcome, args.backend, picture, n_c, recommended_n_c)
+            return _prob_record(evaluate, outcome, backend, picture, n_c, recommended_n_c)
         except Exception as exc:
             return {"outcome": list(outcome), "error": str(exc)}
 
@@ -225,11 +225,15 @@ def cmd_prob(args) -> int:
 
 
 def cmd_cutoff(args) -> int:
-    if args.sources is not None:
-        sources = args.sources
-    elif args.circuit:
-        sources = _load_circuit(args.circuit).num_lossy_gates
-    else:
+    if args.sources is not None and args.circuit is not None:
+        raise ValueError("pass --sources or --circuit, not both")
+    sources = args.sources
+    if args.circuit:
+        circ = _load_circuit(args.circuit)
+        if circ.num_modes != args.modes:
+            raise ValueError(f"--modes {args.modes} differs from the circuit's {circ.num_modes} modes")
+        sources = circ.num_lossy_gates
+    elif sources is None:
         raise ValueError("pass --sources or --circuit to fix the source count")
     policy = analysis.CutoffPolicy(
         gamma=args.gamma,
@@ -295,14 +299,7 @@ def cmd_validate(args) -> int:
     n_c = args.cutoff or analysis.recommended_cutoff(circ, args.squeezing, max(totals))
     # the gaussian column is exact for any per-gate loss, so on a lossy file it
     # exposes the cutoff bias; the Schrodinger picture has no lossy route
-    routes = {
-        "tn_heisenberg": ("tn", "heisenberg"),
-        "tn_schrodinger": ("tn", "schrodinger"),
-        "dense": ("dense", None),
-        "gaussian": ("gaussian", None),
-    }
-    if not circ.is_lossless:
-        del routes["tn_schrodinger"]
+    routes = [name for name in _ROUTES if circ.is_lossless or name != "tn_schrodinger"]
     # the cheapest refusals first: the outcomes are counted before they are
     # listed, and the dense output, whose size guard refuses what it cannot
     # hold, is built before the Schrodinger input is evolved
@@ -310,7 +307,7 @@ def cmd_validate(args) -> int:
     count = sum(math.comb(total + m - 1, m - 1) for total in totals)
     check_size(count, f"the outcomes of --totals {args.totals!r}")
     evaluators = {
-        name: _evaluator(circ, args.squeezing, *routes[name], tnet.TruncationPolicy(), totals, [n_c])
+        name: _evaluator(circ, args.squeezing, name, tnet.TruncationPolicy(), totals, [n_c])
         for name in sorted(routes, key="dense".__ne__)
     }
     outcomes = [n for total in totals for n in analysis.outcomes_with_total(m, total)]

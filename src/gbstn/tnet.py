@@ -49,7 +49,7 @@ when label(beta) - label(alpha) is its key, so the labels alone lay out
 where each block acts, by one stable sort; a pair's layout, with its
 update's size-guard figure and SVD cost, is built once and reused from a
 bounded cache.  A step of a centre move is the pair's split with QR in
-place of the SVD, on the same charge blocks and through the same writer.
+place of the SVD, read from the same cached layout as an update.
 Blocks of one row or one column are factorized in closed form (a norm and
 a unit vector), larger ones by ``numpy.linalg.qr`` and ``numpy.linalg.svd``
 (see ``_qr`` for why not scipy).  Both release the GIL, yet two threads
@@ -429,23 +429,6 @@ def _grid(rows: np.ndarray, cols: np.ndarray):
     return (rows[:, None], cols) if r is rows and c is cols else (r, c)
 
 
-def _sectors(left: np.ndarray, mid: np.ndarray, right: np.ndarray, phys: np.ndarray) -> list:
-    """The charge blocks of the matrix of a pair between bonds labelled
-    ``left``, ``mid`` and ``right`` on physical charges ``phys``, ascending:
-    ``(charge, rows, columns, middle)`` for each charge its rows (alpha, n1),
-    of charge label(alpha) + phys[n1], and its columns (n2, beta), of charge
-    label(beta) - phys[n2], share.  ``middle`` indexes the charge's (rows x
-    mid, mid x columns) blocks of the two sites, None where no mid index has
-    it.  A gate's split and a centre move's step both factorize these."""
-    col_groups, mid_groups = _groups(np.subtract.outer(right, phys).T.ravel()), _groups(mid)
-    sectors = []
-    for q, rows in _groups(np.add.outer(left, phys).ravel()).items():
-        cols, m = col_groups.get(q), mid_groups.get(q)
-        if cols is not None:
-            sectors.append((q, rows, cols, None if m is None else (_grid(rows, m), _grid(m, cols))))
-    return sectors
-
-
 _layouts: dict = {}  # key -> (layout, bytes charged)
 _layouts_lock = threading.Lock()
 
@@ -453,17 +436,20 @@ _layouts_lock = threading.Lock()
 def _pair_layout(left, mid, right, phys, what: str = "an array of a pair update") -> tuple:
     """The layout of a pair between bonds labelled ``left``, ``mid`` and
     ``right`` on physical charges ``phys``: ``(sectors, order, groups, flops,
-    guarded)``.  ``sectors`` holds those of :func:`_sectors`, each with its
-    ``span`` appended, its slice of the packed matrix (the blocks one after
-    another, row-major).  For ``(k, start, stop, width)`` in ``groups``,
-    ``order[start:stop]`` is the (width, pairs) matrix of the packed offsets
-    of key k: a row per pair index n1 * p + n2 with phys[n1] + phys[n2] = k,
-    ascending, a column per (alpha, beta) with label(beta) - label(alpha) =
-    k.  A pair index of key k meets each such (alpha, beta) in one packed
-    entry, listed by (label(alpha), alpha, beta) whatever the pair index, so
-    one stable sort of the packed offsets by the rank of their pair index
-    in key order builds ``order``.  ``flops`` is the split's SVD cost (see
-    :class:`EvolutionStats`), ``guarded`` the entry count of the update's
+    guarded)``.  ``sectors`` holds ``(charge, rows, columns, middle, span)``,
+    ascending, for each charge its rows (alpha, n1), of charge label(alpha) +
+    phys[n1], and its columns (n2, beta), of label(beta) - phys[n2], share:
+    ``middle`` indexes its (rows x mid, mid x columns) blocks of the two sites
+    (None where no mid index has it), ``span`` its slice of the packed matrix,
+    blocks one after another, row-major.  For ``(k, start, stop, width)`` in
+    ``groups``, ``order[start:stop]`` is the (width, pairs) matrix of the
+    packed offsets of key k: a row per pair index n1 * p + n2 with phys[n1] +
+    phys[n2] = k, ascending, a column per (alpha, beta) with label(beta) -
+    label(alpha) = k.  A pair index of key k meets each such (alpha, beta) in
+    one packed entry, listed by (label(alpha), alpha, beta) whatever the pair
+    index, so one stable sort of the packed offsets by the rank of their pair
+    index in key order builds ``order``.  ``flops`` is the split's SVD cost
+    (see :class:`EvolutionStats`), ``guarded`` the entry count of the update's
     largest array: the packed pair or a new site, whose bond holds at most
     min(rows, columns) per charge block.
 
@@ -478,11 +464,15 @@ def _pair_layout(left, mid, right, phys, what: str = "an array of a pair update"
         check_size(entry[0][4], what)
         return entry[0]
     p = len(phys)
+    col_groups, mid_groups = _groups(np.subtract.outer(right, phys).T.ravel()), _groups(mid)
     sectors, size = [], 0
-    for q, rows, cols, middle in _sectors(left, mid, right, phys):
-        rows.flags.writeable = cols.flags.writeable = False
-        sectors.append((q, rows, cols, middle, slice(size, size + len(rows) * len(cols))))
-        size += len(rows) * len(cols)
+    for q, rows in _groups(np.add.outer(left, phys).ravel()).items():
+        cols, m = col_groups.get(q), mid_groups.get(q)
+        if cols is not None:
+            rows.flags.writeable = cols.flags.writeable = False
+            middle = None if m is None else (_grid(rows, m), _grid(m, cols))
+            sectors.append((q, rows, cols, middle, slice(size, size + len(rows) * len(cols))))
+            size += len(rows) * len(cols)
     bond = sum(min(len(rows), len(cols)) for _, rows, cols, *_ in sectors)
     guarded = max(size, p * bond * max(len(left), len(right)))
     check_size(guarded, what)
@@ -533,20 +523,19 @@ def _assemble(shape, pieces):
 def _move_center(tensors: list, bonds: list, phys, center: int | None, target: int) -> None:
     """Make ``target`` the centre of ``tensors`` in place, ``bonds`` taking
     the new labels.  Each step is the split of a pair (k, k+1) with QR in
-    place of the SVD, on the blocks of :func:`_sectors`, written by
-    :func:`_assemble`: moving right, a block of site k is Q R and R goes into
-    site k+1; moving left, a block of site k+1 is R^T Q^T (the QR of its
-    transpose) and R^T goes into site k.  A bond index whose block on the
-    other site is empty holds zeros only and is dropped, as a split drops it.
-    From an unknown centre both sides of the target are swept.  Reached only
-    by trains without Schmidt values: operator trains, and state trains
-    after a split that dropped more than machine epsilon of their weight."""
+    place of the SVD, on the blocks of the cached layout an update of the pair
+    reads (:func:`_pair_layout`), written by :func:`_assemble`: moving right,
+    a block of site k is Q R and R goes into site k+1; moving left, a block of
+    site k+1 is R^T Q^T (the QR of its transpose) and R^T goes into site k.  A
+    bond index whose block on the other site is empty holds zeros only and is
+    dropped, as a split drops it.  From an unknown centre both sides of the
+    target are swept; only trains without Schmidt values have a centre."""
     start, stop = (0, len(tensors) - 1) if center is None else (center, center)
     for k in [*range(start, target), *range(stop - 1, target - 1, -1)]:
         chi_l, p, chi_r = tensors[k].shape[0], len(phys), tensors[k + 1].shape[2]
         left, right = tensors[k].reshape(chi_l * p, -1), tensors[k + 1].reshape(-1, p * chi_r)
-        pieces = []
-        for q, rows, cols, middle in _sectors(bonds[k], bonds[k + 1], bonds[k + 2], phys):
+        what, pieces = f"an array of the centre move across modes {(k, k + 1)}", []
+        for q, rows, cols, middle, _ in _pair_layout(bonds[k], bonds[k + 1], bonds[k + 2], phys, what)[0]:
             if middle is None:  # both sites are zero on this block
                 continue
             if k < target:  # moving right
@@ -559,10 +548,13 @@ def _move_center(tensors: list, bonds: list, phys, center: int | None, target: i
         tensors[k], tensors[k + 1] = u.reshape(chi_l, p, -1), vh.reshape(-1, p, chi_r)
 
 
-def _kept(s_all: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
-    """Which of the pooled singular values a split keeps: those above
-    ``svd_threshold`` times the largest (all of them if every one is zero),
-    then, past ``max_bond``, the largest ``max_bond``, ties to the earlier."""
+def _kept(s_all: np.ndarray, policy: TruncationPolicy, sectors: list) -> np.ndarray:
+    """Which of the pooled singular values of ``sectors`` a split keeps:
+    those above ``svd_threshold`` times the largest (all of them if every
+    one is zero), then, past ``max_bond``, the largest ``max_bond``, ties to
+    the earlier.  A cut keeps as many in blocks q and -q as the fewer of the
+    two: an operator's blocks q and -q hold equal values, so keeping one of
+    such a pair alone breaks Hermiticity.  A state has no negative block."""
     kept = np.ones(len(s_all), dtype=bool)
     if len(s_all) > 1:
         s_max = s_all.max()
@@ -571,6 +563,13 @@ def _kept(s_all: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
     if policy.max_bond is not None and np.count_nonzero(kept) > policy.max_bond:
         kept = np.zeros(len(s_all), dtype=bool)
         kept[np.argsort(-s_all, kind="stable")[: policy.max_bond]] = True
+    if sectors and sectors[0][0] < 0 and not kept.all():  # blocks ascend; each keeps a prefix
+        sizes = np.array([min(len(rows), len(cols)) for _, rows, cols, *_ in sectors])
+        starts = np.cumsum(sizes) - sizes
+        counts = np.add.reduceat(kept, starts, dtype=int)
+        partner = {sector[0]: count for sector, count in zip(sectors, counts)}
+        for (q, *_), start, size, count in zip(sectors, starts, sizes, counts):
+            kept[start + min(count, partner.get(-q, count)) : start + size] = False
     return kept
 
 
@@ -588,7 +587,7 @@ def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> Tensor
     figure the size guard reads and the split's SVD cost.  This is the only
     code that reads or writes a packed pair matrix.  The split takes one SVD
     per charge block; the truncation rule acts on all blocks' singular
-    values together, as on the whole matrix.
+    values together, as on the whole matrix (see :func:`_kept`).
 
     A train that carries Schmidt values (a state) is split without a centre
     (Vidal, arXiv:quant-ph/0310089; Hastings, arXiv:0903.3253): its sites
@@ -644,7 +643,7 @@ def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> Tensor
         factors = [_svd(weights[rows, None] * block) for (_, rows, *_), block in zip(sectors, theta)]
 
     s_all = np.concatenate([s for _, s, _ in factors]) if factors else np.zeros(0)
-    kept = _kept(s_all, policy)
+    kept = _kept(s_all, policy, sectors)
     dropped = float(np.sum(s_all[~kept] ** 2))
     stats.truncation_weight += dropped
     stats.flop_estimate += flops

@@ -159,6 +159,12 @@ class TestBrickwork:
         with pytest.raises(ValueError):
             build_brickwork(4, 4, angles=[(0.1, 0.2, 0.3)] * 5)
 
+    @pytest.mark.parametrize("seed", [0, np.random.default_rng(0)], ids=["int", "generator"])
+    def test_angles_and_a_seed_are_refused_together(self, seed):
+        # the seed would draw nothing: explicit angles are taken verbatim
+        with pytest.raises(ValueError, match="not both"):
+            build_brickwork(2, 1, angles=[(0.1, 0.2, 0.3)], seed=seed)
+
     def test_too_few_modes(self):
         with pytest.raises(ValueError):
             build_brickwork(1, 1, seed=0)

@@ -785,6 +785,11 @@ class TestRefusals:
                             "--photons", "4", "--sources", "6"],
         "cutoff-no-source-count": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "0.05",
                                    "--photons", "4"],
+        # refused before the file is read, so a missing one does not decide
+        "cutoff-sources-and-circuit": ["cutoff", "--modes", "4", "--squeezing", "0.5", "--gamma", "0.05",
+                                       "--photons", "4", "--sources", "6", "--circuit", "{out}"],
+        "cutoff-modes-not-the-circuits": ["cutoff", "--modes", "6", "--squeezing", "0.5", "--gamma", "0.05",
+                                          "--photons", "4", "--circuit", "{lossy}"],
         # D_schrodinger = 1720^1500 here, 4853 digits, past Python's 4300-digit limit for str()
         "scaling-bound-past-the-digit-limit": ["scaling", "--modes", "3000", "--squeezing", "0.7",
                                                "--output", "{out}"],
@@ -807,7 +812,11 @@ class TestRefusals:
                                        "--squeezing", "0.4", "--output", "{out}"],
     }
     # what the error line names, where a case's message is checked
-    NAMED = {"cutoff-no-modes": "num_modes must be >= 1, got 0"}
+    NAMED = {
+        "cutoff-no-modes": "num_modes must be >= 1, got 0",
+        "cutoff-sources-and-circuit": "pass --sources or --circuit, not both",
+        "cutoff-modes-not-the-circuits": "--modes 6 differs from the circuit's 4 modes",
+    }
 
     @pytest.mark.parametrize("outcome", ["1,x,0,0", "1,,0,0", "1.5,1,0,0"])
     def test_malformed_outcome_is_refused_by_the_parser(self, tmp_path, capsys, outcome):

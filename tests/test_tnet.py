@@ -356,13 +356,13 @@ class TestBondBounds:
             bound = int(np.prod([n + 1 for n in outcome if n]))
             assert stats.max_bond_seen <= bound
 
-    @pytest.mark.parametrize("modes", [32, 48])
-    def test_evolved_outcome_matches_the_closed_form(self, modes):
-        # six single photons: 2^6 = 64 labels, the dmax_fbs ceiling, on
+    @pytest.mark.parametrize("modes, photons", [(32, 6), (48, 6), (24, 8)], ids=["32", "48", "24-N8"])
+    def test_evolved_outcome_matches_the_closed_form(self, modes, photons):
+        # N single photons: 2^N labels, the dmax_fbs ceiling (64 and 256), on
         # every bond of the closed form
         c = build_brickwork(modes, modes, seed=1)
-        outcome = (1,) * 6 + (0,) * (modes - 6)
-        phi = _evolve_mps(fock_mps(outcome, 6), c, TruncationPolicy(), EvolutionStats(), reverse=True)
+        outcome = (1,) * photons + (0,) * (modes - photons)
+        phi = _evolve_mps(fock_mps(outcome, photons), c, TruncationPolicy(), EvolutionStats(), reverse=True)
         assert abs(1.0 - _closed_form_overlap(c, outcome, phi)) <= 1e-12
 
     def test_schrodinger_bound(self):
@@ -941,6 +941,35 @@ class TestCenterMove:
             for target in sites:
                 moved(*canonical[center], center, target)
 
+    def test_move_steps_read_the_pair_layout(self, monkeypatch):
+        asked = []
+        pair_layout = tnet._pair_layout
+
+        def spy(*args):
+            asked.append(args[4])
+            return pair_layout(*args)
+
+        monkeypatch.setattr(tnet, "_pair_layout", spy)
+        c = with_uniform_loss(build_brickwork(4, 4, seed=1), 0.05)
+        heisenberg_probability_lossy(c, (1, 1, 0, 0), 0.4, 3)
+        moves = [what for what in asked if "centre move" in what]
+        assert moves and len(moves) + c.num_gates == len(asked)
+        assert all(what.startswith("an array of the centre move across modes (") for what in moves)
+
+    def test_a_move_step_passes_the_size_guard_before_the_update(self, monkeypatch):
+        # the projector's centre is site 0, so a gate on (2, 3) first moves it
+        # across (0, 1) and (1, 2); every bond is 1, so each of these pairs has
+        # the figure of the update
+        op = fock_projector_mpo((1, 0, 0, 1), 2)
+        bonds, phys = op.bond_charges, op.phys_charges
+        figure = tnet._pair_layout(bonds[2], bonds[3], bonds[4], phys)[4]
+        assert figure == tnet._pair_layout(bonds[0], bonds[1], bonds[2], phys)[4]
+        monkeypatch.setattr(errors, "SIZE_LIMIT", figure - 1)
+        with pytest.raises(ResourceLimitError, match=r"centre move across modes \(0, 1\) would hold"):
+            apply_gate_mpo_adjoint(op, _gate(modes=(2, 3)))
+        monkeypatch.setattr(errors, "SIZE_LIMIT", figure)
+        apply_gate_mpo_adjoint(op, _gate(modes=(2, 3)))
+
 
 class TestTruncation:
     def test_threshold_monotonicity(self):
@@ -1069,6 +1098,57 @@ class TestHeisenbergLossy:
             entry = _gate_unitary_cached(gate.params.theta, gate.params.varphi, gate.params.phi, 3)
             assert max(a.size for arrays in entry for a in arrays) <= 4**2
         assert _gate_unitary_cached.cache_info().currsize == 6
+
+
+class TestHermitianCut:
+    """A cut of an operator split keeps as many values in its charge blocks q
+    and -q, which hold equal values, so the cut operator stays Hermitian."""
+
+    def test_a_cut_keeps_as_many_values_in_blocks_q_and_minus_q(self):
+        exact = TruncationPolicy(svd_threshold=0.0)
+        c = with_uniform_loss(build_brickwork(4, 4, seed=2), 0.1)
+        op = fock_projector_mpo((1, 0, 1, 1), 2)
+        for gate in [g for layer in reversed(c.layers[-2:]) for g in layer]:
+            op = apply_gate_mpo_adjoint(op, gate, exact)
+        gate = _gate(0.7, 0.3, 1.9, modes=(1, 2), gamma=0.2)
+        full = apply_gate_mpo_adjoint(op, gate, exact)
+        trimmed = []
+        for cap in range(1, len(full.bond_charges[2])):
+            stats = EvolutionStats()
+            out = apply_gate_mpo_adjoint(op, gate, TruncationPolicy(max_bond=cap, svd_threshold=0.0), stats)
+            labels = np.sort(out.bond_charges[2])
+            assert np.array_equal(labels, np.sort(-labels))
+            matrix = out.to_matrix()
+            assert np.max(np.abs(matrix - matrix.conj().T)) <= 1e-12 * np.max(np.abs(matrix))
+            # the weight the pairing drops is counted: it is the squared norm lost
+            lost = mps_overlap(full, full).real - mps_overlap(out, out).real
+            assert stats.truncation_weight == pytest.approx(lost, rel=1e-9, abs=1e-15)
+            trimmed.append(len(labels) < cap)
+        # the cap alone keeps exactly ``cap`` values; where that splits a pair
+        # q, -q, the pairing keeps fewer
+        assert any(trimmed) and not all(trimmed)
+
+    @pytest.mark.parametrize("modes", [4, 5, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_capped_operator_gives_no_non_real_value(self, modes, seed):
+        # at max_bond = 6 the splits drop 0.4 to 0.8 of the projector's unit
+        # squared norm; a cut Hermitian operator need not be positive, so a
+        # value may be refused as negative, but never as non-real
+        c = with_uniform_loss(build_brickwork(modes, modes, seed=seed), 0.05)
+        outcome = (1,) * 4 + (0,) * (modes - 4)
+        try:
+            heisenberg_probability_lossy(c, outcome, 0.4, 4, TruncationPolicy(max_bond=6))
+        except NumericalFailureError as exc:
+            assert "below the roundoff window" in str(exc)
+
+    def test_a_six_mode_lossy_value_under_a_cap(self):
+        # the splits drop 5.5e-3 of the weight and nothing certifies the value
+        # yet, so the tolerance is its observed error, 1.8e-4, with margin
+        c = with_uniform_loss(build_brickwork(6, 6, seed=1), 0.05)
+        outcome = (1, 1, 1, 1, 0, 0)
+        p, _ = heisenberg_probability_lossy(c, outcome, 0.4, 4, TruncationPolicy(max_bond=100))
+        exact = gbs_probability(propagate_circuit(squeezed_vacuum_cov(0.4, 6), c), outcome)
+        assert p == pytest.approx(exact, rel=1e-3)
 
 
 class TestClamping:
