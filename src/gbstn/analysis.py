@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NumericalFailureError, UnsupportedConfigurationError, check_outcome
+from .errors import NumericalFailureError, UnsupportedConfigurationError, _integral, check_outcome
 from .fockdense import squeeze_values
 from .gauss import photon_pair_distribution
 
@@ -55,12 +55,8 @@ class CutoffPolicy:
             raise ValueError(f"r must be finite, got {self.r}")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.num_modes < 1:
-            raise ValueError(f"num_modes must be >= 1, got {self.num_modes}")
-        if self.num_sources < 0:
-            raise ValueError(f"num_sources must be >= 0, got {self.num_sources}")
-        if self.n_tilde < 0:
-            raise ValueError(f"n_tilde must be >= 0, got {self.n_tilde}")
+        for name, least in (("num_modes", 1), ("num_sources", 0), ("n_tilde", 0)):
+            object.__setattr__(self, name, _integral(getattr(self, name), name, least))
 
 
 def pi_gamma(num_sources: int, gamma: float, photons: int) -> float:
@@ -82,9 +78,7 @@ def _total_photon_probability(num_modes: int, r: float, total: int) -> float:
 
 def delta_gamma(policy: CutoffPolicy, n_tilde: int | None = None) -> float:
     """Spillover bound: sum_{x>0} pi_gamma(x) P_M^r(n_tilde + x)."""
-    n = policy.n_tilde if n_tilde is None else int(n_tilde)
-    if n < 0:
-        raise ValueError(f"n_tilde must be >= 0, got {n}")
+    n = policy.n_tilde if n_tilde is None else _integral(n_tilde, "n_tilde", 0)
     total = 0.0
     for x in range(1, policy.num_sources + 1):
         total += pi_gamma(policy.num_sources, policy.gamma, x) * _total_photon_probability(
@@ -151,9 +145,7 @@ def dmax_gbs(local_cutoff: int, num_modes: int) -> int:
         raise UnsupportedConfigurationError(
             f"the closed-form state-side bound needs an even mode count, got {num_modes}"
         )
-    if local_cutoff < 1:
-        raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
-    return int(local_cutoff) ** (num_modes // 2)
+    return _integral(local_cutoff, "local_cutoff", 1) ** (num_modes // 2)
 
 
 def dmax_bipartite(m_left: int, m_right: int, total_photons: int) -> int:
@@ -163,9 +155,7 @@ def dmax_bipartite(m_left: int, m_right: int, total_photons: int) -> int:
     """
     if m_left < 1 or m_right < 1:
         raise ValueError("both partitions need at least one mode")
-    if total_photons < 0:
-        raise ValueError(f"total_photons must be >= 0, got {total_photons}")
-    n = int(total_photons)
+    n = _integral(total_photons, "total_photons", 0)
     return sum(
         min(math.comb(m_left - 1 + k, k), math.comb(m_right - 1 + (n - k), n - k))
         for k in range(n + 1)
@@ -178,10 +168,8 @@ def dmax_closed_form(num_modes: int, total_photons: int) -> int:
         raise UnsupportedConfigurationError(
             f"the closed form needs an even mode count, got {num_modes}"
         )
-    if total_photons < 0:
-        raise ValueError(f"total_photons must be >= 0, got {total_photons}")
     half = num_modes // 2
-    n = int(total_photons)
+    n = _integral(total_photons, "total_photons", 0)
     if n % 2 == 0:
         return 2 * sum(math.comb(half - 1 + k, k) for k in range(n // 2)) + math.comb(
             half + n // 2 - 1, n // 2

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedConfigurationError
+from .errors import UnsupportedConfigurationError, _integral
 
 __all__ = [
     "GateParams",
@@ -64,17 +63,6 @@ class GateParams:
                 object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _integral(value, name: str) -> int:
-    """``value`` as an int: an integer (numpy's and bool too) as it is, an
-    integral float converted; ValueError for anything else, such as 1.7."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -300,8 +288,7 @@ def _hopping_eigensystems(local_cutoff: int) -> tuple:
 @lru_cache(maxsize=2048)
 def _gate_unitary_cached(theta: float, varphi: float, phi: float, local_cutoff: int):
     # checked here, for every gate function: a raised call is not cached
-    if local_cutoff < 1:
-        raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
+    local_cutoff = _integral(local_cutoff, "local_cutoff", 1)
     blocks, adjoints = [], []
     for total, occ, evals, evecs in _hopping_eigensystems(local_cutoff):
         # the block Hamiltonian is D H0 D^dag with D = diag(e^{i varphi m}),
@@ -407,9 +394,7 @@ def kraus_set(gamma: float, local_cutoff: int) -> tuple[np.ndarray, ...]:
     square arrays of side local_cutoff + 1, built on each call."""
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if local_cutoff < 1:
-        raise ValueError(f"local_cutoff must be >= 1, got {local_cutoff}")
-    d = local_cutoff + 1
+    d = _integral(local_cutoff, "local_cutoff", 1) + 1
     return tuple(
         np.diag([math.sqrt(math.comb(n, mu) * gamma**mu * (1.0 - gamma) ** (n - mu)) for n in range(mu, d)], mu)
         for mu in range(d)

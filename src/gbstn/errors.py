@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the rules every engine
-applies alike: the size guard, the outcome check and the probability check.
+applies alike: the size guard, the integer rule, the outcome check and the
+probability check.
 
 The tensor-network routes, the dense oracle and the Gaussian engine must
 agree on every outcome, so they refuse the same outcomes and finish a
@@ -8,6 +9,7 @@ refusal these raise as one ``error:`` line.
 """
 
 import cmath
+import operator
 
 # the largest array, in entries, that a dense conversion or a two-site update
 # may allocate; past it they raise ResourceLimitError instead
@@ -35,15 +37,30 @@ def check_size(entries: int, what: str) -> None:
         raise ResourceLimitError(f"{what} would hold {entries} entries, above the size guard {SIZE_LIMIT}")
 
 
+def _integral(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int: an integer (numpy's and bool too) as it is, an
+    integral float converted; ValueError for anything else, such as 1.7 or
+    '1', and for a value below ``least``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        if not (isinstance(value, float) and value.is_integer()):
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        number = int(value)
+    if least is not None and number < least:
+        raise ValueError(f"{name} must be >= {least}, got {number}")
+    return number
+
+
 def check_outcome(
     outcome, num_modes: int | None = None, cutoff: int | None = None, total: bool = False
 ) -> tuple[int, ...]:
-    """The outcome as a tuple of ints, or ValueError: it needs one count per
-    mode (where ``num_modes`` is given), none negative and, under a
-    ``cutoff``, none above it.  With ``total`` the cutoff bounds the
-    outcome's photon total instead, for a route whose circuit can gather
-    every photon in one mode."""
-    outcome = tuple(int(n) for n in outcome)
+    """The outcome as a tuple of ints, or ValueError: it needs one integer
+    count (:func:`_integral`) per mode (where ``num_modes`` is given), none
+    negative and, under a ``cutoff``, none above it.  With ``total`` the
+    cutoff bounds the outcome's photon total instead, for a route whose
+    circuit can gather every photon in one mode."""
+    outcome = tuple(_integral(n, "a photon count") for n in outcome)
     if num_modes is not None and len(outcome) != num_modes:
         raise ValueError("outcome length does not match the mode count")
     if min(outcome, default=0) < 0:

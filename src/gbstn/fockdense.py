@@ -150,7 +150,7 @@ def dense_squeezed_vacuum(r, num_modes: int | None = None, local_cutoff: int = 1
 
 
 def dense_fock_state(outcome, local_cutoff: int) -> DenseState:
-    outcome = tuple(int(n) for n in outcome)
+    outcome = check_outcome(outcome, cutoff=local_cutoff)
     m = len(outcome)
     check_size((local_cutoff + 1) ** m, "the dense Fock space")
     d = local_cutoff + 1

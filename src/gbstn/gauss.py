@@ -32,6 +32,7 @@ from .errors import (
     ROUNDOFF,
     NumericalFailureError,
     UnsupportedConfigurationError,
+    _integral,
     check_outcome,
     check_probability,
     check_size,
@@ -182,7 +183,9 @@ def hafnian(matrix: np.ndarray, repeats=None, tolerance: float = math.inf) -> co
     if n % 2 != 0:
         raise ValueError(f"hafnian needs an even dimension, got {n}")
     k = n // 2
-    reps = np.ones(k, dtype=np.int64) if repeats is None else np.asarray(repeats, dtype=np.int64)
+    reps = np.asarray([1] * k if repeats is None else repeats, dtype=object)
+    if reps.shape == (k,):
+        reps = np.array([_integral(r, "a repeat count") for r in reps], dtype=np.int64)
     if reps.shape != (k,) or np.any(reps < 0):
         raise ValueError(f"repeats must be {k} nonnegative counts, got {repeats!r}")
     keep = np.flatnonzero(reps)

@@ -32,8 +32,8 @@ rows whose count exceeds the train's total drop out.  The charges:
   total sum(n), kept by every gate and its adjoint; the projected input
   Pi_N psi (``projected_squeezed_mps``) likewise, with total N;
 * the outcome projector (``fock_projector_mpo``): charge m - n on the
-  (out m, in n) leg, total 0, kept by G^dag O G and by the Kraus sum, since
-  each K_mu lowers out and in counts alike;
+  (out m, in n) leg, total 0, kept by G^dag O G and by each Kraus term
+  K_mu^dag O K_mu, since K_mu lowers out and in counts alike;
 * the whole squeezed input (``squeezed_mps``) is no photon-number
   eigenstate: it carries the trivial charge, and is only the state the
   Heisenberg routes close on, which no gate acts on.
@@ -43,13 +43,15 @@ of an update is stored packed, its charge blocks one after another, and is
 never built whole.  Every local map reaches the one kernel as its block for
 each key k on the pair indices (n1, n2) whose physical charges sum to k: a
 state gate's blocks of fixed photon-number total (``circuit.gate_blocks``);
-the adjoint channel's blocks of fixed (m1 - n1) + (m2 - n2), built per
-call.  A packed entry (alpha, n1, n2, beta) lies in a charge block exactly
-when label(beta) - label(alpha) is its key, so the labels alone lay out
-where each block acts, by one stable sort; a pair's layout, with its
-update's size-guard figure and SVD cost, is built once and reused from a
-bounded cache.  A step of a centre move is the pair's split with QR in
-place of the SVD, read from the same cached layout as an update.
+the adjoint channel's blocks of fixed (m1 - n1) + (m2 - n2), built per call
+as the conjugation by A = (sum_mu K_mu) G: its terms with mu != nu, absent
+from the channel, shift the key, and no block spans two keys.  A packed
+entry (alpha, n1, n2, beta) lies in a charge block exactly when
+label(beta) - label(alpha) is its key, so the labels alone lay out where
+each block acts, by one stable sort; a pair's layout, with its update's
+size-guard figure and SVD cost, is built once and reused from a bounded
+cache.  A step of a centre move is the pair's split with QR in place of the
+SVD, read from the same cached layout as an update.
 Blocks of one row or one column are factorized in closed form (a norm and
 a unit vector), larger ones by ``numpy.linalg.qr`` and ``numpy.linalg.svd``
 (see ``_qr`` for why not scipy).  Both release the GIL, yet two threads
@@ -70,8 +72,8 @@ Probabilities are computed three ways:
   modes inside a light cone; a gate on two modes still in vacuum acts as the
   identity and is skipped.
 * ``heisenberg_probability_lossy``: evolve the outcome projector as an
-  operator train through the adjoint channel O -> U^dag (sum_mu K_mu^dag O
-  K_mu) U per gate, then close with the squeezed input on both sides.
+  operator train through the adjoint channel O -> sum_mu (K_mu U)^dag O
+  (K_mu U) per gate, then close with the squeezed input on both sides.
 
 Nothing is renormalized after truncation: probabilities carry the cutoff and
 truncation error honestly.  Every evolution reports bond-dimension and
@@ -87,7 +89,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import Circuit, Gate, gate_blocks, gate_tensor, kraus_set
-from .errors import UnsupportedConfigurationError, check_outcome, check_probability, check_size
+from .errors import UnsupportedConfigurationError, _integral, check_outcome, check_probability, check_size
 from .fockdense import squeeze_values, single_mode_squeezed_vector
 
 __all__ = [
@@ -131,8 +133,10 @@ class TruncationPolicy:
     def __post_init__(self):
         if not (0.0 <= self.svd_threshold < 1.0):
             raise ValueError(f"svd_threshold must lie in [0, 1), got {self.svd_threshold}")
-        if self.max_bond is not None and self.max_bond < 1:
-            raise ValueError(f"max_bond must be positive, got {self.max_bond}")
+        if self.max_bond is not None:
+            object.__setattr__(self, "max_bond", _integral(self.max_bond, "max_bond"))
+            if self.max_bond < 1:
+                raise ValueError(f"max_bond must be positive, got {self.max_bond}")
 
 
 @dataclass
@@ -246,6 +250,8 @@ class TensorTrain:
         for k in range(len(tensors) - 1):
             if tensors[k].shape[2] != tensors[k + 1].shape[0]:
                 raise ValueError(f"bond mismatch between sites {k} and {k + 1}")
+        if center is not None and not 0 <= center < len(tensors):
+            raise ValueError(f"centre {center} lies outside the {len(tensors)} sites")
         dims = [t.shape[0] for t in tensors] + [1]
         if phys_charges is None:
             phys_charges = np.zeros(tensors[0].shape[1], dtype=np.int64)
@@ -367,8 +373,7 @@ def projected_squeezed_mps(r, num_modes: int, total: int) -> TensorTrain:
     Schmidt form.  Bond labels count the photons to the left (the even
     counts up to N inside), and legs of dimension max(N, 1) + 1 make it
     exact.  An odd N, which no squeezed input reaches, gives the zero train."""
-    if total < 0:
-        raise ValueError(f"photon total must be >= 0, got {total}")
+    total = _integral(total, "photon total", 0)
     cutoff = max(total, 1)
     vectors = [single_mode_squeezed_vector(rk, cutoff) for rk in squeeze_values(r, num_modes)]
     return _schmidt_train(vectors, cutoff + 1, np.arange(cutoff + 1), total)
@@ -733,38 +738,33 @@ def apply_gate_mpo_adjoint(
     policy: TruncationPolicy | None = None,
     stats: EvolutionStats | None = None,
 ) -> TensorTrain:
-    """One step of the adjoint channel: O -> U^dag (sum_mu K_mu^dag O K_mu) U.
+    """One step of the adjoint channel: O -> sum_mu (K_mu G)^dag O (K_mu G),
+    the gate G, then the Kraus operators K_mu of its loss on the lossy mode.
 
-    The Kraus sum acts on the gate's lossy site first (it creates photons in
-    this direction), then the two sites are conjugated by the gate unitary.
-    Both keep the charge sum Q = (m1 - n1) + (m2 - n2) of a pair index
-    ((m1, n1), (m2, n2)), so the map is one block C_Q K_Q per Q, built on
-    the pair indices of charge Q alone, never as the d^4 x d^4
-    superoperator: K_Q is the Kraus sum on the lossy leg and C_Q[i, j] =
-    conj(g[m1_j, m2_j, m1_i, m2_i]) g[n1_j, n2_j, n1_i, n2_i] the
-    conjugation by the gate tensor g.
+    The channel keeps Q = (m1 - n1) + (m2 - n2) of a pair index ((m1, n1),
+    (m2, n2)), so the kernel takes it as one block per Q on the pair indices
+    of charge Q, never as the d^4 x d^4 superoperator.  K_mu G lowers the
+    photon count by exactly mu, so (K_mu G)^dag O (K_nu G) takes Q to
+    Q - mu + nu: on a block of one key only the channel's terms, mu = nu,
+    act, and the block is the conjugation by A = (sum_mu K_mu) G, C_Q[i, j]
+    = conj(A[m_j; m_i]) A[n_j; n_i].  Only there: on a whole operator,
+    A^dag O A is not the channel (``fockdense.dense_evolve_density`` sums
+    the Kraus terms one by one).  At gamma = 0, sum_mu K_mu = 1 and A = G.
     """
     d = operator.local_dim
     charge = np.subtract.outer(np.arange(d), np.arange(d)).ravel()  # m - n on leg (m, n)
     if not np.array_equal(operator.phys_charges, charge):
         raise ValueError("a two-site map does not keep these physical charges")
-    g = gate_tensor(gate.params, d - 1)
-    sums = np.add.outer(charge, charge).ravel()
-    kraus = None
-    if gate.loss_gamma > 0.0:
-        ops = np.stack(kraus_set(gate.loss_gamma, d - 1))
-        # (K^dag W K)[m, n] = conj(K)[a, m] W[a, b] K[b, n], as a map on vec(W)
-        kraus = np.einsum("kam,kbn->mnab", ops.conj(), ops).reshape(d * d, d * d)
+    # A = (sum_mu K_mu) G, the loss on the gate's lossy output leg; rows and columns m1 * d + m2
+    a = np.tensordot(sum(kraus_set(gate.loss_gamma, d - 1)), gate_tensor(gate.params, d - 1), (1, gate.lossy_mode))
+    a = np.moveaxis(a, 0, gate.lossy_mode).reshape(d * d, d * d)
+    conj_a = a.conj()
+    m1, n1, m2, n2 = np.indices((d,) * 4).reshape(4, -1)  # of pair index ((m1 d + n1) d + m2) d + n2
+    outs, ins = m1 * d + m2, n1 * d + n2
     blocks = {}
-    out, into = (slice(None), None), (None, slice(None))  # rows i, columns j
-    for q, index in _groups(sums).items():
-        legs = np.divmod(index, d * d)
-        (m1, n1), (m2, n2) = (np.divmod(leg, d) for leg in legs)
-        block = g[m1[into], m2[into], m1[out], m2[out]].conj() * g[n1[into], n2[into], n1[out], n2[out]]
-        if kraus is not None:
-            lossy, other = legs[gate.lossy_mode], legs[1 - gate.lossy_mode]
-            block = block @ (kraus[lossy[out], lossy[into]] * (other[out] == other[into]))
-        blocks[q] = block
+    for q, index in _groups(m1 - n1 + m2 - n2).items():
+        m, n = outs[index], ins[index]
+        blocks[q] = conj_a[m, m[:, None]] * a[n, n[:, None]]  # rows i, columns j
     return _apply_two_site(operator, gate.modes[0], blocks, policy, stats)
 
 

@@ -268,6 +268,14 @@ class TestRefusals:
         "policy-negative-sources": (lambda: CutoffPolicy(**{**_POLICY, "num_sources": -1}),
                                     ValueError, "num_sources"),
         "policy-no-modes": (lambda: CutoffPolicy(**{**_POLICY, "num_modes": 0}), ValueError, "num_modes"),
+        "policy-fractional-sources": (lambda: CutoffPolicy(**{**_POLICY, "num_sources": 2.5}),
+                                      ValueError, "num_sources must be an integer, got 2.5"),
+        "policy-fractional-modes": (lambda: CutoffPolicy(**{**_POLICY, "num_modes": 2.5}),
+                                    ValueError, "num_modes must be an integer, got 2.5"),
+        "policy-fractional-target": (lambda: CutoffPolicy(**{**_POLICY, "n_tilde": 2.5}),
+                                     ValueError, "n_tilde must be an integer, got 2.5"),
+        "policy-text-target": (lambda: CutoffPolicy(**{**_POLICY, "n_tilde": "2"}),
+                               ValueError, "n_tilde must be an integer, got '2'"),
         "policy-infinite-squeezing": (lambda: CutoffPolicy(**{**_POLICY, "r": math.inf}), ValueError, "r must"),
         "policy-nan-squeezing": (lambda: CutoffPolicy(**{**_POLICY, "r": math.nan}), ValueError, "r must"),
         "policy-infinite-epsilon": (lambda: CutoffPolicy(**{**_POLICY, "epsilon": math.inf}),
@@ -288,3 +296,9 @@ class TestRefusals:
         call, error, message = self.CASES[case]
         with pytest.raises(error, match=message):
             call()
+
+    def test_integral_counts_become_ints(self):
+        policy = CutoffPolicy(**{**_POLICY, "num_sources": 6.0, "num_modes": np.int64(4), "n_tilde": 2.0})
+        assert policy == CutoffPolicy(**_POLICY)
+        assert [type(policy.num_sources), type(policy.num_modes), type(policy.n_tilde)] == [int, int, int]
+        assert choose_cutoff(policy) == choose_cutoff(CutoffPolicy(**_POLICY))

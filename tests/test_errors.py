@@ -1,10 +1,11 @@
 """The outcome and probability checks that every engine shares."""
 
+import numpy as np
 import pytest
 
 from gbstn import fockdense, gauss, tnet
 from gbstn.circuit import build_brickwork, with_uniform_loss
-from gbstn.errors import NumericalFailureError, check_probability
+from gbstn.errors import NumericalFailureError, check_outcome, check_probability
 
 _CIRCUIT = build_brickwork(4, 4, seed=1)
 
@@ -24,6 +25,8 @@ _ENGINES = {
     [
         ((1, 1, 0), "outcome length does not match the mode count"),
         ((2, -1, 1, 0), "negative photon count in outcome (2, -1, 1, 0)"),
+        ((1.7, 0.2, 0, 0), "a photon count must be an integer, got 1.7"),
+        (("1", 0, 0, 0), "a photon count must be an integer, got '1'"),
     ],
 )
 @pytest.mark.parametrize("engine", sorted(_ENGINES))
@@ -31,6 +34,11 @@ def test_every_engine_refuses_a_bad_outcome_alike(engine, outcome, message):
     with pytest.raises(ValueError) as info:
         _ENGINES[engine](outcome)
     assert str(info.value) == message
+
+
+def test_outcome_check_converts_integral_counts():
+    outcome = check_outcome((1.0, np.int64(2), True, 0))
+    assert outcome == (1, 2, 1, 0) and [type(n) for n in outcome] == [int] * 4
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), complex(float("nan"), 0.0)])

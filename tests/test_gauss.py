@@ -258,10 +258,14 @@ class TestHafnian:
     def test_zero_repeats_give_the_empty_hafnian(self):
         assert hafnian(np.ones((4, 4)), [0, 0]) == 1.0
 
-    @pytest.mark.parametrize("repeats", [[1], [1, 1, 1], [1, -1]])
+    @pytest.mark.parametrize("repeats", [[1], [1, 1, 1], [1, -1], [1.5, 1], ["1", 1], 2])
     def test_bad_repeats_rejected(self, repeats):
         with pytest.raises(ValueError):
             hafnian(np.ones((4, 4)), repeats)
+
+    def test_integral_float_repeats_are_counts(self):
+        b = _random_symmetric(np.random.default_rng(4), 4)
+        assert hafnian(b, [1.0, 2.0]) == hafnian(b, np.array([1, 2]))
 
     def test_direct_sum_at_twenty_four(self):
         # haf(A (+) B) = haf(A) haf(B), each factor from the oracle; the sum

@@ -66,6 +66,10 @@ class TestPolicy:
         with pytest.raises(ValueError):
             TruncationPolicy(max_bond=0)
 
+    def test_integral_max_bond_becomes_an_int(self):
+        assert type(TruncationPolicy(max_bond=4.0).max_bond) is int
+        assert TruncationPolicy(max_bond=np.int64(4)) == TruncationPolicy(max_bond=4)
+
 
 class TestStates:
     def test_fock_mps_is_one_hot(self):
@@ -773,6 +777,21 @@ def _embedded(tensor, first, num_modes):
     return np.kron(np.kron(np.eye(d ** (num_modes - first - k)), little), np.eye(d**first))
 
 
+def _superoperator(b: np.ndarray) -> np.ndarray:
+    """The map O -> b^dag O b of a two-mode operator, as a matrix on the pair
+    indices ((m1 d + n1) d^2 + m2 d + n2) of an operator train's pair; O's
+    row is m1 d + m2 and its column n1 d + n2, as in ``gate_tensor``."""
+    d = math.isqrt(b.shape[0])
+    (m1, n1), (m2, n2) = (np.divmod(leg, d) for leg in np.divmod(np.arange(d**4), d * d))
+    rows, cols = m1 * d + m2, n1 * d + n2
+    columns = []
+    for r, c in zip(rows, cols):
+        unit = np.zeros((d * d, d * d))
+        unit[r, c] = 1.0
+        columns.append((b.conj().T @ unit @ b)[rows, cols])
+    return np.array(columns).T
+
+
 def _layout_trains() -> dict:
     """A state train, an operator train and an evolved Schrodinger input,
     each with more than one label on its bond 2."""
@@ -997,15 +1016,49 @@ class TestMpoAdjoint:
         out = apply_gate_mpo_adjoint(op, _gate(0.0, 0.0, 0.0))
         assert np.allclose(out.to_matrix(), op.to_matrix(), atol=1e-12)
 
-    def test_pure_loss_on_vacuum_projector_gives_geometric_diagonal(self):
+    @pytest.mark.parametrize("lossy", [0, 1])
+    def test_pure_loss_on_vacuum_projector_gives_geometric_diagonal(self, lossy):
         gamma, cutoff = 0.3, 3
         op = fock_projector_mpo((0, 0), cutoff)
-        out = apply_gate_mpo_adjoint(op, _gate(0.0, 0.0, 0.0, gamma=gamma, lossy=1))
+        out = apply_gate_mpo_adjoint(op, _gate(0.0, 0.0, 0.0, gamma=gamma, lossy=lossy))
         matrix = out.to_matrix()
         d = cutoff + 1
-        expected = np.kron(np.diag([gamma**n for n in range(d)]), np.eye(d)[:, :1] @ np.eye(d)[:1, :])
-        # little-endian: mode 0 is the fast index; loss acted on mode 1
+        lossed, vacuum = np.diag([gamma**n for n in range(d)]), np.eye(d)[:, :1] @ np.eye(d)[:1, :]
+        # little-endian: mode 0 is the fast index, the right factor
+        expected = np.kron(lossed, vacuum) if lossy else np.kron(vacuum, lossed)
         assert np.allclose(matrix, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("gamma", [0.0, 0.2, 0.7])
+    @pytest.mark.parametrize("lossy", [0, 1])
+    def test_each_key_block_is_the_kraus_sum(self, d, gamma, lossy, monkeypatch):
+        # the kernel receives conjugation blocks by A = (sum_mu K_mu) G; on a
+        # block of one key they equal the channel's, since the terms of
+        # A^dag O A that the channel lacks, mu != nu, change the key
+        received, kernel = [], tnet._apply_two_site
+
+        def spy(train, i, blocks, *rest):
+            received.append(blocks)
+            return kernel(train, i, blocks, *rest)
+
+        monkeypatch.setattr(tnet, "_apply_two_site", spy)
+        gate = _gate(0.7, 0.3, 1.9, gamma=gamma, lossy=lossy)
+        apply_gate_mpo_adjoint(fock_projector_mpo((1, 0), d - 1), gate)
+        (blocks,) = received
+        g = gate_tensor(gate.params, d - 1).reshape(d * d, d * d)  # row m1 * d + m2
+        kraus = [np.kron(k, np.eye(d)) if lossy == 0 else np.kron(np.eye(d), k) for k in kraus_set(gamma, d - 1)]
+        channel = sum(_superoperator(k @ g) for k in kraus)
+        folded = _superoperator(sum(kraus) @ g)
+        charge = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
+        keys = np.add.outer(charge, charge).ravel()  # of pair index ((m1, n1), (m2, n2))
+        assert sorted(blocks) == sorted(set(keys.tolist()))
+        for q, block in blocks.items():
+            index = np.flatnonzero(keys == q)
+            assert np.max(np.abs(block - channel[np.ix_(index, index)])) <= 1e-13
+        between = np.not_equal.outer(keys, keys)
+        assert np.max(np.abs(channel[between])) <= 1e-13
+        # without the restriction to one key the fold would be wrong
+        assert (np.max(np.abs(folded[between])) > 1e-3) == (gamma > 0.0)
 
     def test_hermiticity_preserved(self):
         op = fock_projector_mpo((1, 1), 3)
@@ -1033,7 +1086,7 @@ class TestMpoAdjoint:
             assert abs(lhs - rhs) < 1e-10
 
     @pytest.mark.parametrize("d", [3, 4, 5])
-    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    @pytest.mark.parametrize("gamma", [0.0, 0.2, 0.7])
     @pytest.mark.parametrize("lossy", [0, 1])
     def test_one_step_equals_the_dense_channel_on_an_evolved_train(self, d, gamma, lossy):
         exact = TruncationPolicy(svd_threshold=0.0)
@@ -1234,6 +1287,11 @@ class TestRefusals:
         ),
         "train-schmidt-values": (lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, schmidt=[[1.0], [1.0, 0.0]]),
                                  "Schmidt values"),
+        "train-centre-past-the-last-site": (lambda: tnet.TensorTrain([np.zeros((1, 2, 1))] * 3, 2, center=7),
+                                            "centre 7 lies outside the 3 sites"),
+        "train-negative-centre": (lambda: tnet.TensorTrain([np.zeros((1, 2, 1))] * 3, 2, center=-1),
+                                  "centre -1 lies outside the 3 sites"),
+        "policy-fractional-max-bond": (lambda: TruncationPolicy(max_bond=2.5), "max_bond must be an integer, got 2.5"),
         "projected-negative-total": (lambda: projected_squeezed_mps(0.4, 3, -2), "photon total must be >= 0"),
         "overlap-mode-mismatch": (lambda: mps_overlap(fock_mps((1, 0), 2), fock_mps((1, 0, 0), 2)),
                                   "mode count mismatch"),
