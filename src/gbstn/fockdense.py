@@ -22,6 +22,7 @@ __all__ = [
     "DenseState",
     "DenseDensity",
     "single_mode_squeezed_vector",
+    "squeezed_vectors",
     "dense_squeezed_vacuum",
     "dense_fock_state",
     "dense_evolve_state",
@@ -125,18 +126,24 @@ def squeeze_values(r, num_modes: int | None = None) -> np.ndarray:
     return values
 
 
+def squeezed_vectors(r, num_modes: int | None, local_cutoff: int) -> list[np.ndarray]:
+    """The input's per-mode amplitudes <n|S(r_k)|0>, n = 0..local_cutoff, one
+    cached, read-only vector per mode: every engine builds its squeezed input
+    from this list."""
+    return [single_mode_squeezed_vector(rk, local_cutoff) for rk in squeeze_values(r, num_modes)]
+
+
 def dense_squeezed_vacuum(r, num_modes: int | None = None, local_cutoff: int = 10) -> DenseState:
     """Product of single-mode squeezed vacua as a dense state.
 
     Warns when the per-mode truncation tail exceeds 1e-12; callers that need
     tail-free states should raise the cutoff.
     """
-    values = squeeze_values(r, num_modes)
-    m = values.size
+    vectors = squeezed_vectors(r, num_modes, local_cutoff)
+    m = len(vectors)
     if m < 1:
         raise ValueError("need at least one mode")
     check_size((local_cutoff + 1) ** m, "the dense Fock space")
-    vectors = [single_mode_squeezed_vector(rk, local_cutoff) for rk in values]
     worst_tail = max(1.0 - float(np.vdot(v, v).real) for v in vectors)
     if worst_tail > 1e-12:
         warnings.warn(

@@ -33,10 +33,10 @@ rows whose count exceeds the train's total drop out.  The charges:
   Pi_N psi (``projected_squeezed_mps``) likewise, with total N;
 * the outcome projector (``fock_projector_mpo``): charge m - n on the
   (out m, in n) leg, total 0, kept by G^dag O G and by each Kraus term
-  K_mu^dag O K_mu, since K_mu lowers out and in counts alike;
-* the whole squeezed input (``squeezed_mps``) is no photon-number
-  eigenstate: it carries the trivial charge, and is only the state the
-  Heisenberg routes close on, which no gate acts on.
+  K_mu^dag O K_mu, since K_mu lowers out and in counts alike.
+
+The whole squeezed input (``squeezed_mps``) is no photon-number eigenstate
+and carries the trivial charge, zero everywhere; no route builds it.
 
 Site arrays stay dense, with zeros outside the sectors.  The pair matrix
 of an update is stored packed, its charge blocks one after another, and is
@@ -60,20 +60,29 @@ hand the GIL back and forth, so the CLI runs outcomes on one thread.  An
 update touches the two sites and three bonds of its pair and nothing else
 of the train.
 
-Probabilities are computed three ways:
+Probabilities are computed three ways, each closing its evolved train the
+same way: a product of one (left, right) matrix per site, the site
+contracted on its physical leg with one vector of its mode.  The input
+psi = (x)_k S(r_k)|0> is a product state, so closing on it needs no second
+train, only its per-mode amplitudes v_k (``fockdense.squeezed_vectors``):
 
 * ``schrodinger_probability``: evolve Pi_N psi, the input's part with the
   outcome's photon total, forward (``evolve_input``), and project on the
-  outcome (``project_outcome``); one evolution serves every outcome of N.
+  outcome (``project_outcome``), the site slices at the outcome's counts;
+  one evolution serves every outcome of N.
 * ``heisenberg_probability_lossless``: evolve the outcome state through the
   time-reversed circuit (reverse layer order, conjugate-transposed gates) and
-  overlap with the unevolved input.  Valid because for unitary circuits the
+  close each site on conj(v_k).  Valid because for unitary circuits the
   evolved projector stays a rank-one dyad.  Photons spread from the occupied
   modes inside a light cone; a gate on two modes still in vacuum acts as the
   identity and is skipped.
 * ``heisenberg_probability_lossy``: evolve the outcome projector as an
   operator train through the adjoint channel O -> sum_mu (K_mu U)^dag O
-  (K_mu U) per gate, then close with the squeezed input on both sides.
+  (K_mu U) per gate, then close each site's (out, in) leg on conj(v_k) (x)
+  v_k.
+
+``mps_overlap`` and ``mpo_expectation`` contract whole trains; no route calls
+them, and they are the reference the closings are checked against.
 
 Nothing is renormalized after truncation: probabilities carry the cutoff and
 truncation error honestly.  Every evolution reports bond-dimension and
@@ -85,12 +94,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
 from .circuit import Circuit, Gate, gate_blocks, gate_tensor, kraus_set
 from .errors import UnsupportedConfigurationError, _integral, check_outcome, check_probability, check_size
-from .fockdense import squeeze_values, single_mode_squeezed_vector
+from .fockdense import squeezed_vectors
 
 __all__ = [
     "TruncationPolicy",
@@ -231,16 +241,16 @@ class TensorTrain:
     ``bond_charges[k]`` the label of each index of the bond left of site k
     (k = M is the right boundary).  Entry ``tensors[k][a, n, b]`` is zero
     unless ``bond_charges[k][a] + phys_charges[n] == bond_charges[k + 1][b]``.
-    Both default to zeros, the trivial charge every train satisfies.
+    Every train is built with both; all zeros is the trivial charge.
     """
 
     def __init__(
         self,
         tensors: list[np.ndarray],
         local_dim: int,
-        center: int | None = None,
-        phys_charges=None,
-        bond_charges=None,
+        center: int | None,
+        phys_charges,
+        bond_charges,
         schmidt=None,
     ):
         if not tensors:
@@ -253,10 +263,6 @@ class TensorTrain:
         if center is not None and not 0 <= center < len(tensors):
             raise ValueError(f"centre {center} lies outside the {len(tensors)} sites")
         dims = [t.shape[0] for t in tensors] + [1]
-        if phys_charges is None:
-            phys_charges = np.zeros(tensors[0].shape[1], dtype=np.int64)
-        if bond_charges is None:
-            bond_charges = [np.zeros(chi, dtype=np.int64) for chi in dims]
         if any(t.shape[1] != len(phys_charges) for t in tensors):
             raise ValueError("physical charges do not match the physical legs")
         if [len(q) for q in bond_charges] != dims:
@@ -361,10 +367,11 @@ def fock_mps(outcome, local_cutoff: int) -> TensorTrain:
 def squeezed_mps(r, num_modes: int, local_cutoff: int) -> TensorTrain:
     """Product state of truncated squeezed vacua; norm < 1 is kept, not fixed,
     in site 0 and the Schmidt values.  Not a photon-number eigenstate, so it
-    carries the trivial charge, which :func:`apply_gate_mps` refuses: it is
-    only the state the Heisenberg routes close on."""
-    vectors = [single_mode_squeezed_vector(rk, local_cutoff) for rk in squeeze_values(r, num_modes)]
-    return _schmidt_train(vectors, local_cutoff + 1, np.zeros(local_cutoff + 1), 0)
+    carries the trivial charge, which :func:`apply_gate_mps` refuses.  No
+    route builds it: the Heisenberg routes close on its per-mode amplitudes,
+    and it is the train the tests compare those closings with."""
+    d = local_cutoff + 1
+    return _schmidt_train(squeezed_vectors(r, num_modes, local_cutoff), d, np.zeros(d), 0)
 
 
 def projected_squeezed_mps(r, num_modes: int, total: int) -> TensorTrain:
@@ -375,17 +382,18 @@ def projected_squeezed_mps(r, num_modes: int, total: int) -> TensorTrain:
     exact.  An odd N, which no squeezed input reaches, gives the zero train."""
     total = _integral(total, "photon total", 0)
     cutoff = max(total, 1)
-    vectors = [single_mode_squeezed_vector(rk, cutoff) for rk in squeeze_values(r, num_modes)]
-    return _schmidt_train(vectors, cutoff + 1, np.arange(cutoff + 1), total)
+    return _schmidt_train(squeezed_vectors(r, num_modes, cutoff), cutoff + 1, np.arange(cutoff + 1), total)
 
 
 def fock_projector_mpo(outcome, local_cutoff: int) -> TensorTrain:
-    """|n><n| as a bond-1 operator train at centre 0, charge m - n on leg (m, n)."""
+    """|n><n| as a bond-1 operator train at centre 0, charge m - n on leg (m,
+    n) and bond label 0 throughout."""
     d = local_cutoff + 1
     outcome = check_outcome(outcome, cutoff=local_cutoff)
     basis = np.eye(d * d, dtype=np.complex128)  # row n * d + n is vec(|n><n|)
     charges = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
-    return TensorTrain([basis[n * d + n].reshape(1, -1, 1) for n in outcome], d, 0, charges)
+    bonds = [np.zeros(1, dtype=np.int64)] * (len(outcome) + 1)
+    return TensorTrain([basis[n * d + n].reshape(1, -1, 1) for n in outcome], d, 0, charges, bonds)
 
 
 def mps_overlap(bra: TensorTrain, ket: TensorTrain) -> complex:
@@ -401,17 +409,15 @@ def mps_overlap(bra: TensorTrain, ket: TensorTrain) -> complex:
 
 
 def mpo_expectation(bra: TensorTrain, operator: TensorTrain, ket: TensorTrain) -> complex:
-    """<bra| O |ket>: the overlap of O with the train bra (x) ket*, whose
-    sites pair bra's leg with conj(ket)'s as O's (out, in) leg."""
+    """<bra| O |ket>, site by site: O's (out, in) leg meets conj(bra)'s leg
+    and ket's."""
     if not (bra.num_modes == operator.num_modes == ket.num_modes):
         raise ValueError("mode count mismatch")
-    sites = [
-        np.einsum("apb,cqd->acpqbd", a, b.conj()).reshape(
-            a.shape[0] * b.shape[0], -1, a.shape[2] * b.shape[2]
-        )
-        for a, b in zip(bra.tensors, ket.tensors)
-    ]
-    return mps_overlap(TensorTrain(sites, operator.local_dim), operator)
+    env = np.ones((1, 1, 1), dtype=np.complex128)  # (bra, operator, ket) bonds
+    for a, o, b in zip(bra.tensors, operator.tensors, ket.tensors):
+        o = o.reshape(len(o), a.shape[1], b.shape[1], -1)  # leg (out m, in n) is m * d + n
+        env = np.einsum("xyz,xma,ymnb,znc->abc", env, a.conj(), o, b, optimize=True)
+    return complex(env[0, 0, 0])
 
 
 def _groups(charges: np.ndarray) -> dict[int, np.ndarray]:
@@ -783,6 +789,12 @@ def evolve_input(
     return _evolve_mps(psi, circuit, policy or TruncationPolicy(), stats, reverse=False), stats
 
 
+def _closed(matrices) -> complex:
+    """The one closing of an evolved train: the product of one (left, right)
+    matrix per site, each the site contracted on its physical leg."""
+    return complex(reduce(np.matmul, matrices, _ONE)[0, 0])
+
+
 def project_outcome(psi: TensorTrain, stats: EvolutionStats, outcome) -> tuple[float, EvolutionStats]:
     """|<n|psi>|^2 for the evolved input of :func:`evolve_input`, whose photon
     total the outcome must hold; the stats come back as a copy that carries
@@ -791,10 +803,8 @@ def project_outcome(psi: TensorTrain, stats: EvolutionStats, outcome) -> tuple[f
     total = int(psi.bond_charges[-1][0])
     if sum(outcome) != total:
         raise ValueError(f"outcome {outcome} does not hold the evolved input's {total} photons")
-    amp = _ONE
-    for site, n in zip(psi.tensors, outcome):  # <n|psi>: the product of the outcome's slices
-        amp = amp @ site[:, n, :]
-    probability = abs(complex(amp[0, 0])) ** 2
+    # <n|psi>: the product of the outcome's slices
+    probability = abs(_closed(site[:, n, :] for site, n in zip(psi.tensors, outcome))) ** 2
     stats = replace(stats, per_layer_bonds=list(stats.per_layer_bonds), raw_probability=probability)
     return check_probability(stats.raw_probability), stats
 
@@ -835,17 +845,18 @@ def heisenberg_probability_lossless(
     policy: TruncationPolicy | None = None,
 ) -> tuple[float, EvolutionStats]:
     """|<psi| U^dag |n>|^2 by evolving the outcome state through the reversed
-    circuit, skipping the gates outside the outcome's light cone.  The
-    circuit can gather all N photons of the outcome in one mode, so a
-    ``local_cutoff`` below N, which would truncate them, raises ValueError."""
+    circuit, skipping the gates outside the outcome's light cone, and closing
+    each site on its mode's conjugated squeezed amplitudes.  The circuit can
+    gather all N photons of the outcome in one mode, so a ``local_cutoff``
+    below N, which would truncate them, raises ValueError."""
     outcome = check_outcome(outcome, circuit.num_modes, local_cutoff, total=True)
     circuit.require_lossless("the lossless Heisenberg path (use heisenberg_probability_lossy)")
     policy = policy or TruncationPolicy()
     stats = EvolutionStats()
     phi = fock_mps(outcome, local_cutoff)
     phi = _evolve_mps(phi, _light_cone(circuit, outcome), policy, stats, reverse=True)
-    amp = mps_overlap(squeezed_mps(r, circuit.num_modes, local_cutoff), phi)
-    stats.raw_probability = abs(amp) ** 2
+    vectors = squeezed_vectors(r, circuit.num_modes, local_cutoff)
+    stats.raw_probability = abs(_closed(v.conj() @ site for v, site in zip(vectors, phi.tensors))) ** 2
     return check_probability(stats.raw_probability), stats
 
 
@@ -856,7 +867,9 @@ def heisenberg_probability_lossy(
     local_cutoff: int,
     policy: TruncationPolicy | None = None,
 ) -> tuple[float, EvolutionStats]:
-    """Tr{|psi><psi| E*(P_n)}: the outcome projector evolved through the adjoint channel.
+    """<psi| E*(P_n) |psi>: the outcome projector evolved through the adjoint
+    channel, each site's (out, in) leg closed on conj(v) (x) v for its mode's
+    squeezed amplitudes v.
 
     Works for lossless circuits too (the channel degenerates to conjugation).
     """
@@ -867,9 +880,8 @@ def heisenberg_probability_lossy(
         fock_projector_mpo(outcome, local_cutoff), reversed(circuit.layers),
         lambda t, g: apply_gate_mpo_adjoint(t, g, policy, stats), stats,
     )
-    psi = squeezed_mps(r, circuit.num_modes, local_cutoff)
-    value = mpo_expectation(psi, op, psi)
-    probability = check_probability(value)
+    pairs = [np.outer(v.conj(), v).ravel() for v in squeezed_vectors(r, circuit.num_modes, local_cutoff)]
+    value = _closed(w @ site for w, site in zip(pairs, op.tensors))
     stats.raw_probability = value.real
-    return probability, stats
+    return check_probability(value), stats
 

@@ -117,9 +117,14 @@ class TestStates:
                 rows = t.reshape(t.shape[0], -1)
                 assert np.max(np.abs(rows @ rows.conj().T - np.eye(len(rows)))) <= 1e-14
             with pytest.raises(ValueError, match="no centre"):
-                tnet.TensorTrain(psi.tensors, psi.local_dim, 0, schmidt=psi.schmidt)
+                tnet.TensorTrain(psi.tensors, psi.local_dim, 0, psi.phys_charges, psi.bond_charges, psi.schmidt)
             with pytest.raises(ValueError, match="Schmidt values do not match"):
-                tnet.TensorTrain(psi.tensors, psi.local_dim, schmidt=psi.schmidt[:-1])
+                tnet.TensorTrain(psi.tensors, psi.local_dim, None, psi.phys_charges, psi.bond_charges, psi.schmidt[:-1])
+
+    @pytest.mark.parametrize("given", [{}, {"phys_charges": [0, 1]}, {"bond_charges": [[0], [0]]}])
+    def test_a_train_is_built_with_its_charges(self, given):
+        with pytest.raises(TypeError):
+            tnet.TensorTrain([np.zeros((1, 2, 1))], 2, None, **given)
 
     def test_squeezed_mps_matches_dense(self):
         psi = squeezed_mps([0.2, 0.5], 2, 8)
@@ -431,19 +436,14 @@ class TestCanonicalForm:
     def test_lossless_route_takes_no_qr(self, monkeypatch):
         m, photons = 36, 4
         c = build_brickwork(m, m, seed=1)
-        qr_calls, trains = [], []
-        qr, overlap = np.linalg.qr, tnet.mps_overlap
+        qr_calls, qr = [], np.linalg.qr
 
         def counted_qr(*args, **kwargs):
             qr_calls.append(args[0].shape)
             return qr(*args, **kwargs)
 
-        def captured(bra, ket):
-            trains.append(ket)
-            return overlap(bra, ket)
-
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
-        monkeypatch.setattr(tnet, "mps_overlap", captured)
+        trains = _captured(monkeypatch, "_evolve_mps")
         p, _ = heisenberg_probability_lossless(c, (1,) * photons + (0,) * (m - photons), 0.4, photons)
         assert p > 0.0
         assert qr_calls == []
@@ -1107,6 +1107,14 @@ class TestMpoAdjoint:
         assert np.max(np.abs(out.to_matrix() - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def _with_per_gate_loss(circuit: Circuit, seed: int) -> Circuit:
+    rng = np.random.default_rng(seed)
+    return Circuit(circuit.num_modes, tuple(
+        tuple(Gate(g.modes, g.params, float(rng.uniform(0.02, 0.2)), int(rng.integers(2))) for g in layer)
+        for layer in circuit.layers
+    ))
+
+
 class TestHeisenbergLossy:
     def test_zero_loss_matches_lossless_path(self):
         c = build_brickwork(3, 3, seed=5)
@@ -1137,12 +1145,7 @@ class TestHeisenbergLossy:
     def test_gate_cache_holds_one_entry_of_blocks_per_gate(self):
         # each gate's own loss adds no entry: the Kraus set is built in closed
         # form, and the dense gate tensor is laid out from the cached blocks
-        rng = np.random.default_rng(6)
-        c = build_brickwork(4, 4, seed=6)
-        c = Circuit(4, tuple(
-            tuple(Gate(g.modes, g.params, float(rng.uniform(0.02, 0.2)), int(rng.integers(2))) for g in layer)
-            for layer in c.layers
-        ))
+        c = _with_per_gate_loss(build_brickwork(4, 4, seed=6), 6)
         assert c.num_gates == c.num_lossy_gates == 6
         _gate_unitary_cached.cache_clear()
         heisenberg_probability_lossy(c, (1, 0, 1, 0), 0.4, 3)
@@ -1151,6 +1154,81 @@ class TestHeisenbergLossy:
             entry = _gate_unitary_cached(gate.params.theta, gate.params.varphi, gate.params.phi, 3)
             assert max(a.size for arrays in entry for a in arrays) <= 4**2
         assert _gate_unitary_cached.cache_info().currsize == 6
+
+
+def _captured(monkeypatch, name) -> list:
+    """Installs a wrapper on ``tnet.<name>`` and returns the list that
+    collects the trains it returns."""
+    trains, original = [], getattr(tnet, name)
+
+    def captured(*args, **kwargs):
+        trains.append(original(*args, **kwargs))
+        return trains[-1]
+
+    monkeypatch.setattr(tnet, name, captured)
+    return trains
+
+
+class TestClosing:
+    """Every route closes its evolved train mode by mode on the input's
+    amplitudes; the whole-train contractions, which no route calls, agree."""
+
+    @pytest.mark.parametrize("modes", [(0, 1, 2, 3), (16, 17, 18, 19)])
+    def test_lossless_closing_is_the_overlap_with_the_squeezed_train(self, monkeypatch, modes):
+        # the M = 36, N = 4 instance of the lossless-heisenberg benchmark
+        m = 36
+        trains = _captured(monkeypatch, "_evolve_mps")
+        outcome = tuple(int(k in modes) for k in range(m))
+        _, stats = heisenberg_probability_lossless(build_brickwork(m, m, seed=1), outcome, 0.4, 4)
+        (phi,) = trains
+        expected = abs(mps_overlap(squeezed_mps(0.4, m, 4), phi)) ** 2
+        assert stats.raw_probability == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_lossy_closing_is_the_expectation_in_the_squeezed_train(self, monkeypatch, seed):
+        c = _with_per_gate_loss(build_brickwork(4, 4, seed=seed), seed)
+        assert c.num_lossy_gates == c.num_gates
+        trains = _captured(monkeypatch, "_evolve")
+        psi = squeezed_mps(0.4, 4, 4)
+        for outcome in [(0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 1), (1, 2, 1, 0)]:
+            trains.clear()
+            _, stats = heisenberg_probability_lossy(c, outcome, 0.4, 4)
+            (op,) = trains
+            expected = tnet.mpo_expectation(psi, op, psi).real
+            assert stats.raw_probability == pytest.approx(expected, rel=1e-12, abs=1e-16)
+
+    def test_expectation_is_the_dense_one_and_builds_no_train(self, monkeypatch):
+        # complex entries everywhere the labels allow, so that a conjugation
+        # on the wrong side or a swapped (out, in) leg shows
+        trains = _captured(monkeypatch, "_evolve")
+        heisenberg_probability_lossy(with_uniform_loss(build_brickwork(3, 3, seed=2), 0.1), (1, 0, 1), 0.4, 2)
+        monkeypatch.undo()
+        (op,) = trains
+        op = _random_fill(op, 1)
+        bra, ket = (_random_fill(projected_squeezed_mps(0.5, 3, 2), seed) for seed in (2, 3))
+        built, init = [], tnet.TensorTrain.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(tnet.TensorTrain, "__init__", counted)
+        value = tnet.mpo_expectation(bra, op, ket)
+        monkeypatch.undo()
+        assert built == []
+        bra_vector, ket_vector = (t.to_dense().reshape(-1, order="F") for t in (bra, ket))
+        assert value == pytest.approx(bra_vector.conj() @ op.to_matrix() @ ket_vector, rel=1e-13)
+
+    def test_no_route_calls_a_whole_train_contraction(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a route built or contracted a whole closing train")
+
+        for name in ("squeezed_mps", "mps_overlap", "mpo_expectation"):
+            monkeypatch.setattr(tnet, name, refused)
+        c = build_brickwork(4, 4, seed=3)
+        assert heisenberg_probability_lossless(c, (1, 1, 0, 0), 0.4, 2)[0] > 0.0
+        assert heisenberg_probability_lossy(with_uniform_loss(c, 0.1), (1, 1, 0, 0), 0.4, 2)[0] > 0.0
+        assert schrodinger_probability(c, (1, 1, 0, 0), 0.4)[0] > 0.0
 
 
 class TestHermitianCut:
@@ -1274,23 +1352,38 @@ class TestRefusals:
     """Each bad input raises ValueError, with a message naming what is wrong."""
 
     CASES = {
-        "train-no-sites": (lambda: tnet.TensorTrain([], 2), "at least one site"),
-        "train-open-boundary": (lambda: tnet.TensorTrain([np.zeros((2, 2, 1))], 2), "boundary bonds"),
-        "train-bond-mismatch": (lambda: tnet.TensorTrain([np.zeros((1, 2, 2)), np.zeros((3, 2, 1))], 2),
-                                "bond mismatch between sites 0 and 1"),
-        "train-physical-charges": (lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, phys_charges=[0, 1, 2]),
-                                   "physical charges"),
-        "train-bond-charges": (lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, bond_charges=[[0, 0], [0]]),
-                               "bond charges"),
-        "train-schmidt-and-centre": (
-            lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, center=0, schmidt=[[1.0], [1.0]]), "no centre",
+        "train-no-sites": (lambda: tnet.TensorTrain([], 2, None, [0, 1], [[0]]), "at least one site"),
+        "train-open-boundary": (
+            lambda: tnet.TensorTrain([np.zeros((2, 2, 1))], 2, None, [0, 1], [[0, 0], [0]]), "boundary bonds",
         ),
-        "train-schmidt-values": (lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, schmidt=[[1.0], [1.0, 0.0]]),
-                                 "Schmidt values"),
-        "train-centre-past-the-last-site": (lambda: tnet.TensorTrain([np.zeros((1, 2, 1))] * 3, 2, center=7),
-                                            "centre 7 lies outside the 3 sites"),
-        "train-negative-centre": (lambda: tnet.TensorTrain([np.zeros((1, 2, 1))] * 3, 2, center=-1),
-                                  "centre -1 lies outside the 3 sites"),
+        "train-bond-mismatch": (
+            lambda: tnet.TensorTrain([np.zeros((1, 2, 2)), np.zeros((3, 2, 1))], 2, None, [0, 1], [[0], [0, 0], [0]]),
+            "bond mismatch between sites 0 and 1",
+        ),
+        "train-physical-charges": (
+            lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, None, phys_charges=[0, 1, 2], bond_charges=[[0], [0]]),
+            "physical charges",
+        ),
+        "train-bond-charges": (
+            lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, None, phys_charges=[0, 1], bond_charges=[[0, 0], [0]]),
+            "bond charges",
+        ),
+        "train-schmidt-and-centre": (
+            lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, 0, [0, 1], [[0], [0]], schmidt=[[1.0], [1.0]]),
+            "no centre",
+        ),
+        "train-schmidt-values": (
+            lambda: tnet.TensorTrain([np.zeros((1, 2, 1))], 2, None, [0, 1], [[0], [0]], schmidt=[[1.0], [1.0, 0.0]]),
+            "Schmidt values",
+        ),
+        "train-centre-past-the-last-site": (
+            lambda: tnet.TensorTrain([np.zeros((1, 2, 1))] * 3, 2, 7, [0, 1], [[0]] * 4),
+            "centre 7 lies outside the 3 sites",
+        ),
+        "train-negative-centre": (
+            lambda: tnet.TensorTrain([np.zeros((1, 2, 1))] * 3, 2, -1, [0, 1], [[0]] * 4),
+            "centre -1 lies outside the 3 sites",
+        ),
         "policy-fractional-max-bond": (lambda: TruncationPolicy(max_bond=2.5), "max_bond must be an integer, got 2.5"),
         "projected-negative-total": (lambda: projected_squeezed_mps(0.4, 3, -2), "photon total must be >= 0"),
         "overlap-mode-mismatch": (lambda: mps_overlap(fock_mps((1, 0), 2), fock_mps((1, 0, 0), 2)),
