@@ -60,14 +60,16 @@ class CutoffPolicy:
 
 
 def pi_gamma(num_sources: int, gamma: float, photons: int) -> float:
-    """Binomial chance of ``photons`` emissions from ``num_sources`` sources of rate gamma."""
-    if photons < 0 or photons > num_sources:
-        return 0.0
-    return (
-        math.comb(num_sources, photons)
-        * gamma**photons
-        * (1.0 - gamma) ** (num_sources - photons)
-    )
+    """Binomial chance of ``photons`` emissions from ``num_sources`` sources
+    of rate gamma in [0, 1), taken in log space: C(Q, x) alone passes the
+    float range near Q = 1030."""
+    q, x = _integral(num_sources, "num_sources", 0), _integral(photons, "photons")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    if x < 0 or x > q or gamma == 0.0:
+        return float(x == 0)
+    log_comb = math.lgamma(q + 1) - math.lgamma(x + 1) - math.lgamma(q - x + 1)
+    return math.exp(log_comb + x * math.log(gamma) + (q - x) * math.log1p(-gamma))
 
 
 def _total_photon_probability(num_modes: int, r: float, total: int) -> float:
@@ -189,6 +191,7 @@ def mode_of_distribution(num_modes: int, r: float) -> int:
 
 def outcomes_with_total(num_modes: int, total: int):
     """Yield every photon-count configuration of ``num_modes`` modes summing to ``total``."""
+    num_modes, total = _integral(num_modes, "num_modes", 1), _integral(total, "total", 0)
     if total == 0:
         yield (0,) * num_modes
         return

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedConfigurationError, _integral
+from .errors import UnsupportedConfigurationError, _integral, check_size
 
 __all__ = [
     "GateParams",
@@ -325,6 +325,7 @@ def gate_tensor(params: GateParams, local_cutoff: int) -> np.ndarray:
     index ``n_i * d + n_{i+1}`` (the lower mode of the pair is the slow
     index)."""
     d = local_cutoff + 1
+    check_size(d**4, "the dense gate")
     blocks = gate_blocks(params, local_cutoff)
     tensor = np.zeros((d, d, d, d), dtype=np.complex128)
     for (total, occ, _, _), block in zip(_hopping_eigensystems(local_cutoff), blocks):

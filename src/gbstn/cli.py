@@ -12,16 +12,22 @@ Subcommands:
 streams to stdout.  ``prob`` runs its outcomes on the calling thread and
 ignores ``--workers`` (FutureWarning): two threads ran bond-16 batches 1.7x
 slower than one, as numpy's SVD, QR and indexing hand the GIL back and forth.
+The work that no outcome changes (the Schrodinger picture's evolved input
+per photon total, the dense output per cutoff, the Gaussian state) is built
+when the first outcome needs it and kept for the rest of the request.
 
 :func:`main` is the one place that reports a refusal: whatever the package
 raises for a bad request becomes one ``error:`` line on stderr and exit code
 1.  Only ``prob`` catches more, per outcome, to write an error record and
-go on with the batch.
+go on with the batch: on every route, an outcome whose total or cutoff
+cannot be evaluated fails alone, and its key's work is tried again by the
+next outcome that needs it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import itertools
@@ -82,9 +88,9 @@ def _load_circuit(path: str):
 
 
 def _open_output(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+    """The output as a context manager: the file ``path`` opened for writing,
+    or stdout for ``-``, which it leaves open."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def cmd_gen(args) -> int:
@@ -114,40 +120,26 @@ _ROUTES = {
 }
 
 
-def _evaluator(circ, squeezing, route, policy, totals, cutoffs):
+def _evaluator(circ, squeezing, route, policy):
     """``evaluate(outcome, n_c) -> (probability, stats or None)`` on the
-    ``_ROUTES`` entry ``route``.  The work no outcome changes is done here,
-    once per request: the Gaussian covariance, the dense output for each n_c
-    in ``cutoffs``, or the Schrodinger picture's evolved input for each
-    photon total in ``totals``."""
+    ``_ROUTES`` entry ``route``.  The work no outcome changes is built when
+    the first outcome needs it and kept for the rest of the request: the
+    Schrodinger picture's evolved input per photon total, the dense output
+    per n_c, the Gaussian state once.  Work that raises is kept for no one,
+    so it fails only the outcomes that need it."""
     if route == "tn_schrodinger":
-        states = {t: tnet.evolve_input(circ, squeezing, t, policy) for t in set(totals)}
-        return lambda outcome, n_c: tnet.project_outcome(*states[sum(outcome)], outcome)
+        evolved = functools.cache(lambda total: tnet.evolve_input(circ, squeezing, total, policy))
+        return lambda outcome, n_c: tnet.project_outcome(*evolved(sum(outcome)), outcome)
     if route == "tn_heisenberg":
         step = tnet.heisenberg_probability_lossless if circ.is_lossless else tnet.heisenberg_probability_lossy
         return lambda outcome, n_c: step(circ, outcome, squeezing, n_c, policy)
     if route == "dense":
-        outputs = {n_c: _dense_output(circ, squeezing, n_c) for n_c in set(cutoffs)}
-        return lambda outcome, n_c: (fockdense.dense_probability(outputs[n_c], outcome), None)
-    state = gauss.propagate_circuit(gauss.squeezed_vacuum_cov(squeezing, circ.num_modes), circ)
-    return lambda outcome, n_c: (gauss.gbs_probability(state, outcome), None)
-
-
-def _prob_record(evaluate, outcome, backend, picture, n_c, recommended) -> dict:
-    start = time.perf_counter()
-    p, stats = evaluate(outcome, n_c)
-    return {
-        "outcome": list(outcome),
-        "picture": picture,
-        "backend": backend,
-        "n_c": n_c,
-        "recommended_n_c": recommended,
-        "max_bond": None if stats is None else stats.max_bond_seen,
-        "truncation_weight": None if stats is None else stats.truncation_weight,
-        "flop_estimate": None if stats is None else stats.flop_estimate,
-        "probability": p,
-        "wall_time": time.perf_counter() - start,
-    }
+        output = functools.cache(lambda n_c: _dense_output(circ, squeezing, n_c))
+        return lambda outcome, n_c: (fockdense.dense_probability(output(n_c), outcome), None)
+    state = functools.cache(
+        lambda: gauss.propagate_circuit(gauss.squeezed_vacuum_cov(squeezing, circ.num_modes), circ)
+    )
+    return lambda outcome, n_c: (gauss.gbs_probability(state(), outcome), None)
 
 
 def _check_at_least_one(args, *names) -> None:
@@ -192,35 +184,46 @@ def cmd_prob(args) -> int:
     fockdense.squeeze_values(args.squeezing, circ.num_modes)
     truncation = {"max_bond": args.max_bond, "svd_threshold": args.svd_threshold}
     policy = tnet.TruncationPolicy(**{k: v for k, v in truncation.items() if v is not None})
-    recommended = n_cs = [None] * len(args.outcome)
-    if "--cutoff" in reads:
-        recommended = [
-            analysis.recommended_cutoff(circ, args.squeezing, sum(n), epsilon) for n in args.outcome
-        ]
-        n_cs = recommended if args.cutoff is None else [args.cutoff] * len(args.outcome)
-        if None in n_cs:
-            raise UnsupportedConfigurationError(
-                "automatic cutoff selection needs an even mode count and uniform "
-                "squeezing for lossy circuits; pass --cutoff explicitly"
-            )
-    totals = [sum(n) for n in args.outcome]
-    evaluate = _evaluator(circ, args.squeezing, route, policy, totals, n_cs)
+    # the rule's cutoff per photon total.  It is None where the rule does
+    # not apply, whatever the total, so a request that needs it is refused
+    # here; without --cutoff every total needs it, and a total it cannot
+    # serve refuses the request too
+    reads_cutoff = "--cutoff" in reads
+    recommend = functools.cache(
+        lambda total: analysis.recommended_cutoff(circ, args.squeezing, total, epsilon) if reads_cutoff else None
+    )
+    if reads_cutoff and args.cutoff is None and None in map(recommend, {sum(n) for n in args.outcome}):
+        raise UnsupportedConfigurationError(
+            "automatic cutoff selection needs an even mode count and uniform "
+            "squeezing for lossy circuits; pass --cutoff explicitly"
+        )
+    evaluate = _evaluator(circ, args.squeezing, route, policy)
 
-    def record(outcome, n_c, recommended_n_c) -> dict:
+    def record(outcome) -> dict:
         # one failed outcome becomes an error record; the rest of the batch runs
         try:
-            return _prob_record(evaluate, outcome, backend, picture, n_c, recommended_n_c)
+            recommended = recommend(sum(outcome))
+            n_c = args.cutoff or recommended
+            start = time.perf_counter()
+            p, stats = evaluate(outcome, n_c)
         except Exception as exc:
             return {"outcome": list(outcome), "error": str(exc)}
+        return {
+            "outcome": list(outcome),
+            "picture": picture,
+            "backend": backend,
+            "n_c": n_c,
+            "recommended_n_c": recommended,
+            "max_bond": None if stats is None else stats.max_bond_seen,
+            "truncation_weight": None if stats is None else stats.truncation_weight,
+            "flop_estimate": None if stats is None else stats.flop_estimate,
+            "probability": p,
+            "wall_time": time.perf_counter() - start,
+        }
 
-    fh, close = _open_output(args.output)
-    try:
-        records = list(map(record, args.outcome, n_cs, recommended))
-        for entry in records:
-            fh.write(json.dumps(entry) + "\n")
-    finally:
-        if close:
-            fh.close()
+    with _open_output(args.output) as fh:
+        records = list(map(record, args.outcome))
+        fh.writelines(json.dumps(entry) + "\n" for entry in records)
     return 1 if any("error" in entry for entry in records) else 0
 
 
@@ -263,12 +266,8 @@ def cmd_scaling(args) -> int:
     # cannot be (a bound past Python's 4300-digit limit) writes nothing
     report = io.StringIO()
     analysis.write_scaling_report(report, modes, squeezings)
-    fh, close = _open_output(args.output)
-    try:
+    with _open_output(args.output) as fh:
         fh.write(report.getvalue())
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -300,32 +299,29 @@ def cmd_validate(args) -> int:
     # the gaussian column is exact for any per-gate loss, so on a lossy file it
     # exposes the cutoff bias; the Schrodinger picture has no lossy route
     routes = [name for name in _ROUTES if circ.is_lossless or name != "tn_schrodinger"]
-    # the cheapest refusals first: the outcomes are counted before they are
-    # listed, and the dense output, whose size guard refuses what it cannot
-    # hold, is built before the Schrodinger input is evolved
+    # the cheapest refusals first: the outcomes are counted, then the dense
+    # output, whose size guard refuses what it cannot hold, is built (by
+    # evaluating the vacuum) before any outcome is listed
     m = circ.num_modes
     count = sum(math.comb(total + m - 1, m - 1) for total in totals)
     check_size(count, f"the outcomes of --totals {args.totals!r}")
-    evaluators = {
-        name: _evaluator(circ, args.squeezing, name, tnet.TruncationPolicy(), totals, [n_c])
-        for name in sorted(routes, key="dense".__ne__)
-    }
+    evaluators = {name: _evaluator(circ, args.squeezing, name, tnet.TruncationPolicy()) for name in routes}
+    evaluators["dense"]((0,) * m, n_c)
     outcomes = [n for total in totals for n in analysis.outcomes_with_total(m, total)]
     columns = {name: [evaluators[name](n, n_c)[0] for n in outcomes] for name in routes}
 
-    names = list(columns)
     worst = 0.0
-    for a, b in itertools.combinations(names, 2):
+    for a, b in itertools.combinations(routes, 2):
         for x, y in zip(columns[a], columns[b]):
             worst = max(worst, abs(x - y))
     # an evaluator may return numpy scalars, which json cannot write
     worst = float(worst)
-    ok = bool(worst <= args.tolerance)
+    ok = worst <= args.tolerance
     print(
         json.dumps(
             {
                 "circuit": args.circuit,
-                "backends": names,
+                "backends": routes,
                 "outcomes": len(outcomes),
                 "n_c": n_c,
                 "max_pairwise_difference": worst,

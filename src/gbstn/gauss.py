@@ -288,9 +288,7 @@ def photon_pair_distribution(num_modes: int, r: float, pairs: int) -> float:
         raise UnsupportedConfigurationError(
             f"photon pair distribution needs an even mode count, got {num_modes}"
         )
-    if pairs < 0:
-        raise ValueError(f"pair count must be nonnegative, got {pairs}")
-    nu = int(pairs)
+    nu = _integral(pairs, "pairs", 0)
     coeff = math.comb(nu + num_modes // 2 - 1, nu)
     sech = 1.0 / math.cosh(r)
     return coeff * sech**num_modes * math.tanh(r) ** (2 * nu)

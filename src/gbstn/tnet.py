@@ -390,6 +390,7 @@ def fock_projector_mpo(outcome, local_cutoff: int) -> TensorTrain:
     n) and bond label 0 throughout."""
     d = local_cutoff + 1
     outcome = check_outcome(outcome, cutoff=local_cutoff)
+    check_size(d**4, "the projector's basis")
     basis = np.eye(d * d, dtype=np.complex128)  # row n * d + n is vec(|n><n|)
     charges = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
     bonds = [np.zeros(1, dtype=np.int64)] * (len(outcome) + 1)
@@ -584,6 +585,21 @@ def _kept(s_all: np.ndarray, policy: TruncationPolicy, sectors: list) -> np.ndar
     return kept
 
 
+def _centred(train: TensorTrain, i: int) -> TensorTrain:
+    """``train`` ready for an update of the pair (i, i+1): ValueError if the
+    pair does not fit, and a train without Schmidt values has its centre
+    moved onto the pair from the side it is on, to site i from the left or
+    from nowhere, to i+1 from the right."""
+    if i + 1 >= train.num_modes:
+        raise ValueError(f"gate on modes {(i, i + 1)} does not fit in {train.num_modes} modes")
+    if train.schmidt is not None or train.center in (i, i + 1):
+        return train
+    tensors, bonds = list(train.tensors), list(train.bond_charges)
+    target = i if train.center is None or train.center <= i else i + 1
+    _move_center(tensors, bonds, train.phys_charges, train.center, target)
+    return train._evolved(tensors, bonds, target, None)
+
+
 def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> TensorTrain:
     """Map the pair of sites (i, i+1) and split it back; returns a new train
     and leaves ``train`` as it was.
@@ -618,13 +634,9 @@ def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> Tensor
     """
     policy = policy or TruncationPolicy()
     stats = stats if stats is not None else EvolutionStats()
-    if i + 1 >= train.num_modes:
-        raise ValueError(f"gate on modes {(i, i + 1)} does not fit in {train.num_modes} modes")
-    schmidt = train.schmidt
+    train = _centred(train, i)
+    schmidt, rightward = train.schmidt, train.center == i
     tensors, bonds, phys = list(train.tensors), list(train.bond_charges), train.phys_charges
-    if schmidt is None:
-        rightward = train.center is None or train.center <= i
-        _move_center(tensors, bonds, phys, train.center, i if rightward else i + 1)
     a, b = tensors[i], tensors[i + 1]
     chi_l, p, chi_r = a.shape[0], a.shape[1], b.shape[2]
     # the pair matrix has the same charge blocks before and after the map
@@ -761,11 +773,15 @@ def apply_gate_mpo_adjoint(
     charge = np.subtract.outer(np.arange(d), np.arange(d)).ravel()  # m - n on leg (m, n)
     if not np.array_equal(operator.phys_charges, charge):
         raise ValueError("a two-site map does not keep these physical charges")
+    # the centre moves first, so that its steps meet the size guard before the channel's arrays
+    operator = _centred(operator, gate.modes[0])
     # A = (sum_mu K_mu) G, the loss on the gate's lossy output leg; rows and columns m1 * d + m2
     a = np.tensordot(sum(kraus_set(gate.loss_gamma, d - 1)), gate_tensor(gate.params, d - 1), (1, gate.lossy_mode))
     a = np.moveaxis(a, 0, gate.lossy_mode).reshape(d * d, d * d)
     conj_a = a.conj()
-    m1, n1, m2, n2 = np.indices((d,) * 4).reshape(4, -1)  # of pair index ((m1 d + n1) d + m2) d + n2
+    # of pair index ((m1 d + n1) d + m2) d + n2: four arrays of d^4 entries,
+    # each no larger than the dense gate that passed the size guard above
+    m1, n1, m2, n2 = np.unravel_index(np.arange(d**4), (d,) * 4)
     outs, ins = m1 * d + m2, n1 * d + n2
     blocks = {}
     for q, index in _groups(m1 - n1 + m2 - n2).items():

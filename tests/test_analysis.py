@@ -59,6 +59,17 @@ class TestPiGamma:
         assert pi_gamma(3, 0.5, 4) == 0.0
         assert pi_gamma(3, 0.5, -1) == 0.0
 
+    @pytest.mark.parametrize("sources", [6, 100, 1128, 5000])
+    @pytest.mark.parametrize("gamma", [0.01, 0.05, 0.5])
+    def test_matches_scipy_past_the_float_range_of_the_binomial(self, sources, gamma):
+        # C(Q, x) alone passes the float range near Q = 1030
+        expected = scipy.stats.binom.pmf(np.arange(sources + 1), sources, gamma)
+        for x in np.flatnonzero(expected > 1e-300).tolist():
+            assert pi_gamma(sources, gamma, x) == pytest.approx(expected[x], rel=1e-10, abs=0.0)
+
+    def test_integral_float_counts_are_counts(self):
+        assert pi_gamma(3.0, 0.1, 1.0) == pi_gamma(3, 0.1, 1)
+
 
 class TestDeltaGamma:
     def test_zero_loss(self):
@@ -289,6 +300,18 @@ class TestRefusals:
         "bipartite-negative-photons": (lambda: dmax_bipartite(3, 3, -1), ValueError, "total_photons"),
         "closed-form-no-modes": (lambda: dmax_closed_form(0, 2), UnsupportedConfigurationError, "even mode"),
         "closed-form-negative-photons": (lambda: dmax_closed_form(4, -1), ValueError, "total_photons"),
+        "binomial-fractional-sources": (lambda: pi_gamma(2.5, 0.1, 1), ValueError,
+                                        "num_sources must be an integer, got 2.5"),
+        "binomial-fractional-photons": (lambda: pi_gamma(3, 0.1, 1.5), ValueError,
+                                        r"photons must be an integer, got 1.5"),
+        "binomial-gamma-of-one": (lambda: pi_gamma(3, 1.0, 1), ValueError, r"gamma must lie in \[0, 1\)"),
+        "binomial-negative-gamma": (lambda: pi_gamma(3, -0.1, 1), ValueError, r"gamma must lie in \[0, 1\)"),
+        "outcomes-negative-total": (lambda: list(outcomes_with_total(3, -1)), ValueError,
+                                    "total must be >= 0, got -1"),
+        "outcomes-no-modes": (lambda: list(outcomes_with_total(0, 2)), ValueError,
+                              "num_modes must be >= 1, got 0"),
+        "outcomes-fractional-total": (lambda: list(outcomes_with_total(3, 1.5)), ValueError,
+                                      "total must be an integer, got 1.5"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -19,7 +19,8 @@ from gbstn.circuit import (
     transfer_matrix,
     with_uniform_loss,
 )
-from gbstn.errors import UnsupportedConfigurationError
+from gbstn import errors
+from gbstn.errors import ResourceLimitError, UnsupportedConfigurationError
 
 
 def _record(**changes) -> dict:
@@ -220,6 +221,16 @@ class TestUniformLoss:
 
 
 class TestGateUnitary:
+    def test_dense_gate_past_the_size_guard_is_refused(self, monkeypatch):
+        # 61^4 = 13,845,841 entries, refused before they are allocated
+        with pytest.raises(ResourceLimitError, match="the dense gate would hold 13845841 entries"):
+            gate_tensor(GateParams(0.3, 0.9, 1.4), 60)
+        monkeypatch.setattr(errors, "SIZE_LIMIT", 3**4)
+        gate_tensor(GateParams(0.3, 0.9, 1.4), 2)
+        monkeypatch.setattr(errors, "SIZE_LIMIT", 3**4 - 1)
+        with pytest.raises(ResourceLimitError, match="size guard"):
+            gate_tensor(GateParams(0.3, 0.9, 1.4), 2)
+
     def test_identity_at_zero_angles(self):
         g = gate_tensor(GateParams(0.0, 0.0, 0.0), 3).reshape(16, 16)
         assert np.allclose(g, np.eye(16), atol=1e-14)

@@ -432,23 +432,44 @@ class TestProb:
             pictures[backend] = _records(out)[0]["picture"]
         assert pictures == {"tn": "heisenberg", "dense": None, "gaussian": None}
 
+    @pytest.mark.parametrize(
+        "route, limit",
+        [
+            # the vacuum's light cone holds no gate, so no update runs; the
+            # two-photon outcome's updates (n_c = 2) make sites of 6 to 36 entries
+            pytest.param([], 8, id="heisenberg"),
+            # the evolved vacuum's updates hold at most 2 entries, total 2's more than 8
+            pytest.param(["--picture", "schrodinger"], 8, id="schrodinger"),
+            # the vacuum's dense state (n_c = 1) holds 2^4 = 16 entries, total 2's (n_c = 2) 3^4
+            pytest.param(["--backend", "dense"], 16, id="dense"),
+        ],
+    )
     def test_size_guard_fails_one_outcome_and_the_batch_goes_on(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, route, limit
     ):
         from gbstn import errors
 
-        # the vacuum's light cone holds no gate, so no update runs; the
-        # two-photon outcome's updates (n_c = 2) make sites of 6 to 36 entries
-        monkeypatch.setattr(errors, "SIZE_LIMIT", 8)
+        monkeypatch.setattr(errors, "SIZE_LIMIT", limit)
         path = tmp_path / "c.json"
         run(["gen", "--modes", "4", "--depth", "4", "--seed", "2", "--output", str(path)], capsys)
         code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "0,0,0,0",
-                            "--outcome", "1,1,0,0", "--outcome", "0,0,0,0"], capsys)
+                            "--outcome", "1,1,0,0", "--outcome", "0,0,0,0", *route], capsys)
         assert code == 1
         first, failed, last = _records(out)
         assert first["probability"] == last["probability"] > 0.0
         assert "size guard" in failed["error"]
         assert "probability" not in failed
+
+    def test_cutoff_past_the_operator_guard_fails_its_outcome(self, tmp_path, capsys):
+        # the projector's d^4 = 201^4 basis is refused before it is allocated
+        path = tmp_path / "lossy.json"
+        run(["gen", "--modes", "4", "--depth", "4", "--seed", "1", "--gamma", "0.05",
+             "--output", str(path)], capsys)
+        code, out, _ = run(["prob", "--circuit", str(path), "--outcome", "1,1,0,0",
+                            "--cutoff", "200"], capsys)
+        assert code == 1
+        (record,) = _records(out)
+        assert "above the size guard" in record["error"]
 
     def test_gaussian_backend_inverts_sigma_q_once_per_request(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "c.json"
@@ -590,6 +611,13 @@ class TestCutoff:
                             "--photons", "4", "--circuit", str(path)], capsys)
         assert code == 0
         assert json.loads(out)["sources"] == 6
+
+    def test_a_thousand_sources_do_not_overflow(self, capsys):
+        code, out, _ = run(["cutoff", "--modes", "48", "--squeezing", "0.4", "--gamma", "0.05",
+                            "--photons", "6", "--sources", "1128"], capsys)
+        assert code == 0
+        (record,) = _records(out)
+        assert record["n_c"] == 6 and record["sources"] == 1128
 
     def test_odd_modes_reported(self, capsys):
         code, _, err = run(["cutoff", "--modes", "3", "--squeezing", "0.5", "--gamma", "0.05",

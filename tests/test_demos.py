@@ -16,3 +16,15 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_importing_the_package_loads_no_scipy():
+    # tnet._svd imports scipy when it first needs it; a module that imported
+    # it at load time would add scipy's import to every process's start
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, gbstn; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

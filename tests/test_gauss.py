@@ -451,6 +451,11 @@ class TestPairDistribution:
         with pytest.raises(ValueError):
             photon_pair_distribution(2, 0.4, -1)
 
+    def test_fractional_pairs_rejected(self):
+        with pytest.raises(ValueError, match="pairs must be an integer, got 1.5"):
+            photon_pair_distribution(4, 0.5, 1.5)
+        assert photon_pair_distribution(4, 0.5, 1.0) == photon_pair_distribution(4, 0.5, 1)
+
 
 class TestOracleTriangleEdge:
     def test_dense_state_agrees_on_seeded_circuit(self):

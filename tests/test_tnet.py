@@ -1011,6 +1011,11 @@ class TestTruncation:
 
 
 class TestMpoAdjoint:
+    def test_projector_past_the_size_guard_is_refused(self):
+        # its basis, the identity on d^2 = 61^2 pair legs, is refused before it is allocated
+        with pytest.raises(ResourceLimitError, match="the projector's basis would hold 13845841 entries"):
+            fock_projector_mpo((1, 0, 0, 0), 60)
+
     def test_lossless_identity_angles_leave_operator(self):
         op = fock_projector_mpo((1, 0), 3)
         out = apply_gate_mpo_adjoint(op, _gate(0.0, 0.0, 0.0))
