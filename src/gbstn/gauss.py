@@ -280,15 +280,18 @@ def gbs_probability(state: GaussianState, outcome) -> float:
 def photon_pair_distribution(num_modes: int, r: float, pairs: int) -> float:
     """Probability of exactly ``pairs`` photon pairs from M equally squeezed modes.
 
-    P(2*nu) = C(nu + M/2 - 1, nu) sech^M(r) tanh^{2 nu}(r); odd photon totals
-    have probability zero.  Restricted to even mode counts, where the binomial
-    coefficient is an ordinary one.
+    P(2*nu) = C(nu + M/2 - 1, nu) sech^M(r) tanh^{2 nu}(r), taken in log
+    space (at M = 1000 the binomial passes the float range and tanh^{2 nu}
+    underflows); odd photon totals have probability zero.  Restricted to even
+    mode counts, where the binomial coefficient is an ordinary one.
     """
     if num_modes < 1 or num_modes % 2 != 0:
         raise UnsupportedConfigurationError(
             f"photon pair distribution needs an even mode count, got {num_modes}"
         )
-    nu = _integral(pairs, "pairs", 0)
-    coeff = math.comb(nu + num_modes // 2 - 1, nu)
-    sech = 1.0 / math.cosh(r)
-    return coeff * sech**num_modes * math.tanh(r) ** (2 * nu)
+    nu, half, x = _integral(pairs, "pairs", 0), num_modes // 2, abs(r)
+    if x == 0.0:
+        return float(nu == 0)
+    log_p = math.lgamma(nu + half) - math.lgamma(nu + 1) - math.lgamma(half) + 2 * nu * math.log(math.tanh(x))
+    # log cosh x in a form that stays finite: cosh itself overflows past x = 710
+    return math.exp(log_p - num_modes * (x + math.log1p(math.exp(-2 * x)) - math.log(2)))

@@ -32,8 +32,7 @@ rows whose count exceeds the train's total drop out.  The charges:
   total sum(n), kept by every gate and its adjoint; the projected input
   Pi_N psi (``projected_squeezed_mps``) likewise, with total N;
 * the outcome projector (``fock_projector_mpo``): charge m - n on the
-  (out m, in n) leg, total 0, kept by G^dag O G and by each Kraus term
-  K_mu^dag O K_mu, since K_mu lowers out and in counts alike.
+  (out m, in n) leg, total 0, kept by the adjoint channel.
 
 The whole squeezed input (``squeezed_mps``) is no photon-number eigenstate
 and carries the trivial charge, zero everywhere; no route builds it.
@@ -41,13 +40,12 @@ and carries the trivial charge, zero everywhere; no route builds it.
 Site arrays stay dense, with zeros outside the sectors.  The pair matrix
 of an update is stored packed, its charge blocks one after another, and is
 never built whole.  Every local map reaches the one kernel as its block for
-each key k on the pair indices (n1, n2) whose physical charges sum to k: a
-state gate's blocks of fixed photon-number total (``circuit.gate_blocks``);
-the adjoint channel's blocks of fixed (m1 - n1) + (m2 - n2), built per call
-as the conjugation by A = (sum_mu K_mu) G: its terms with mu != nu, absent
-from the channel, shift the key, and no block spans two keys.  A packed
-entry (alpha, n1, n2, beta) lies in a charge block exactly when
-label(beta) - label(alpha) is its key, so the labels alone lay out where
+each key of the pair indices, a sum of one key per leg that fixes the
+pair's charge: a state gate's blocks of fixed total n1 + n2
+(``circuit.gate_blocks``); the adjoint step's G^dag O G, G_Tout^dag (x)
+G_Tin^T of the same blocks, for each (T_out, T_in) = (m1 + m2, n1 + n2).  A
+packed entry (alpha, n1, n2, beta) lies in a charge block exactly when
+label(beta) - label(alpha) is its charge, so the labels alone lay out where
 each block acts, by one stable sort; a pair's layout, with its update's
 size-guard figure and SVD cost, is built once and reused from a bounded
 cache.  A step of a centre move is the pair's split with QR in place of the
@@ -77,8 +75,8 @@ train, only its per-mode amplitudes v_k (``fockdense.squeezed_vectors``):
   modes inside a light cone; a gate on two modes still in vacuum acts as the
   identity and is skipped.
 * ``heisenberg_probability_lossy``: evolve the outcome projector as an
-  operator train through the adjoint channel O -> sum_mu (K_mu U)^dag O
-  (K_mu U) per gate, then close each site's (out, in) leg on conj(v_k) (x)
+  operator train through the adjoint channel O -> U^dag (sum_mu K_mu^dag O
+  K_mu) U per gate, then close each site's (out, in) leg on conj(v_k) (x)
   v_k.
 
 ``mps_overlap`` and ``mpo_expectation`` contract whole trains; no route calls
@@ -98,6 +96,8 @@ from functools import reduce
 
 import numpy as np
 
+# gate_tensor is not called here: bench/spans.py wraps tnet.gate_tensor, and
+# bench/test_harness.py expects every name it wraps to be found
 from .circuit import Circuit, Gate, gate_blocks, gate_tensor, kraus_set
 from .errors import UnsupportedConfigurationError, _integral, check_outcome, check_probability, check_size
 from .fockdense import squeezed_vectors
@@ -421,6 +421,11 @@ def mpo_expectation(bra: TensorTrain, operator: TensorTrain, ket: TensorTrain) -
     return complex(env[0, 0, 0])
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices at a fifth of its cost on small ones."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def _groups(charges: np.ndarray) -> dict[int, np.ndarray]:
     """Ascending indices of each charge, from one stable sort."""
     order = np.argsort(charges, kind="stable")
@@ -445,32 +450,33 @@ _layouts: dict = {}  # key -> (layout, bytes charged)
 _layouts_lock = threading.Lock()
 
 
-def _pair_layout(left, mid, right, phys, what: str = "an array of a pair update") -> tuple:
+def _pair_layout(left, mid, right, phys, legs, what: str = "an array of a pair update") -> tuple:
     """The layout of a pair between bonds labelled ``left``, ``mid`` and
-    ``right`` on physical charges ``phys``: ``(sectors, order, groups, flops,
-    guarded)``.  ``sectors`` holds ``(charge, rows, columns, middle, span)``,
-    ascending, for each charge its rows (alpha, n1), of charge label(alpha) +
-    phys[n1], and its columns (n2, beta), of label(beta) - phys[n2], share:
-    ``middle`` indexes its (rows x mid, mid x columns) blocks of the two sites
-    (None where no mid index has it), ``span`` its slice of the packed matrix,
-    blocks one after another, row-major.  For ``(k, start, stop, width)`` in
-    ``groups``, ``order[start:stop]`` is the (width, pairs) matrix of the
-    packed offsets of key k: a row per pair index n1 * p + n2 with phys[n1] +
-    phys[n2] = k, ascending, a column per (alpha, beta) with label(beta) -
-    label(alpha) = k.  A pair index of key k meets each such (alpha, beta) in
-    one packed entry, listed by (label(alpha), alpha, beta) whatever the pair
-    index, so one stable sort of the packed offsets by the rank of their pair
-    index in key order builds ``order``.  ``flops`` is the split's SVD cost
-    (see :class:`EvolutionStats`), ``guarded`` the entry count of the update's
-    largest array: the packed pair or a new site, whose bond holds at most
-    min(rows, columns) per charge block.
+    ``right`` on physical charges ``phys`` and leg keys ``legs``: ``(sectors,
+    order, groups, flops, guarded)``.  ``sectors`` holds ``(charge, rows,
+    columns, middle, span)``, ascending, for each charge its rows (alpha, n1),
+    of charge label(alpha) + phys[n1], and its columns (n2, beta), of
+    label(beta) - phys[n2], share: ``middle`` indexes its (rows x mid, mid x
+    columns) blocks of the two sites (None where no mid index has it),
+    ``span`` its slice of the packed matrix, blocks one after another,
+    row-major.  For ``(k, start, stop, width)`` in ``groups``,
+    ``order[start:stop]`` is the (width, pairs) matrix of the packed offsets
+    of key k: a row per pair index n1 * p + n2 with legs[n1] + legs[n2] = k,
+    ascending, a column per (alpha, beta) with label(beta) - label(alpha) =
+    phys[n1] + phys[n2], which k fixes.  A pair index meets each such (alpha,
+    beta) in one packed entry, listed by (label(alpha), alpha, beta) whatever
+    the pair index, so one stable sort of the packed offsets by the rank of
+    their pair index in key order builds ``order``.  ``flops`` is the split's
+    SVD cost (see :class:`EvolutionStats`), ``guarded`` the entry count of the
+    update's largest array: the packed pair or a new site, whose bond holds at
+    most min(rows, columns) per charge block.
 
     From the cache when it is there; a new layout is stored if its charge
     fits in ``LAYOUT_BUDGET``, the oldest entries making way.  A pair whose
     update would pass the size guard raises, as ``what``, before ``order``
     is built, and leaves the cache as it was.  Read-only, so threads share
     it."""
-    key = (left.tobytes(), mid.tobytes(), right.tobytes(), phys.tobytes())
+    key = (left.tobytes(), mid.tobytes(), right.tobytes(), phys.tobytes(), legs.tobytes())
     entry = _layouts.get(key)
     if entry is not None:
         check_size(entry[0][4], what)
@@ -489,7 +495,7 @@ def _pair_layout(left, mid, right, phys, what: str = "an array of a pair update"
     guarded = max(size, p * bond * max(len(left), len(right)))
     check_size(guarded, what)
     flops = sum(float(len(rows)) * len(cols) * min(len(rows), len(cols)) for _, rows, cols, *_ in sectors)
-    sums = np.add.outer(phys, phys).ravel()
+    sums = np.add.outer(legs, legs).ravel()
     # the rank of pair index n1 * p + n2 in key order; small, so the sort is a radix sort
     rank = np.empty(p * p, dtype=np.min_scalar_type(p * p - 1))
     rank[np.argsort(sums, kind="stable")] = np.arange(p * p)
@@ -532,22 +538,22 @@ def _assemble(shape, pieces):
     return left, right, charges
 
 
-def _move_center(tensors: list, bonds: list, phys, center: int | None, target: int) -> None:
+def _move_center(tensors: list, bonds: list, phys, legs, center: int | None, target: int) -> None:
     """Make ``target`` the centre of ``tensors`` in place, ``bonds`` taking
     the new labels.  Each step is the split of a pair (k, k+1) with QR in
-    place of the SVD, on the blocks of the cached layout an update of the pair
-    reads (:func:`_pair_layout`), written by :func:`_assemble`: moving right,
-    a block of site k is Q R and R goes into site k+1; moving left, a block of
-    site k+1 is R^T Q^T (the QR of its transpose) and R^T goes into site k.  A
-    bond index whose block on the other site is empty holds zeros only and is
-    dropped, as a split drops it.  From an unknown centre both sides of the
-    target are swept; only trains without Schmidt values have a centre."""
+    place of the SVD, on the cached layout an update of the pair with leg keys
+    ``legs`` reads (:func:`_pair_layout`), written by :func:`_assemble`:
+    moving right, a block of site k is Q R and R goes into site k+1; moving
+    left, a block of site k+1 is R^T Q^T (the QR of its transpose) and R^T
+    goes into site k.  A bond index whose block on the other site is empty
+    holds zeros only and is dropped, as a split drops it.  From an unknown
+    centre both sides of the target are swept."""
     start, stop = (0, len(tensors) - 1) if center is None else (center, center)
     for k in [*range(start, target), *range(stop - 1, target - 1, -1)]:
         chi_l, p, chi_r = tensors[k].shape[0], len(phys), tensors[k + 1].shape[2]
         left, right = tensors[k].reshape(chi_l * p, -1), tensors[k + 1].reshape(-1, p * chi_r)
         what, pieces = f"an array of the centre move across modes {(k, k + 1)}", []
-        for q, rows, cols, middle, _ in _pair_layout(bonds[k], bonds[k + 1], bonds[k + 2], phys, what)[0]:
+        for q, rows, cols, middle, _ in _pair_layout(bonds[k], bonds[k + 1], bonds[k + 2], phys, legs, what)[0]:
             if middle is None:  # both sites are zero on this block
                 continue
             if k < target:  # moving right
@@ -585,36 +591,36 @@ def _kept(s_all: np.ndarray, policy: TruncationPolicy, sectors: list) -> np.ndar
     return kept
 
 
-def _centred(train: TensorTrain, i: int) -> TensorTrain:
-    """``train`` ready for an update of the pair (i, i+1): ValueError if the
-    pair does not fit, and a train without Schmidt values has its centre
-    moved onto the pair from the side it is on, to site i from the left or
-    from nowhere, to i+1 from the right."""
+def _centred(train: TensorTrain, i: int, legs) -> TensorTrain:
+    """``train`` ready for an update of the pair (i, i+1) with leg keys
+    ``legs``: ValueError if the pair does not fit, and a train without
+    Schmidt values has its centre moved onto the pair from the side it is
+    on, to site i from the left or from nowhere, to i+1 from the right."""
     if i + 1 >= train.num_modes:
         raise ValueError(f"gate on modes {(i, i + 1)} does not fit in {train.num_modes} modes")
     if train.schmidt is not None or train.center in (i, i + 1):
         return train
     tensors, bonds = list(train.tensors), list(train.bond_charges)
     target = i if train.center is None or train.center <= i else i + 1
-    _move_center(tensors, bonds, train.phys_charges, train.center, target)
+    _move_center(tensors, bonds, train.phys_charges, legs, train.center, target)
     return train._evolved(tensors, bonds, target, None)
 
 
-def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> TensorTrain:
+def _apply_two_site(train: TensorTrain, i: int, legs, blocks, policy, stats) -> TensorTrain:
     """Map the pair of sites (i, i+1) and split it back; returns a new train
     and leaves ``train`` as it was.
 
-    The map is given as data: ``blocks[k]`` is the map on the pair indices
-    n1 * p + n2 of key k = phys_charges[n1] + phys_charges[n2], in ascending
-    order, so the map must keep the train's charges.  The pair matrix, rows
-    (alpha, n1) and columns (n2, beta), is built only where its charge
-    blocks lie, packed; the map is one gather of the packed entries key by
-    key, one matmul per key and one scatter, all laid out by
-    :func:`_pair_layout` from the labels alone; the layout also carries the
-    figure the size guard reads and the split's SVD cost.  This is the only
-    code that reads or writes a packed pair matrix.  The split takes one SVD
-    per charge block; the truncation rule acts on all blocks' singular
-    values together, as on the whole matrix (see :func:`_kept`).
+    The map is given by its blocks: ``blocks(k)`` is the map on the pair
+    indices n1 * p + n2 of key k = legs[n1] + legs[n2], ascending; k fixes
+    phys_charges[n1] + phys_charges[n2], so the map keeps the train's
+    charges.  The pair matrix, rows (alpha, n1) and columns (n2, beta), is
+    built only where its charge blocks lie, packed; the map is one gather of
+    the packed entries key by key, one matmul per key and one scatter, all
+    laid out by :func:`_pair_layout` from the labels alone; the layout also
+    carries the figure the size guard reads and the split's SVD cost.  This
+    is the only code that reads or writes a packed pair matrix.  The split
+    takes one SVD per charge block; the truncation rule acts on all blocks'
+    singular values together, as on the whole matrix (see :func:`_kept`).
 
     A train that carries Schmidt values (a state) is split without a centre
     (Vidal, arXiv:quant-ph/0310089; Hastings, arXiv:0903.3253): its sites
@@ -634,14 +640,14 @@ def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> Tensor
     """
     policy = policy or TruncationPolicy()
     stats = stats if stats is not None else EvolutionStats()
-    train = _centred(train, i)
+    train = _centred(train, i, legs)
     schmidt, rightward = train.schmidt, train.center == i
     tensors, bonds, phys = list(train.tensors), list(train.bond_charges), train.phys_charges
     a, b = tensors[i], tensors[i + 1]
     chi_l, p, chi_r = a.shape[0], a.shape[1], b.shape[2]
     # the pair matrix has the same charge blocks before and after the map
     what = f"an array of the update of modes {(i, i + 1)}"
-    sectors, order, groups, flops, _ = _pair_layout(bonds[i], bonds[i + 1], bonds[i + 2], phys, what)
+    sectors, order, groups, flops, _ = _pair_layout(bonds[i], bonds[i + 1], bonds[i + 2], phys, legs, what)
     left, right = a.reshape(chi_l * p, -1), b.reshape(-1, p * chi_r)
     packed = np.empty(len(order), dtype=np.complex128)
     for _, rows, cols, middle, span in sectors:
@@ -654,7 +660,7 @@ def _apply_two_site(train: TensorTrain, i: int, blocks, policy, stats) -> Tensor
     mapped = np.empty_like(entries)
     for k, start, stop, width in groups:
         np.matmul(
-            blocks[k], entries[start:stop].reshape(width, -1),
+            blocks(k), entries[start:stop].reshape(width, -1),
             out=mapped[start:stop].reshape(width, -1),
         )
     packed[order] = mapped
@@ -721,7 +727,7 @@ def apply_gate_mps(
     if not np.array_equal(psi.phys_charges, np.arange(d)):
         raise ValueError("a two-site map does not keep these physical charges")
     blocks = gate_blocks(gate.params, d - 1, adjoint=reverse)
-    return _apply_two_site(psi, gate.modes[0], blocks, policy, stats)
+    return _apply_two_site(psi, gate.modes[0], psi.phys_charges, blocks.__getitem__, policy, stats)
 
 
 def _evolve(train: TensorTrain, layers, step, stats: EvolutionStats) -> TensorTrain:
@@ -756,38 +762,32 @@ def apply_gate_mpo_adjoint(
     policy: TruncationPolicy | None = None,
     stats: EvolutionStats | None = None,
 ) -> TensorTrain:
-    """One step of the adjoint channel: O -> sum_mu (K_mu G)^dag O (K_mu G),
-    the gate G, then the Kraus operators K_mu of its loss on the lossy mode.
-
-    The channel keeps Q = (m1 - n1) + (m2 - n2) of a pair index ((m1, n1),
-    (m2, n2)), so the kernel takes it as one block per Q on the pair indices
-    of charge Q, never as the d^4 x d^4 superoperator.  K_mu G lowers the
-    photon count by exactly mu, so (K_mu G)^dag O (K_nu G) takes Q to
-    Q - mu + nu: on a block of one key only the channel's terms, mu = nu,
-    act, and the block is the conjugation by A = (sum_mu K_mu) G, C_Q[i, j]
-    = conj(A[m_j; m_i]) A[n_j; n_i].  Only there: on a whole operator,
-    A^dag O A is not the channel (``fockdense.dense_evolve_density`` sums
-    the Kraus terms one by one).  At gamma = 0, sum_mu K_mu = 1 and A = G.
-    """
+    """One step of the adjoint channel of the gate G and its loss's Kraus
+    operators K_mu, O -> sum_mu (K_mu G)^dag O (K_mu G) = G^dag (sum_mu
+    K_mu^dag O K_mu) G (Zwolak & Vidal, arXiv:cond-mat/0406440): the loss as
+    the map sum_mu K_mu^T (x) K_mu^T on the lossy mode's (out m, in n) leg,
+    which keeps m - n (K_mu lowers both alike) and every bond, then one update
+    by G_Tout^dag (x) G_Tin^T (``circuit.gate_blocks``) on the pair indices of
+    each (T_out, T_in) = (m1 + m2, n1 + n2) the pair reaches, totals that G
+    keeps.  No array it builds holds more than d^4 entries."""
     d = operator.local_dim
-    charge = np.subtract.outer(np.arange(d), np.arange(d)).ravel()  # m - n on leg (m, n)
-    if not np.array_equal(operator.phys_charges, charge):
+    m, n = np.divmod(np.arange(d * d), d)  # of leg (out m, in n)
+    if not np.array_equal(operator.phys_charges, m - n):
         raise ValueError("a two-site map does not keep these physical charges")
-    # the centre moves first, so that its steps meet the size guard before the channel's arrays
-    operator = _centred(operator, gate.modes[0])
-    # A = (sum_mu K_mu) G, the loss on the gate's lossy output leg; rows and columns m1 * d + m2
-    a = np.tensordot(sum(kraus_set(gate.loss_gamma, d - 1)), gate_tensor(gate.params, d - 1), (1, gate.lossy_mode))
-    a = np.moveaxis(a, 0, gate.lossy_mode).reshape(d * d, d * d)
-    conj_a = a.conj()
-    # of pair index ((m1 d + n1) d + m2) d + n2: four arrays of d^4 entries,
-    # each no larger than the dense gate that passed the size guard above
-    m1, n1, m2, n2 = np.unravel_index(np.arange(d**4), (d,) * 4)
-    outs, ins = m1 * d + m2, n1 * d + n2
-    blocks = {}
-    for q, index in _groups(m1 - n1 + m2 - n2).items():
-        m, n = outs[index], ins[index]
-        blocks[q] = conj_a[m, m[:, None]] * a[n, n[:, None]]  # rows i, columns j
-    return _apply_two_site(operator, gate.modes[0], blocks, policy, stats)
+    # key (T_out, T_in) of a pair index as T_out (2d - 1) + T_in, a sum of leg keys
+    width = 2 * d - 1
+    legs = m * width + n
+    # the centre moves first, so that its steps meet the size guard before the map
+    operator = _centred(operator, gate.modes[0], legs)
+    check_size(d**4, "the loss map")
+    loss, tensors = sum(_kron(k.T, k.T) for k in kraus_set(gate.loss_gamma, d - 1)), list(operator.tensors)
+    # the real map on the interleaved real and imaginary parts: half a complex product's work
+    site = np.ascontiguousarray(tensors[gate.loss_site], dtype=np.complex128).view(np.float64)
+    tensors[gate.loss_site] = (loss @ site).view(np.complex128)
+    operator = operator._evolved(tensors, operator.bond_charges, operator.center, None)
+    outs, ins = gate_blocks(gate.params, d - 1, adjoint=True), gate_blocks(gate.params, d - 1)
+    blocks = lambda k: _kron(outs[k // width], ins[k % width].T)
+    return _apply_two_site(operator, gate.modes[0], legs, blocks, policy, stats)
 
 
 def evolve_input(

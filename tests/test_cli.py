@@ -619,6 +619,14 @@ class TestCutoff:
         (record,) = _records(out)
         assert record["n_c"] == 6 and record["sources"] == 1128
 
+    @pytest.mark.parametrize("modes, squeezing, photons", [(1000, "0.8", 2000), (4, "800", 4)])
+    def test_large_sizes_do_not_overflow(self, capsys, modes, squeezing, photons):
+        code, out, _ = run(["cutoff", "--modes", str(modes), "--squeezing", squeezing, "--gamma", "0.05",
+                            "--photons", str(photons), "--sources", "10"], capsys)
+        assert code == 0
+        (record,) = _records(out)
+        assert record["n_c"] == photons and record["delta"] < 1e-6
+
     def test_odd_modes_reported(self, capsys):
         code, _, err = run(["cutoff", "--modes", "3", "--squeezing", "0.5", "--gamma", "0.05",
                             "--photons", "2", "--sources", "4"], capsys)

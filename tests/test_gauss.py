@@ -1,4 +1,6 @@
+import decimal
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -442,6 +444,17 @@ class TestPairDistribution:
         p4 = np.convolve(p2, p2)
         for nu in range(8):
             assert abs(photon_pair_distribution(4, r, nu) - p4[2 * nu]) < 1e-10
+
+    @pytest.mark.parametrize("pairs", [500, 1000])
+    def test_a_thousand_modes_stay_in_the_float_range(self, pairs):
+        # the binomial C(nu + 499, nu) passes the float range and tanh^(2 nu)
+        # underflows; the exact value, to 50 digits, is about 1e-155 at
+        # nu = 500 and about 1e-460 at nu = 1000, which is 0 as a float
+        with decimal.localcontext(decimal.Context(prec=50)):
+            sech, tanh = 1 / decimal.Decimal(math.cosh(0.4)), decimal.Decimal(math.tanh(0.4))
+            exact = math.comb(pairs + 499, pairs) * sech**1000 * tanh ** (2 * pairs)
+        assert photon_pair_distribution(1000, 0.4, pairs) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+        assert (float(exact) > 0.0) == (pairs == 500)
 
     def test_odd_mode_count_unsupported(self):
         with pytest.raises(UnsupportedConfigurationError):

@@ -738,20 +738,32 @@ def _captured_map(monkeypatch, apply, train, gate, **kwargs):
     captured = []
     apply_two_site = tnet._apply_two_site
 
-    def recorded(train, i, blocks, *args):
-        captured.append(blocks)
-        return apply_two_site(train, i, blocks, *args)
+    def recorded(train, i, legs, blocks, *args):
+        captured.append((legs, blocks))
+        return apply_two_site(train, i, legs, blocks, *args)
 
     monkeypatch.setattr(tnet, "_apply_two_site", recorded)
     out = apply(train, gate, TruncationPolicy(svd_threshold=0.0), **kwargs)
     monkeypatch.undo()
-    (blocks,) = captured
-    keys = np.add.outer(train.phys_charges, train.phys_charges).ravel()
+    ((legs, blocks),) = captured
+    keys = np.add.outer(legs, legs).ravel()
     dense = np.zeros((len(keys), len(keys)), dtype=np.complex128)
     for k in np.unique(keys):
         index = np.flatnonzero(keys == k)
-        dense[np.ix_(index, index)] = blocks[k]
+        dense[np.ix_(index, index)] = blocks(k)
     return out, dense
+
+
+def _leg_keys(train) -> np.ndarray:
+    """The key of each physical index that an update of ``train`` sums into
+    its pair keys: a state leg's occupation n, and an operator leg's (out m,
+    in n) as m (2d - 1) + n, so that a pair index's key is (T_out, T_in) =
+    (m1 + m2, n1 + n2) as T_out (2d - 1) + T_in."""
+    d = train.local_dim
+    if len(train.phys_charges) == d:
+        return train.phys_charges
+    m, n = np.divmod(np.arange(d * d), d)
+    return m * (2 * d - 1) + n
 
 
 def _random_fill(train, seed):
@@ -834,40 +846,46 @@ class TestGateByTotal:
 
     def test_layout_lists_each_packed_entry_once(self):
         # a state gate keeps the occupation totals n1 + n2, the adjoint
-        # channel the charge sums (m1 - n1) + (m2 - n2)
+        # channel's gate the totals (T_out, T_in), within the charge sums
+        # (m1 - n1) + (m2 - n2) = T_out - T_in
         trains = _layout_trains()
         for train in (trains["state"], trains["operator"]):
-            bonds, phys = train.bond_charges, train.phys_charges
-            keys = np.add.outer(phys, phys).ravel()
+            bonds, phys, legs = train.bond_charges, train.phys_charges, _leg_keys(train)
+            keys = np.add.outer(legs, legs).ravel()
             assert len(set(bonds[2].tolist())) > 1
-            sectors, order, groups, _, _ = tnet._pair_layout(bonds[1], bonds[2], bonds[3], phys)
+            sectors, order, groups, _, _ = tnet._pair_layout(bonds[1], bonds[2], bonds[3], phys, legs)
             assert sorted(order.tolist()) == list(range(sectors[-1][4].stop))
             assert [k for k, *_ in groups] == sorted({k for k, *_ in groups})
             assert {k for k, *_ in groups} <= set(keys.tolist())
             assert all((stop - start) % width == 0 for _, start, stop, width in groups)
+        # the operator's pair keys refine its charges: more keys, each of one charge
+        op, legs = trains["operator"], _leg_keys(trains["operator"])
+        keys, charges = np.add.outer(legs, legs).ravel(), np.add.outer(op.phys_charges, op.phys_charges).ravel()
+        assert len(set(keys.tolist())) > len(set(charges.tolist()))
+        assert all(len(set(charges[keys == k].tolist())) == 1 for k in set(keys.tolist()))
 
     @pytest.mark.parametrize("kind", ["state", "operator", "schrodinger"])
     def test_layout_gathers_each_key_as_a_matrix(self, kind):
         # the per-key matmul needs row r of key k's group to be the r-th pair
         # index of key k, ascending, and each column one (alpha, beta) with
-        # label(beta) - label(alpha) = k, the same in every row
+        # label(beta) - label(alpha) the charge of key k, the same in every row
         train = _layout_trains()[kind]
         left, mid, right = train.bond_charges[1:4]
-        phys, p = train.phys_charges, len(train.phys_charges)
+        phys, p, legs = train.phys_charges, len(train.phys_charges), _leg_keys(train)
         assert len(set(mid.tolist())) > 1
-        sectors, order, groups, *_ = tnet._pair_layout(left, mid, right, phys)
+        sectors, order, groups, *_ = tnet._pair_layout(left, mid, right, phys, legs)
         entries = np.zeros((sectors[-1][4].stop, 4), dtype=np.int64)  # (alpha, n1, n2, beta)
         for _, rows, cols, _, span in sectors:
             r, c = np.divmod(np.arange(span.stop - span.start), len(cols))
             entries[span] = np.column_stack([*np.divmod(rows[r], p), *np.divmod(cols[c], len(right))])
-        keys = np.add.outer(phys, phys).ravel()
+        keys = np.add.outer(legs, legs).ravel()
         assert groups
         for k, start, stop, width in groups:
             alpha, n1, n2, beta = np.moveaxis(entries[order[start:stop]].reshape(width, -1, 4), 2, 0)
             assert np.array_equal(n1[:, 0] * p + n2[:, 0], np.flatnonzero(keys == k))
             assert (n1 == n1[:, :1]).all() and (n2 == n2[:, :1]).all()
             assert (alpha == alpha[0]).all() and (beta == beta[0]).all()
-            assert (right[beta] - left[alpha] == k).all()
+            assert (right[beta] - left[alpha] == phys[n1] + phys[n2]).all()
 
     def test_physical_charges_a_gate_does_not_keep_are_rejected(self):
         # charges 0, 2, 1 on occupations 0, 1, 2: the splits (0, 2) and (1, 1)
@@ -892,28 +910,29 @@ class TestGateByTotal:
         # the charge blocks 0, 1 and 2 of 1 x 2, 2 x 2 and 2 x 1 entries
         left, mid, right, phys = np.array([0, 1]), np.array([1]), np.array([1, 2]), np.arange(3)
         monkeypatch.setattr(tnet, "_layouts", {})
-        sectors, order, *_ = tnet._pair_layout(left, mid, right, phys)
+        sectors, order, *_ = tnet._pair_layout(left, mid, right, phys, phys)
         assert len(order) == 8 and len(sectors) == 3
         cost = 16 * (8 + 6 + 6 + 1) + 2048 * 3
         for limit, stored in ((cost - 1, False), (cost, True)):
             monkeypatch.setattr(tnet, "LAYOUT_BUDGET", limit)
             monkeypatch.setattr(tnet, "_layouts", {})
-            tnet._pair_layout(left, mid, right, phys)
+            tnet._pair_layout(left, mid, right, phys, phys)
             assert len(tnet._layouts) == int(stored)
 
     def test_the_oldest_layouts_make_way_within_the_budget(self, monkeypatch):
+        # a layout is kept per bond labels, physical charges and leg keys
         phys = np.arange(3)
         pairs = [(np.array([0, 1]), np.array([1]), np.array([1, 2]) + k) for k in range(3)]
         monkeypatch.setattr(tnet, "_layouts", {})
         for pair in pairs:
-            tnet._pair_layout(*pair, phys)
+            tnet._pair_layout(*pair, phys, phys)
         costs = [charged for _, charged in tnet._layouts.values()]
         monkeypatch.setattr(tnet, "LAYOUT_BUDGET", sum(costs[1:]))
         monkeypatch.setattr(tnet, "_layouts", {})
         for pair in pairs:
-            tnet._pair_layout(*pair, phys)
+            tnet._pair_layout(*pair, phys, phys)
         assert list(tnet._layouts) == [
-            tuple(x.tobytes() for x in (*pair, phys)) for pair in pairs[1:]
+            tuple(x.tobytes() for x in (*pair, phys, phys)) for pair in pairs[1:]
         ]
 
 
@@ -940,7 +959,7 @@ class TestCenterMove:
 
         def moved(tensors, bonds, center, target):
             tensors, bonds = list(tensors), list(bonds)
-            tnet._move_center(tensors, bonds, train.phys_charges, center, target)
+            tnet._move_center(tensors, bonds, train.phys_charges, _leg_keys(train), center, target)
             out = tnet.TensorTrain(tensors, train.local_dim, target, train.phys_charges, bonds)
             assert np.max(np.abs(out.to_dense() - dense)) <= 1e-13 * np.max(np.abs(dense))
             _assert_charges_hold(out)
@@ -965,7 +984,7 @@ class TestCenterMove:
         pair_layout = tnet._pair_layout
 
         def spy(*args):
-            asked.append(args[4])
+            asked.append(args[5])
             return pair_layout(*args)
 
         monkeypatch.setattr(tnet, "_pair_layout", spy)
@@ -980,9 +999,9 @@ class TestCenterMove:
         # across (0, 1) and (1, 2); every bond is 1, so each of these pairs has
         # the figure of the update
         op = fock_projector_mpo((1, 0, 0, 1), 2)
-        bonds, phys = op.bond_charges, op.phys_charges
-        figure = tnet._pair_layout(bonds[2], bonds[3], bonds[4], phys)[4]
-        assert figure == tnet._pair_layout(bonds[0], bonds[1], bonds[2], phys)[4]
+        bonds, phys, legs = op.bond_charges, op.phys_charges, _leg_keys(op)
+        figure = tnet._pair_layout(bonds[2], bonds[3], bonds[4], phys, legs)[4]
+        assert figure == tnet._pair_layout(bonds[0], bonds[1], bonds[2], phys, legs)[4]
         monkeypatch.setattr(errors, "SIZE_LIMIT", figure - 1)
         with pytest.raises(ResourceLimitError, match=r"centre move across modes \(0, 1\) would hold"):
             apply_gate_mpo_adjoint(op, _gate(modes=(2, 3)))
@@ -1036,34 +1055,40 @@ class TestMpoAdjoint:
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("gamma", [0.0, 0.2, 0.7])
     @pytest.mark.parametrize("lossy", [0, 1])
-    def test_each_key_block_is_the_kraus_sum(self, d, gamma, lossy, monkeypatch):
-        # the kernel receives conjugation blocks by A = (sum_mu K_mu) G; on a
-        # block of one key they equal the channel's, since the terms of
-        # A^dag O A that the channel lacks, mu != nu, change the key
-        received, kernel = [], tnet._apply_two_site
+    def test_one_step_is_the_dense_kraus_sum(self, d, gamma, lossy, monkeypatch):
+        # a two-mode train with generic entries in every charge block, one
+        # step against sum_mu of O -> (K_mu G)^dag O (K_mu G) on the pair
+        # indices; the step lays out no dense gate and no block past d^4
+        c = with_uniform_loss(build_brickwork(2, 2, seed=d), 0.1)
+        op = fock_projector_mpo((1, 0), d - 1)
+        for gate in [g for layer in reversed(c.layers) for g in layer]:
+            op = apply_gate_mpo_adjoint(op, gate)
+        assert len(set(op.bond_charges[1].tolist())) > 2
+        op = _random_fill(op, d)
+        sizes, kernel = [], tnet._apply_two_site
 
-        def spy(train, i, blocks, *rest):
-            received.append(blocks)
-            return kernel(train, i, blocks, *rest)
+        def spy(train, i, legs, blocks, *rest):
+            def recorded(k):
+                sizes.append(blocks(k).size)
+                return blocks(k)
+
+            return kernel(train, i, legs, recorded, *rest)
+
+        def dense_gate(*args):
+            raise AssertionError("the adjoint step laid out a dense gate")
 
         monkeypatch.setattr(tnet, "_apply_two_site", spy)
+        monkeypatch.setattr(tnet, "gate_tensor", dense_gate)
         gate = _gate(0.7, 0.3, 1.9, gamma=gamma, lossy=lossy)
-        apply_gate_mpo_adjoint(fock_projector_mpo((1, 0), d - 1), gate)
-        (blocks,) = received
+        out = apply_gate_mpo_adjoint(op, gate, TruncationPolicy(svd_threshold=0.0))
+        assert sizes and max(sizes) <= d**4
         g = gate_tensor(gate.params, d - 1).reshape(d * d, d * d)  # row m1 * d + m2
         kraus = [np.kron(k, np.eye(d)) if lossy == 0 else np.kron(np.eye(d), k) for k in kraus_set(gamma, d - 1)]
         channel = sum(_superoperator(k @ g) for k in kraus)
-        folded = _superoperator(sum(kraus) @ g)
-        charge = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
-        keys = np.add.outer(charge, charge).ravel()  # of pair index ((m1, n1), (m2, n2))
-        assert sorted(blocks) == sorted(set(keys.tolist()))
-        for q, block in blocks.items():
-            index = np.flatnonzero(keys == q)
-            assert np.max(np.abs(block - channel[np.ix_(index, index)])) <= 1e-13
-        between = np.not_equal.outer(keys, keys)
-        assert np.max(np.abs(channel[between])) <= 1e-13
-        # without the restriction to one key the fold would be wrong
-        assert (np.max(np.abs(folded[between])) > 1e-3) == (gamma > 0.0)
+        # pair index ((m1 d + n1) d^2 + m2 d + n2) to to_matrix's row m1 + d m2, column n1 + d n2
+        vector = channel @ op.to_dense().ravel()
+        expected = vector.reshape((d,) * 4).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+        assert np.max(np.abs(out.to_matrix() - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_hermiticity_preserved(self):
         op = fock_projector_mpo((1, 1), 3)
@@ -1147,9 +1172,22 @@ class TestHeisenbergLossy:
         assert 0.0 <= p <= 1.0
         assert abs(stats.raw_probability - p) < 1e-9
 
+    def test_one_lossy_layer_at_cutoff_16(self, monkeypatch):
+        # a step builds no block past d^4 entries, so n_c = 16 runs and gives
+        # the value of n_c = 12; past the guard, the refusal names an array
+        # an update or a centre move would build
+        layer = with_uniform_loss(build_brickwork(4, 1, seed=1), 0.05)
+        p12, _ = heisenberg_probability_lossy(layer, (1, 1, 0, 0), 0.4, 12)
+        p16, _ = heisenberg_probability_lossy(layer, (1, 1, 0, 0), 0.4, 16)
+        assert p16 == pytest.approx(p12, rel=1e-12, abs=0.0)
+        monkeypatch.setattr(errors, "SIZE_LIMIT", 10**6)
+        refused = r"an array of the (update of|centre move across) modes \(\d, \d\) would hold \d+ entries"
+        with pytest.raises(ResourceLimitError, match=refused):
+            heisenberg_probability_lossy(layer, (1, 1, 0, 0), 0.4, 16)
+
     def test_gate_cache_holds_one_entry_of_blocks_per_gate(self):
         # each gate's own loss adds no entry: the Kraus set is built in closed
-        # form, and the dense gate tensor is laid out from the cached blocks
+        # form, and the adjoint step reads the gate's cached blocks
         c = _with_per_gate_loss(build_brickwork(4, 4, seed=6), 6)
         assert c.num_gates == c.num_lossy_gates == 6
         _gate_unitary_cached.cache_clear()
